@@ -1,8 +1,7 @@
-// Real-thread scaling bench: the legacy single-mutex pool vs the
-// work-stealing pool — plus the work-stealing pool with told-subsumption
-// seeding — on a group-division-heavy workload (randomCycles=0 sends
-// every pair test through runGroupRound's dispatch path, where the
-// executor choice matters most).
+// Real-thread scaling bench: the work-stealing pool with and without
+// told-subsumption seeding on a group-division-heavy workload
+// (randomCycles=0 sends every pair test through runGroupRound's dispatch
+// path, where scheduling cost matters most).
 //
 // Unlike the figure benches this one runs on REAL std::threads — it
 // measures the scheduler itself (queue contention, wake-up latency, steal
@@ -92,14 +91,12 @@ class SpinReasoner : public ReasonerPlugin {
 
 struct Mode {
   const char* name;
-  PoolBackend backend;
   bool seeded;
 };
 
 constexpr Mode kModes[] = {
-    {"mutex", PoolBackend::kMutex, false},
-    {"steal", PoolBackend::kWorkStealing, false},
-    {"steal+seed", PoolBackend::kWorkStealing, true},
+    {"steal", false},
+    {"steal+seed", true},
 };
 
 struct RunResult {
@@ -109,6 +106,7 @@ struct RunResult {
   std::uint64_t tests = 0;         // reasoner calls (sat + subsumption)
   std::uint64_t avoidedSeed = 0;   // pairs resolved by told seeding
   std::uint64_t avoidedPrune = 0;  // pairs resolved by Algorithm 5
+  std::uint64_t routingNs = 0;     // EL routing phase
   std::uint64_t randomNs = 0;      // phase 1 barrier-to-barrier total
   std::uint64_t groupNs = 0;       // phase 2
   std::uint64_t taxonomyNs = 0;    // phase 3
@@ -133,10 +131,7 @@ RunResult runOnce(const GeneratedOntology& g, std::size_t threads,
   ClassifierConfig config;
   config.randomCycles = 0;  // group-division-heavy: only runGroupRound
   config.toldSeeding = mode.seeded;
-  config.scheduling = mode.backend == PoolBackend::kWorkStealing
-                          ? SchedulingPolicy::kSteal
-                          : SchedulingPolicy::kRoundRobin;  // legacy default
-  ThreadPool pool(threads, mode.backend);
+  ThreadPool pool(threads);
   RealExecutor exec(pool);
   ParallelClassifier classifier(*g.tbox, reasoner, config);
   Stopwatch sw;
@@ -165,6 +160,9 @@ RunResult runOnce(const GeneratedOntology& g, std::size_t threads,
   out.cacheRejectedLong = r.cacheRejectedLong;
   for (const CycleStats& c : r.cycles) {
     switch (c.phase) {
+      case CycleStats::Phase::kRouting:
+        out.routingNs += c.elapsedNs;
+        break;
       case CycleStats::Phase::kRandomDivision:
         out.randomNs += c.elapsedNs;
         break;
@@ -204,7 +202,7 @@ Row measure(const GeneratedOntology& g, std::size_t threads, const Mode& mode,
 int main(int argc, char** argv) {
   using namespace owlcl;
 
-  // --quick: CI smoke shape — one thread count, one repeat, all three
+  // --quick: CI smoke shape — one thread count, one repeat, both
   // modes (the countersConsistent() assert and the seeded-tests check
   // still run; only the timing matrix shrinks).
   bool quick = false;
@@ -267,7 +265,8 @@ int main(int argc, char** argv) {
         "\"wall_ns\": %llu, \"wall_ns_min\": %llu, \"wall_ns_mean\": %llu, "
         "\"busy_ns\": %llu, \"steals\": %llu, \"tests\": %llu, "
         "\"tests_avoided_seed\": %llu, \"tests_avoided_prune\": %llu, "
-        "\"phase_random_ns\": %llu, \"phase_group_ns\": %llu, "
+        "\"phase_routing_ns\": %llu, \"phase_random_ns\": %llu, "
+        "\"phase_group_ns\": %llu, "
         "\"phase_taxonomy_ns\": %llu, "
         "\"reasoner_sat_calls\": %llu, \"reasoner_cache_hits\": %llu, "
         "\"reasoner_clashes\": %llu, \"cross_cache_hits\": %llu, "
@@ -282,6 +281,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(row.best.tests),
         static_cast<unsigned long long>(row.best.avoidedSeed),
         static_cast<unsigned long long>(row.best.avoidedPrune),
+        static_cast<unsigned long long>(row.best.routingNs),
         static_cast<unsigned long long>(row.best.randomNs),
         static_cast<unsigned long long>(row.best.groupNs),
         static_cast<unsigned long long>(row.best.taxonomyNs),
@@ -308,15 +308,8 @@ int main(int argc, char** argv) {
     return {};
   };
   const std::size_t tMax = threadCounts.back();
-  const RunResult m8 = find(tMax, "mutex");
   const RunResult s8 = find(tMax, "steal");
   const RunResult d8 = find(tMax, "steal+seed");
-  if (m8.wallNs != 0 && s8.wallNs != 0)
-    std::printf("%zu threads: steal %.2f ms vs mutex %.2f ms (%.2fx)\n", tMax,
-                static_cast<double>(s8.wallNs) / 1e6,
-                static_cast<double>(m8.wallNs) / 1e6,
-                static_cast<double>(m8.wallNs) /
-                    static_cast<double>(s8.wallNs));
   if (s8.wallNs != 0 && d8.wallNs != 0) {
     std::printf(
         "%zu threads: seeding avoided %llu tests (%llu -> %llu reasoner "

@@ -24,8 +24,7 @@ namespace owlcl {
 
 /// Scheduling disciplines for picking the worker of the next group task.
 ///
-/// Contract: kRoundRobin rotates worker slots; kSharedQueue returns
-/// kAnyWorker (any idle worker takes the task); kLeastLoaded returns the
+/// Contract: kRoundRobin rotates worker slots; kLeastLoaded returns the
 /// worker with the smallest outstanding load *as observable by the
 /// executor* — per-worker queue depth for RealExecutor, per-worker
 /// virtual clock for VirtualExecutor. Implementations must not silently
@@ -38,7 +37,6 @@ namespace owlcl {
 enum class SchedulingPolicy : std::uint8_t {
   kRoundRobin,   // the paper's round-robin scheduling (Section III-A2)
   kLeastLoaded,  // "getAvailableThread": worker with the least queued work
-  kSharedQueue,  // single shared queue; any idle worker takes the task
   kSteal,        // executor-balanced: work-stealing / simulated equivalent
 };
 
@@ -53,7 +51,7 @@ class Executor {
   /// Picks the worker slot for the next task under `policy`.
   virtual std::size_t pickWorker(SchedulingPolicy policy) = 0;
 
-  /// `worker` == kAnyWorker puts the task on the shared queue.
+  /// `worker` == kAnyWorker leaves placement to the executor (unpinned).
   static constexpr std::size_t kAnyWorker = static_cast<std::size_t>(-1);
   virtual void dispatch(std::size_t worker, Task task) = 0;
 

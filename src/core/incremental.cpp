@@ -10,195 +10,6 @@
 
 namespace owlcl {
 
-IncrementalClassifier::IncrementalClassifier(const TBox& tbox,
-                                             ReasonerPlugin& plugin)
-    : tbox_(tbox),
-      plugin_(plugin),
-      nodes_(2),
-      placed_(tbox.conceptCount(), false),
-      atBottom_(tbox.conceptCount(), false) {
-  OWLCL_ASSERT_MSG(tbox.frozen(), "freeze the TBox first");
-}
-
-bool IncrementalClassifier::nodeSubsumesC(std::size_t v, ConceptId c) {
-  std::uint64_t ns = 0;
-  const bool r = plugin_.isSubsumedBy(c, nodes_[v].repConcept, &ns);
-  ++subsTests_;
-  return r;
-}
-
-bool IncrementalClassifier::nodeSubsumedByC(std::size_t v, ConceptId c) {
-  std::uint64_t ns = 0;
-  const bool r = plugin_.isSubsumedBy(nodes_[v].repConcept, c, &ns);
-  ++subsTests_;
-  return r;
-}
-
-std::vector<std::size_t> IncrementalClassifier::topSearch(ConceptId c) {
-  // BFS down from ⊤: a node is a direct-parent candidate when it subsumes
-  // c but none of its children does. Verdicts are memoised per insertion.
-  std::unordered_map<std::size_t, bool> memo;
-  auto subsumesC = [&](std::size_t v) {
-    if (v == kTop) return true;
-    if (v == kBot) return false;
-    auto it = memo.find(v);
-    if (it != memo.end()) return it->second;
-    const bool r = nodeSubsumesC(v, c);
-    memo.emplace(v, r);
-    return r;
-  };
-  std::vector<std::size_t> parents;
-  std::vector<std::size_t> stack{kTop};
-  std::vector<bool> visited(nodes_.size(), false);
-  visited[kTop] = true;
-  while (!stack.empty()) {
-    const std::size_t v = stack.back();
-    stack.pop_back();
-    bool childTook = false;
-    for (std::size_t ch : nodes_[v].children) {
-      if (ch == kBot) continue;
-      if (subsumesC(ch)) {
-        childTook = true;
-        if (!visited[ch]) {
-          visited[ch] = true;
-          stack.push_back(ch);
-        }
-      }
-    }
-    if (!childTook) parents.push_back(v);
-  }
-  std::sort(parents.begin(), parents.end());
-  parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
-  return parents;
-}
-
-std::vector<std::size_t> IncrementalClassifier::bottomSearch(
-    ConceptId c, const std::vector<std::size_t>& parents) {
-  // Restrict the upward BFS to nodes below every found parent (reasoner-
-  // free pre-filter), then test candidates.
-  std::vector<bool> belowParents(nodes_.size(), true);
-  for (std::size_t p : parents) {
-    if (p == kTop) continue;
-    std::vector<bool> belowP(nodes_.size(), false);
-    std::vector<std::size_t> stack{p};
-    while (!stack.empty()) {
-      const std::size_t v = stack.back();
-      stack.pop_back();
-      for (std::size_t ch : nodes_[v].children) {
-        if (!belowP[ch]) {
-          belowP[ch] = true;
-          stack.push_back(ch);
-        }
-      }
-    }
-    belowP[kBot] = true;
-    for (std::size_t v = 0; v < nodes_.size(); ++v)
-      belowParents[v] = belowParents[v] && belowP[v];
-  }
-
-  std::unordered_map<std::size_t, bool> memo;
-  auto underC = [&](std::size_t v) {
-    if (v == kBot) return true;
-    if (v == kTop) return false;
-    if (!belowParents[v]) return false;
-    auto it = memo.find(v);
-    if (it != memo.end()) return it->second;
-    const bool r = nodeSubsumedByC(v, c);
-    memo.emplace(v, r);
-    return r;
-  };
-  std::vector<std::size_t> children;
-  std::vector<std::size_t> stack{kBot};
-  std::vector<bool> visited(nodes_.size(), false);
-  visited[kBot] = true;
-  while (!stack.empty()) {
-    const std::size_t v = stack.back();
-    stack.pop_back();
-    bool parentTook = false;
-    for (std::size_t pa : nodes_[v].parents) {
-      if (pa == kTop) continue;
-      if (underC(pa)) {
-        parentTook = true;
-        if (!visited[pa]) {
-          visited[pa] = true;
-          stack.push_back(pa);
-        }
-      }
-    }
-    if (!parentTook) children.push_back(v);
-  }
-  std::sort(children.begin(), children.end());
-  children.erase(std::unique(children.begin(), children.end()), children.end());
-  return children;
-}
-
-void IncrementalClassifier::splice(ConceptId c,
-                                   const std::vector<std::size_t>& parents,
-                                   const std::vector<std::size_t>& children) {
-  const std::size_t vNew = nodes_.size();
-  nodes_.push_back(DynNode{c, {c}, {}, {}});
-  auto eraseEdge = [this](std::size_t pa, std::size_t ch) {
-    auto& cs = nodes_[pa].children;
-    cs.erase(std::remove(cs.begin(), cs.end(), ch), cs.end());
-    auto& ps = nodes_[ch].parents;
-    ps.erase(std::remove(ps.begin(), ps.end(), pa), ps.end());
-  };
-  auto addEdge = [this](std::size_t pa, std::size_t ch) {
-    nodes_[pa].children.push_back(ch);
-    nodes_[ch].parents.push_back(pa);
-  };
-  for (std::size_t p : parents)
-    for (std::size_t ch : children) eraseEdge(p, ch);
-  for (std::size_t p : parents) addEdge(p, vNew);
-  for (std::size_t ch : children) addEdge(vNew, ch);
-}
-
-void IncrementalClassifier::insert(ConceptId c) {
-  OWLCL_ASSERT(c < placed_.size());
-  if (placed_[c]) return;
-  placed_[c] = true;
-  ++insertedCount_;
-
-  std::uint64_t ns = 0;
-  const bool sat = plugin_.isSatisfiable(c, &ns);
-  ++satTests_;
-  if (!sat) {
-    atBottom_[c] = true;
-    return;
-  }
-
-  const std::vector<std::size_t> parents = topSearch(c);
-  // Equivalence: a direct parent also subsumed by c is c's class.
-  for (std::size_t p : parents) {
-    if (p == kTop) continue;
-    if (nodeSubsumedByC(p, c)) {
-      nodes_[p].members.push_back(c);
-      return;
-    }
-  }
-  const std::vector<std::size_t> children = bottomSearch(c, parents);
-  splice(c, parents, children);
-}
-
-void IncrementalClassifier::insertAll() {
-  for (ConceptId c = 0; c < placed_.size(); ++c) insert(c);
-}
-
-Taxonomy IncrementalClassifier::snapshot() const {
-  Taxonomy tax(tbox_.conceptCount());
-  std::vector<Taxonomy::NodeId> emitted(nodes_.size(), Taxonomy::kNoNode);
-  for (std::size_t v = 2; v < nodes_.size(); ++v)
-    emitted[v] = tax.addNode(nodes_[v].members);
-  for (ConceptId c = 0; c < atBottom_.size(); ++c)
-    if (atBottom_[c]) tax.assignToBottom(c);
-  for (std::size_t v = 2; v < nodes_.size(); ++v)
-    for (std::size_t ch : nodes_[v].children)
-      if (ch != kBot && emitted[ch] != Taxonomy::kNoNode)
-        tax.addEdge(emitted[v], emitted[ch]);
-  tax.finalize();
-  return tax;
-}
-
 // --- canonical statement lists ----------------------------------------------
 
 std::vector<std::string> statementsFromTBox(const TBox& tbox) {

@@ -1,24 +1,14 @@
 // Incremental reclassification (DESIGN.md §14).
 //
-// Two independent mechanisms live here:
-//
-//  * IncrementalClassifier — maintains a taxonomy under concept-by-concept
-//    insertion (top-search / bottom-search placement against the taxonomy
-//    built so far), the insertion-based sequential extension the paper
-//    leaves as future work.
-//
-//  * DeltaReclassifier — transactional axiom add/retract on top of a
-//    *completed* parallel classification: the delta is journaled through a
-//    DeltaTxnSink before anything mutates, the affected-concept cone is
-//    computed by union-find over told-axiom signatures, the quiescent
-//    PkStore image is reopened for the cone only, and the three-phase
-//    pipeline reruns on the cone. Commit swaps in the new generation
-//    atomically; any failure (rerun incomplete, cancellation, injected
-//    fault, sink I/O error) rolls back to the pre-delta generation, which
-//    was never touched — rollback is byte-trivial by construction.
-//
-// The reasoner plug-in answers over the FULL TBox, so insertion order
-// never changes the final taxonomy — only the number of tests performed.
+// DeltaReclassifier — transactional axiom add/retract on top of a
+// *completed* parallel classification: the delta is journaled through a
+// DeltaTxnSink before anything mutates, the affected-concept cone is
+// computed by union-find over told-axiom signatures, the quiescent
+// PkStore image is reopened for the cone only, and the three-phase
+// pipeline reruns on the cone. Commit swaps in the new generation
+// atomically; any failure (rerun incomplete, cancellation, injected
+// fault, sink I/O error) rolls back to the pre-delta generation, which
+// was never touched — rollback is byte-trivial by construction.
 #pragma once
 
 #include <atomic>
@@ -36,54 +26,6 @@
 #include "taxonomy/taxonomy.hpp"
 
 namespace owlcl {
-
-class IncrementalClassifier {
- public:
-  /// `tbox` must be frozen; `plugin` must answer w.r.t. the same TBox.
-  IncrementalClassifier(const TBox& tbox, ReasonerPlugin& plugin);
-
-  /// Places one concept. Inserting an already-placed concept is a no-op.
-  void insert(ConceptId c);
-
-  /// Places every concept not yet inserted (ascending id order).
-  void insertAll();
-
-  bool isInserted(ConceptId c) const { return placed_[c]; }
-  std::size_t insertedCount() const { return insertedCount_; }
-
-  /// Immutable taxonomy over the inserted concepts. Concepts not yet
-  /// inserted are left unplaced (queries on them abort).
-  Taxonomy snapshot() const;
-
-  std::uint64_t satTests() const { return satTests_; }
-  std::uint64_t subsumptionTests() const { return subsTests_; }
-
- private:
-  struct DynNode {
-    ConceptId repConcept = kInvalidConcept;
-    std::vector<ConceptId> members;
-    std::vector<std::size_t> parents, children;
-  };
-  static constexpr std::size_t kTop = 0;
-  static constexpr std::size_t kBot = 1;
-
-  bool nodeSubsumesC(std::size_t v, ConceptId c);   // c ⊑ rep(v)?
-  bool nodeSubsumedByC(std::size_t v, ConceptId c); // rep(v) ⊑ c?
-  std::vector<std::size_t> topSearch(ConceptId c);
-  std::vector<std::size_t> bottomSearch(ConceptId c,
-                                        const std::vector<std::size_t>& parents);
-  void splice(ConceptId c, const std::vector<std::size_t>& parents,
-              const std::vector<std::size_t>& children);
-
-  const TBox& tbox_;
-  ReasonerPlugin& plugin_;
-  std::vector<DynNode> nodes_;
-  std::vector<bool> placed_;
-  std::vector<bool> atBottom_;
-  std::size_t insertedCount_ = 0;
-  std::uint64_t satTests_ = 0;
-  std::uint64_t subsTests_ = 0;
-};
 
 // --- transactional delta reclassification (DESIGN.md §14) --------------------
 

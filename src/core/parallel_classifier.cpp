@@ -10,6 +10,13 @@
 
 namespace owlcl {
 
+namespace {
+// Under kSteal, large groups are split into chunks of roughly this many
+// pair tests so idle workers can steal partial groups. Small enough to
+// balance, large enough that per-chunk dispatch cost stays noise.
+constexpr std::size_t kStealChunkPairs = 512;
+}  // namespace
+
 ParallelClassifier::ParallelClassifier(const TBox& tbox, ReasonerPlugin& plugin,
                                        ClassifierConfig config)
     : tbox_(tbox),
@@ -521,7 +528,6 @@ void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
   // worker (group count == worker count, Section III-A1).
   const CancellationToken& cancel = exec.cancellation();
   const bool steal = config_.scheduling == SchedulingPolicy::kSteal;
-  const std::size_t chunkPairs = std::max<std::size_t>(config_.stealChunkPairs, 1);
   const std::size_t base = n / w;
   const std::size_t extra = n % w;
   std::size_t begin = 0;
@@ -560,14 +566,14 @@ void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
       continue;
     }
     // Work-stealing: split the group's triangular pair set into chunks of
-    // ~stealChunkPairs tests by leading-index range, all unpinned, so an
+    // ~kStealChunkPairs tests by leading-index range, all unpinned, so an
     // idle worker can steal part of a heavy group instead of waiting at
     // the barrier.
     std::size_t iBegin = 0;
     while (iBegin + 1 < size) {
       std::size_t pairs = 0;
       std::size_t iEnd = iBegin;
-      while (iEnd + 1 < size && pairs < chunkPairs) {
+      while (iEnd + 1 < size && pairs < kStealChunkPairs) {
         pairs += size - 1 - iEnd;  // pairs led by index iEnd
         ++iEnd;
       }
@@ -605,7 +611,6 @@ void ParallelClassifier::runGroupRound(Executor& exec, std::size_t roundIndex,
   // chunk count comes from the O(1) per-row counter — no scan.
   const CancellationToken& cancel = exec.cancellation();
   const bool steal = config_.scheduling == SchedulingPolicy::kSteal;
-  const std::size_t chunkPairs = std::max<std::size_t>(config_.stealChunkPairs, 1);
   for (ConceptId x = 0; x < n; ++x) {
     const std::size_t cnt = store_.possibleCount(x);
     if (cnt == 0) continue;
@@ -631,7 +636,8 @@ void ParallelClassifier::runGroupRound(Executor& exec, std::size_t roundIndex,
     };
 
     const std::size_t chunks =
-        steal ? std::min((cnt + chunkPairs - 1) / chunkPairs, n) : 1;
+        steal ? std::min((cnt + kStealChunkPairs - 1) / kStealChunkPairs, n)
+              : 1;
     if (chunks <= 1) {
       const std::size_t worker = exec.pickWorker(config_.scheduling);
       exec.dispatch(worker, [runChunk, n] { return runChunk(0, n); });

@@ -98,10 +98,6 @@ struct ClassifierConfig {
   /// paper's round-robin (Section III-A2) and the other disciplines remain
   /// available for the scheduling ablation.
   SchedulingPolicy scheduling = SchedulingPolicy::kSteal;
-  /// Under kSteal, large groups are split into chunks of roughly this many
-  /// pair tests so idle workers can steal partial groups. Small enough to
-  /// balance, large enough that per-chunk dispatch cost stays noise.
-  std::size_t stealChunkPairs = 512;
   /// Compute backend for the P/K bit-matrix kernels and the seeding/
   /// routing mask fixpoints (parallel/bit_kernels.hpp). Null binds the
   /// process-wide activeBitKernels() — the --bit-backend selection; the

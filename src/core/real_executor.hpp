@@ -22,7 +22,6 @@ class RealExecutor : public Executor {
 
   std::size_t pickWorker(SchedulingPolicy policy) override {
     switch (policy) {
-      case SchedulingPolicy::kSharedQueue:
       case SchedulingPolicy::kSteal:
         // Stealing: hand the task to the pool unpinned — it lands on a
         // deque/inbox and migrates to whichever worker runs dry first.

@@ -18,39 +18,25 @@ thread_local std::size_t tlsWorker = 0;
 constexpr int kParkSpins = 32;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t workerCount, PoolBackend backend)
-    : backend_(backend) {
+ThreadPool::ThreadPool(std::size_t workerCount) {
   OWLCL_ASSERT(workerCount > 0);
   perWorker_.reserve(workerCount);
   for (std::size_t i = 0; i < workerCount; ++i)
     perWorker_.push_back(std::make_unique<WorkerState>());
   workers_.reserve(workerCount);
   for (std::size_t i = 0; i < workerCount; ++i)
-    workers_.emplace_back([this, i] {
-      if (backend_ == PoolBackend::kWorkStealing)
-        workerLoopSteal(i);
-      else
-        workerLoopMutex(i);
-    });
+    workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool() {
-  if (backend_ == PoolBackend::kMutex) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_.store(true, std::memory_order_release);
-    }
-    workCv_.notify_all();
-  } else {
-    stop_.store(true, std::memory_order_seq_cst);
-    epoch_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      // Close the race against a worker between its park predicate check
-      // and its cv wait: taking the sleep mutex orders us after it.
-      std::lock_guard<std::mutex> lock(sleepMu_);
-    }
-    sleepCv_.notify_all();
+  stop_.store(true, std::memory_order_seq_cst);
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  {
+    // Close the race against a worker between its park predicate check
+    // and its cv wait: taking the sleep mutex orders us after it.
+    std::lock_guard<std::mutex> lock(sleepMu_);
   }
+  sleepCv_.notify_all();
   for (auto& t : workers_) t.join();
   // Tasks submitted during destruction (unsupported, but don't leak).
   for (auto& w : perWorker_) {
@@ -63,14 +49,6 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(Task task) {
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (backend_ == PoolBackend::kMutex) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      sharedQueue_.push_back(std::move(task));
-    }
-    workCv_.notify_one();
-    return;
-  }
   Task* heap = new Task(std::move(task));
   if (tlsPool == this) {
     // Owner path: lock-free push onto the submitting worker's own deque.
@@ -91,14 +69,6 @@ void ThreadPool::submit(Task task) {
 void ThreadPool::submitTo(std::size_t i, Task task) {
   OWLCL_ASSERT(i < perWorker_.size());
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (backend_ == PoolBackend::kMutex) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      perWorker_[i]->queue.push_back(std::move(task));
-    }
-    workCv_.notify_all();
-    return;
-  }
   WorkerState& w = *perWorker_[i];
   {
     std::lock_guard<std::mutex> lock(w.pinnedMu);
@@ -127,10 +97,6 @@ void ThreadPool::waitIdle() {
 std::size_t ThreadPool::queueDepth(std::size_t i) const {
   OWLCL_ASSERT(i < perWorker_.size());
   const WorkerState& w = *perWorker_[i];
-  if (backend_ == PoolBackend::kMutex) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return w.queue.size() + w.running.load(std::memory_order_relaxed);
-  }
   return w.pinnedSize.load(std::memory_order_relaxed) +
          w.inboxSize.load(std::memory_order_relaxed) + w.deque.sizeApprox() +
          w.running.load(std::memory_order_relaxed);
@@ -143,7 +109,7 @@ std::uint64_t ThreadPool::stealCount() const {
   return total;
 }
 
-// --- shared task bookkeeping -------------------------------------------------
+// --- task bookkeeping --------------------------------------------------------
 
 void ThreadPool::execute(WorkerState& self, Task& task) {
   self.running.store(1, std::memory_order_relaxed);
@@ -176,7 +142,7 @@ void ThreadPool::runHeapTask(WorkerState& self, Task* task) {
   execute(self, local);
 }
 
-// --- work-stealing backend ---------------------------------------------------
+// --- workers -----------------------------------------------------------------
 
 void ThreadPool::signalWork(bool pinned) {
   // Eventcount publish: bump the epoch first (seq_cst orders it against
@@ -212,7 +178,7 @@ void ThreadPool::park(std::uint32_t epochSeen) {
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool ThreadPool::runOneSteal(WorkerState& self, std::size_t index) {
+bool ThreadPool::runOne(WorkerState& self, std::size_t index) {
   // 1. Pinned queue — strict affinity, FIFO, owner-only.
   if (self.pinnedSize.load(std::memory_order_acquire) > 0) {
     Task task;
@@ -287,7 +253,7 @@ bool ThreadPool::runOneSteal(WorkerState& self, std::size_t index) {
   return false;
 }
 
-void ThreadPool::workerLoopSteal(std::size_t index) {
+void ThreadPool::workerLoop(std::size_t index) {
   tlsPool = this;
   tlsWorker = index;
   WorkerState& self = *perWorker_[index];
@@ -295,47 +261,9 @@ void ThreadPool::workerLoopSteal(std::size_t index) {
     // Epoch read *before* the scan: any submission that lands during a
     // failed scan changes the epoch and keeps us from parking past it.
     const std::uint32_t e = epoch_.load(std::memory_order_seq_cst);
-    if (runOneSteal(self, index)) continue;
+    if (runOne(self, index)) continue;
     if (stop_.load(std::memory_order_acquire)) return;
     park(e);
-  }
-}
-
-// --- mutex backend (legacy; kept for the scheduling ablation) ----------------
-
-bool ThreadPool::tryPopMutex(std::size_t index, Task& out) {
-  // Caller holds mu_.
-  if (!perWorker_[index]->queue.empty()) {
-    out = std::move(perWorker_[index]->queue.front());
-    perWorker_[index]->queue.pop_front();
-    return true;
-  }
-  if (!sharedQueue_.empty()) {
-    out = std::move(sharedQueue_.front());
-    sharedQueue_.pop_front();
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::workerLoopMutex(std::size_t index) {
-  tlsPool = this;
-  tlsWorker = index;
-  WorkerState& self = *perWorker_[index];
-  while (true) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      workCv_.wait(lock, [this, index] {
-        return stop_.load(std::memory_order_relaxed) ||
-               !perWorker_[index]->queue.empty() || !sharedQueue_.empty();
-      });
-      if (!tryPopMutex(index, task)) {
-        if (stop_.load(std::memory_order_relaxed)) return;
-        continue;
-      }
-    }
-    execute(self, task);
   }
 }
 

@@ -1,19 +1,13 @@
-// Fixed-size worker pool with two interchangeable backends:
+// Fixed-size work-stealing worker pool over per-worker Chase–Lev deques.
+// Tasks a worker submits from inside a task go lock-free onto the bottom
+// of its own deque; tasks injected from outside the pool are spread
+// round-robin over small per-worker inboxes. A worker drains its own
+// deque, then its inbox, then *steals* from other workers' deques and
+// inboxes — load balance is emergent, no global lock exists, and idle
+// workers park on a low-contention eventcount (spin-then-sleep; producers
+// only touch the sleep mutex when a sleeper is registered).
 //
-//  * PoolBackend::kWorkStealing (default) — per-worker Chase–Lev deques.
-//    Tasks a worker submits from inside a task go lock-free onto the
-//    bottom of its own deque; tasks injected from outside the pool are
-//    spread round-robin over small per-worker inboxes. A worker drains
-//    its own deque, then its inbox, then *steals* from other workers'
-//    deques and inboxes — load balance is emergent, no global lock
-//    exists, and idle workers park on a low-contention eventcount
-//    (spin-then-sleep; producers only touch the sleep mutex when a
-//    sleeper is registered).
-//  * PoolBackend::kMutex — the original single-mutex shared-queue pool,
-//    kept verbatim for the scheduling ablation benches (bench_scaling
-//    measures the convoy it forms under contention).
-//
-// Submission API (identical across backends):
+// Submission API:
 //  * submit(task)        — any worker may run it ("getAvailableThread" of
 //                          Algorithm 1); with stealing it may migrate.
 //  * submitTo(i, task)   — *pinned* to worker i, run in FIFO order. Used
@@ -49,24 +43,17 @@
 
 namespace owlcl {
 
-enum class PoolBackend : std::uint8_t {
-  kWorkStealing,  // per-worker Chase–Lev deques + stealing (default)
-  kMutex,         // legacy single-mutex shared queue (ablation baseline)
-};
-
 class ThreadPool {
  public:
   using Task = std::function<void()>;
 
-  explicit ThreadPool(std::size_t workerCount,
-                      PoolBackend backend = PoolBackend::kWorkStealing);
+  explicit ThreadPool(std::size_t workerCount);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-  PoolBackend backend() const { return backend_; }
 
   /// Enqueues a stealable task: any worker may execute it. From inside a
   /// pool task this is a lock-free push onto the submitting worker's own
@@ -84,17 +71,15 @@ class ThreadPool {
 
   /// Work attributable to worker i: pinned + locally queued/stealable
   /// tasks plus its in-flight task. Snapshot — exact only while no other
-  /// thread submits, steals or completes work. (On the mutex backend,
-  /// tasks on the shared queue are not attributed to any worker.)
+  /// thread submits, steals or completes work.
   std::size_t queueDepth(std::size_t i) const;
 
   /// Total number of tasks executed by a worker other than the one they
-  /// were queued on (0 on the mutex backend). Monotonic; racy snapshot.
+  /// were queued on. Monotonic; racy snapshot.
   std::uint64_t stealCount() const;
 
  private:
   struct alignas(64) WorkerState {
-    // --- work-stealing backend ---------------------------------------------
     WorkStealDeque<Task> deque;      // owner: bottom; thieves: top
     std::mutex inboxMu;              // guards inbox (externally injected)
     std::deque<Task*> inbox;
@@ -103,30 +88,19 @@ class ThreadPool {
     std::deque<Task> pinned;
     std::atomic<std::size_t> pinnedSize{0};
     std::atomic<std::uint64_t> steals{0};
-    // --- mutex backend ------------------------------------------------------
-    std::deque<Task> queue;  // guarded by ThreadPool::mu_
-    // --- shared -------------------------------------------------------------
     std::atomic<std::size_t> running{0};  // executing a task
   };
 
-  // Common task bookkeeping (both backends).
   void execute(WorkerState& self, Task& task);
   void finishOne();
 
-  // Work-stealing backend.
-  void workerLoopSteal(std::size_t index);
-  bool runOneSteal(WorkerState& self, std::size_t index);
+  void workerLoop(std::size_t index);
+  bool runOne(WorkerState& self, std::size_t index);
   void runHeapTask(WorkerState& self, Task* task);
   void park(std::uint32_t epochSeen);
   void signalWork(bool pinned);
 
-  // Mutex backend.
-  void workerLoopMutex(std::size_t index);
-  bool tryPopMutex(std::size_t index, Task& out);
-
-  const PoolBackend backend_;
-
-  // Shared completion / failure state.
+  // Completion / failure state.
   std::atomic<std::size_t> pending_{0};  // queued + running tasks
   std::mutex idleMu_;
   std::condition_variable idleCv_;  // pending_ reached zero
@@ -134,17 +108,12 @@ class ThreadPool {
   std::exception_ptr firstException_;  // first task failure since waitIdle
   std::atomic<bool> stop_{false};
 
-  // Work-stealing backend: eventcount sleep/wake.
+  // Eventcount sleep/wake.
   std::atomic<std::uint32_t> epoch_{0};   // bumped on every submission
   std::atomic<std::size_t> sleepers_{0};  // workers parked or parking
   std::mutex sleepMu_;
   std::condition_variable sleepCv_;
   std::atomic<std::size_t> nextInbox_{0};  // round-robin injection cursor
-
-  // Mutex backend.
-  mutable std::mutex mu_;
-  std::condition_variable workCv_;  // task available or stopping
-  std::deque<Task> sharedQueue_;
 
   std::vector<std::unique_ptr<WorkerState>> perWorker_;
   std::vector<std::thread> workers_;  // last member: joins before state dies

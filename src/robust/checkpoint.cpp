@@ -148,11 +148,10 @@ std::vector<unsigned char> encodeSnapshot(const ClassifierCheckpoint& ckpt,
                                           std::uint64_t ontologyHash,
                                           std::uint64_t seed) {
   const PkStoreImage& img = ckpt.store;
-  std::vector<unsigned char> out;
+  std::vector<unsigned char> out(kSnapMagic, kSnapMagic + 8);
   out.reserve(64 + 8 * (img.pWords.size() + img.kWords.size() +
                         img.testedWords.size()) +
               img.sat.size() + 20 * img.retries.size());
-  out.insert(out.end(), kSnapMagic, kSnapMagic + 8);
   putU32(&out, kSnapVersion);
   putU32(&out, 0);  // flags
   putU64(&out, ontologyHash);

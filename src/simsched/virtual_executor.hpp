@@ -63,11 +63,10 @@ class VirtualExecutor : public Executor {
       case SchedulingPolicy::kRoundRobin:
         return rr_++ % clocks_.size();
       case SchedulingPolicy::kLeastLoaded:
-      case SchedulingPolicy::kSharedQueue:
       case SchedulingPolicy::kSteal: {
         // An idle (earliest-finishing) worker takes the next group — what
-        // a shared queue or a work-stealing pool converges to in virtual
-        // time (stealing's emergent balance, made deterministic).
+        // a work-stealing pool converges to in virtual time (stealing's
+        // emergent balance, made deterministic).
         std::size_t best = 0;
         for (std::size_t i = 1; i < clocks_.size(); ++i)
           if (clocks_[i] < clocks_[best]) best = i;

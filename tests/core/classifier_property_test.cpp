@@ -87,15 +87,13 @@ std::vector<Param> buildMatrix() {
     }
   }
   // Scheduling disciplines (virtual).
-  for (SchedulingPolicy s : {SchedulingPolicy::kLeastLoaded,
-                             SchedulingPolicy::kSharedQueue})
-    params.push_back({4, 2, true, true, false, s, false});
+  params.push_back({4, 2, true, true, false, SchedulingPolicy::kLeastLoaded,
+                    false});
   // Real threads: the racy cases (pruning × symmetric), several workers.
   for (std::size_t w : {2u, 4u, 8u}) {
     params.push_back({w, 2, true, true, false, SchedulingPolicy::kRoundRobin,
                       true});
-    params.push_back({w, 2, true, true, true, SchedulingPolicy::kSharedQueue,
-                      true});
+    params.push_back({w, 2, true, true, true, SchedulingPolicy::kSteal, true});
   }
   return params;
 }

@@ -25,11 +25,10 @@ TEST(RealExecutor, RunsTasksAndAccumulatesBusy) {
   EXPECT_GT(exec.elapsedNs(), 0u);
 }
 
-TEST(RealExecutor, SharedQueuePolicyUsesAnyWorker) {
+TEST(RealExecutor, StealPolicyUsesAnyWorker) {
   ThreadPool pool(3);
   RealExecutor exec(pool);
-  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kSharedQueue),
-            Executor::kAnyWorker);
+  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kSteal), Executor::kAnyWorker);
   std::atomic<int> ran{0};
   exec.dispatch(Executor::kAnyWorker, [&ran] {
     ran.fetch_add(1, std::memory_order_relaxed);

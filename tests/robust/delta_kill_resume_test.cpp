@@ -19,6 +19,7 @@
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
 #error "OWLCL_CLI_PATH must be defined to the owlcl binary path"
@@ -46,10 +47,14 @@ std::string slurp(const std::string& path) {
 
 class DeltaKillResumeTest : public ::testing::Test {
  protected:
+  // A passing case leaves nothing behind; a failing one keeps its
+  // directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) fs::remove_all(base_);
+  }
+
   void SetUp() override {
-    base_ = (fs::path(::testing::TempDir()) / "delta-kill").string();
-    fs::remove_all(base_);
-    fs::create_directories(base_);
+    base_ = freshTestDir("delta-kill");
 
     GenConfig gc;
     gc.name = "dk";

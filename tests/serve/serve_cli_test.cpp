@@ -17,6 +17,7 @@
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
 #error "OWLCL_CLI_PATH must be defined to the owlcl binary path"
@@ -44,10 +45,14 @@ std::string slurp(const std::string& path) {
 
 class ServeCliTest : public ::testing::Test {
  protected:
+  // A passing case leaves nothing behind; a failing one keeps its
+  // directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) fs::remove_all(base_);
+  }
+
   void SetUp() override {
-    base_ = (fs::path(::testing::TempDir()) / "serve-drill").string();
-    fs::remove_all(base_);
-    fs::create_directories(base_);
+    base_ = freshTestDir("serve-drill");
 
     // Big enough that checkpoint crash points fire mid-classification.
     GenConfig gc;

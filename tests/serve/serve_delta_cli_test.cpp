@@ -15,6 +15,7 @@
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
 #error "OWLCL_CLI_PATH must be defined to the owlcl binary path"
@@ -42,10 +43,14 @@ std::string slurp(const std::string& path) {
 
 class ServeDeltaCliTest : public ::testing::Test {
  protected:
+  // A passing case leaves nothing behind; a failing one keeps its
+  // directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) fs::remove_all(base_);
+  }
+
   void SetUp() override {
-    base_ = (fs::path(::testing::TempDir()) / "serve-delta-cli").string();
-    fs::remove_all(base_);
-    fs::create_directories(base_);
+    base_ = freshTestDir("serve-delta-cli");
 
     GenConfig gc;
     gc.name = "sd";

@@ -15,7 +15,7 @@
 //                        saturate the EL sub-ontology first and seed the
 //                        P/K store from it; auto routes only when the
 //                        ontology is majority-EL (default off)
-//   --scheduling=steal|rr|ll|sq  group dispatch discipline (default steal:
+//   --scheduling=steal|rr|ll  group dispatch discipline (default steal:
 //                        unpinned tasks balanced by work-stealing)
 //   --bit-backend=portable|avx2|auto  compute backend for the P/K
 //                        bit-matrix kernels (DESIGN.md §15; default auto =
@@ -433,8 +433,6 @@ Options parseOptions(int argc, char** argv, int first) {
       const std::string s = v3;
       if (s == "ll")
         o.scheduling = SchedulingPolicy::kLeastLoaded;
-      else if (s == "sq")
-        o.scheduling = SchedulingPolicy::kSharedQueue;
       else if (s == "rr")
         o.scheduling = SchedulingPolicy::kRoundRobin;
       else if (s == "steal")
