@@ -263,6 +263,122 @@ TEST(DeltaReclassify, EmptyDeltaCommitsAsNoOp) {
   EXPECT_TRUE(delta->generation().classifier->countersConsistent());
 }
 
+// Builds a hierarchy one concept per transaction; every generation must
+// match the from-scratch oracle, including the splice of B between A
+// and C.
+TEST(DeltaReclassify, StepwiseConceptAdditionsMatchFromScratch) {
+  Rig rig(2);
+  parseFunctionalSyntax("Ontology(Declaration(Class(C)))", rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  const std::vector<std::vector<std::string>> steps = {
+      {"Declaration(Class(A))", "SubClassOf(C A)"},
+      {"Declaration(Class(B))", "SubClassOf(C B)", "SubClassOf(B A)"},
+      {"Declaration(Class(D))", "SubClassOf(D A)"},
+  };
+  std::string err;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    ASSERT_TRUE(delta->beginTxn(&err)) << err;
+    for (const std::string& stmt : steps[i])
+      ASSERT_TRUE(delta->stageAdd(stmt, &err)) << err;
+    DeltaCommitInfo info;
+    ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+    EXPECT_EQ(info.conceptCount, i + 2);
+    EXPECT_TRUE(delta->generation().classifier->countersConsistent());
+    ASSERT_EQ(rig.generationTaxonomy(*delta),
+              rig.scratchTaxonomy(delta->statements()))
+        << "step " << i;
+  }
+
+  const DeltaGeneration gen = delta->generation();
+  const Taxonomy& tax = gen.result->taxonomy;
+  const auto id = [&gen](const char* n) { return gen.tbox->findConcept(n); };
+  EXPECT_TRUE(tax.subsumes(id("A"), id("C")));
+  EXPECT_TRUE(tax.subsumes(id("B"), id("C")));
+  EXPECT_TRUE(tax.subsumes(id("A"), id("B")));
+  EXPECT_FALSE(tax.subsumes(id("B"), id("D")));
+  const TaxonomyIssues issues = verifyStructure(tax);
+  EXPECT_TRUE(issues.ok()) << issues.summary();
+}
+
+// Re-asserting an axiom that is already told changes nothing, and
+// retracting one of the two copies leaves the other in force.
+TEST(DeltaReclassify, DuplicateAddKeepsTaxonomy) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+  const std::string before = rig.generationTaxonomy(*delta);
+
+  std::string err;
+  ASSERT_TRUE(delta->beginTxn(&err)) << err;
+  ASSERT_TRUE(delta->stageAdd("SubClassOf(Student Person)", &err)) << err;
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+  EXPECT_EQ(rig.generationTaxonomy(*delta), before);
+
+  ASSERT_TRUE(delta->beginTxn(&err)) << err;
+  ASSERT_TRUE(delta->stageRetract("SubClassOf(Student Person)", &err)) << err;
+  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+  EXPECT_EQ(info.deltaEpoch, 2u);
+  EXPECT_EQ(rig.generationTaxonomy(*delta), before);
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
+TEST(DeltaReclassify, AddedUnsatConceptGoesToBottom) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  std::string err;
+  ASSERT_TRUE(delta->beginTxn(&err)) << err;
+  ASSERT_TRUE(delta->stageAdd("DisjointClasses(Student Employee)", &err))
+      << err;
+  ASSERT_TRUE(delta->stageAdd("Declaration(Class(WorkingStudent))", &err))
+      << err;
+  ASSERT_TRUE(delta->stageAdd("SubClassOf(WorkingStudent Student)", &err))
+      << err;
+  ASSERT_TRUE(delta->stageAdd("SubClassOf(WorkingStudent Employee)", &err))
+      << err;
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+
+  const DeltaGeneration gen = delta->generation();
+  const Taxonomy& tax = gen.result->taxonomy;
+  EXPECT_EQ(tax.nodeOf(gen.tbox->findConcept("WorkingStudent")),
+            Taxonomy::kBottomNode);
+  EXPECT_NE(tax.nodeOf(gen.tbox->findConcept("Student")),
+            Taxonomy::kBottomNode);
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
+TEST(DeltaReclassify, AddedEquivalenceJoinsClasses) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  std::string err;
+  ASSERT_TRUE(delta->beginTxn(&err)) << err;
+  ASSERT_TRUE(delta->stageAdd("Declaration(Class(Learner))", &err)) << err;
+  ASSERT_TRUE(delta->stageAdd("EquivalentClasses(Learner Student)", &err))
+      << err;
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+
+  const DeltaGeneration gen = delta->generation();
+  const Taxonomy& tax = gen.result->taxonomy;
+  const auto id = [&gen](const char* n) { return gen.tbox->findConcept(n); };
+  EXPECT_TRUE(tax.equivalent(id("Learner"), id("Student")));
+  EXPECT_TRUE(tax.subsumes(id("Person"), id("Learner")));
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
 TEST(DeltaReclassify, AbortLeavesGenerationUntouched) {
   Rig rig(2);
   parseFunctionalSyntax(kSmallOntology, rig.tbox);

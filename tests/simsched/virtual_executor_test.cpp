@@ -79,6 +79,28 @@ TEST(VirtualExecutor, RoundRobinCycles) {
   EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kRoundRobin), 0u);
 }
 
+TEST(VirtualExecutor, StealPlacesOnEarliestWorkerUnlikeRoundRobin) {
+  // kSteal is simulated as its quiescent fixed point: the earliest-
+  // finishing worker takes the next task, so a long task on worker 0
+  // keeps every later pick away from it. Round-robin returns to it.
+  VirtualExecutor exec(3, zeroOverhead());
+  exec.dispatch(0, [] { return 1000u; });
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t w = exec.pickWorker(SchedulingPolicy::kSteal);
+    EXPECT_NE(w, 0u) << "pick " << i;
+    exec.dispatch(w, [] { return 100u; });
+  }
+  exec.barrier();
+  EXPECT_EQ(exec.elapsedNs(), 1000u);
+
+  VirtualExecutor rr(3, zeroOverhead());
+  rr.dispatch(0, [] { return 1000u; });
+  bool hitZero = false;
+  for (int i = 0; i < 4; ++i)
+    hitZero |= rr.pickWorker(SchedulingPolicy::kRoundRobin) == 0u;
+  EXPECT_TRUE(hitZero);
+}
+
 TEST(VirtualExecutor, DeterministicAcrossRuns) {
   auto run = [] {
     VirtualExecutor exec(3);
