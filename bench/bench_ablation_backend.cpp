@@ -10,41 +10,10 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "core/el_plugin.hpp"
 #include "core/real_executor.hpp"
-#include "elcore/el_reasoner.hpp"
 #include "reasoner/tableau_reasoner.hpp"
 #include "util/stopwatch.hpp"
-
-namespace owlcl::bench {
-namespace {
-
-/// ReasonerPlugin over the EL saturation (the ELK-style comparator).
-class ElPlugin : public ReasonerPlugin {
- public:
-  explicit ElPlugin(const TBox& tbox) : el_(tbox) { el_.classify(); }
-
-  bool isSatisfiable(ConceptId c, std::uint64_t* costNs) override {
-    tests_.fetch_add(1, std::memory_order_relaxed);
-    if (costNs != nullptr) *costNs = 100;
-    return el_.isSatisfiable(c);
-  }
-  bool isSubsumedBy(ConceptId sub, ConceptId sup,
-                    std::uint64_t* costNs) override {
-    tests_.fetch_add(1, std::memory_order_relaxed);
-    if (costNs != nullptr) *costNs = 100;
-    return el_.subsumes(sup, sub);
-  }
-  std::uint64_t testCount() const override {
-    return tests_.load(std::memory_order_relaxed);
-  }
-
- private:
-  ElReasoner el_;
-  std::atomic<std::uint64_t> tests_{0};
-};
-
-}  // namespace
-}  // namespace owlcl::bench
 
 int main() {
   using namespace owlcl;

@@ -170,11 +170,14 @@ void ParallelClassifier::drainPossibleToUnresolved() {
   // Cancellation cut the run short: whatever is still possible will never
   // be tested. Runs between barriers — no worker holds claims here.
   const std::size_t n = store_.conceptCount();
-  for (ConceptId x = 0; x < n; ++x)
-    store_.forEachPossible(x, [this, x](ConceptId y) {
-      if (store_.markUnresolved(x, y))
-        settle(SettledKind::kUnresolvedPair, x, y);
-    });
+  std::vector<ConceptId> withdrawn;  // only collected for the journal
+  std::vector<ConceptId>* journaled =
+      config_.checkpoint != nullptr ? &withdrawn : nullptr;
+  for (ConceptId x = 0; x < n; ++x) {
+    withdrawn.clear();
+    store_.withdrawPossibleRow(x, journaled);
+    for (ConceptId y : withdrawn) settle(SettledKind::kUnresolvedPair, x, y);
+  }
   for (ConceptId c = 0; c < n; ++c)
     if (store_.satStatus(c) == SatStatus::kUnknown &&
         store_.markConceptUnresolved(c))
@@ -380,9 +383,8 @@ void ParallelClassifier::seedTold() {
 
 void ParallelClassifier::routeElFragment(Executor& exec,
                                          ClassificationResult& result) {
-  // Hybrid EL/tableau routing (DESIGN.md §13). Runs single-threaded
-  // between the genesis barrier and phase 1, except for the saturation
-  // itself which fans out over this run's own workers. Soundness:
+  // Hybrid EL/tableau routing (DESIGN.md §13). Runs on the classifying
+  // thread between the genesis barrier and phase 1. Soundness:
   //  * the EL sub-ontology E is a subset of O, so every saturation-derived
   //    subsumption / unsatisfiability is entailed by O (monotonicity);
   //  * for *pure* concepts (⊥-module all-EL, mod ⊆ E ⊆ O) the module
@@ -402,19 +404,16 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   if (part.elAxioms == 0) return;  // nothing to route
   if (config_.routeEl == ElRouting::kAuto && !part.majorityEl()) return;
 
-  // Saturate the maximal EL sub-ontology with the ELK-style concurrent
-  // engine, its worker bodies dispatched onto this run's executor. The
-  // tasks report zero cost: saturation time is attributed to the kRouting
-  // cycle entry below (and virtual-time runs stay deterministic).
+  // Saturate the maximal EL sub-ontology, timed by the kRouting cycle
+  // entry. A fired token (watchdog, budget, SIGTERM)
+  // cuts the saturation short: nothing is seeded, and the run's drain
+  // withdraws the untested pairs into the unresolved report.
   ElReasoner el(tbox_, part.axiomEl);
-  void* satRun = el.beginConcurrent();
-  for (std::size_t w = 0; w < exec.workers(); ++w)
-    exec.dispatch(w, [&el, satRun]() -> std::uint64_t {
-      el.runConcurrentWorker(satRun);
-      return 0;
-    });
-  exec.barrier();
-  el.endConcurrent(satRun);
+  if (!el.classify(&exec.cancellation())) {
+    result.cycles.push_back({CycleStats::Phase::kRouting, 0, possibleBefore,
+                             possibleBefore, exec.elapsedNs() - t0, 0});
+    return;
+  }
 
   const std::size_t n = store_.conceptCount();
   std::uint64_t avoided = 0;
@@ -826,7 +825,6 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     notifyBarrier(0, 0);
     started_.store(true, std::memory_order_release);
     if (config_.toldSeeding) seedTold();
-    if (config_.routeEl != ElRouting::kOff) routeElFragment(exec, result);
   } else {
     store_.restoreImage(from->store);
     epoch_.store(from->progress.epoch, std::memory_order_relaxed);
@@ -838,15 +836,17 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     // its last valid record — post-resume appends extend a clean prefix.
     notifyBarrier(startCycle, round);
     started_.store(true, std::memory_order_release);
-    // Delta reruns (DESIGN.md §14) resume from a synthetic checkpoint whose
-    // reopened cone rows never saw a routing phase; route them now so the
-    // EL fragment settles at saturation speed. Crash-recovery resumes keep
-    // this off — their routed verdicts are already in the replayed journal.
-    if (config_.routeElOnResume && config_.routeEl != ElRouting::kOff)
-      routeElFragment(exec, result);
   }
+  // Armed before routing so the budget bounds the EL saturation too.
   if (config_.watchdogBudgetNs != 0) exec.armWatchdog(config_.watchdogBudgetNs);
   const CancellationToken& cancel = exec.cancellation();
+  // Delta reruns (DESIGN.md §14) resume from a synthetic checkpoint whose
+  // reopened cone rows never saw a routing phase; route them too so the
+  // EL fragment settles at saturation speed. Crash-recovery resumes keep
+  // routeElOnResume off — their routed verdicts are in the replayed journal.
+  if (config_.routeEl != ElRouting::kOff &&
+      (from == nullptr || config_.routeElOnResume))
+    routeElFragment(exec, result);
 
   // Convergence slack for fault tolerance: a test key may fail up to
   // maxRetries+1 times, each followed by at most backoffCapRounds idle
@@ -956,7 +956,11 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   result.cacheRejectedFull = rs.cacheRejectedFull;
   result.cacheRejectedLong = rs.cacheRejectedLong;
   result.unresolvedPairs = store_.unresolvedPairs();
-  std::sort(result.unresolvedPairs.begin(), result.unresolvedPairs.end());
+  // The drain appends row by row, so a cancelled run's list is usually
+  // sorted already.
+  if (!std::is_sorted(result.unresolvedPairs.begin(),
+                      result.unresolvedPairs.end()))
+    std::sort(result.unresolvedPairs.begin(), result.unresolvedPairs.end());
   result.unresolvedConcepts = store_.unresolvedConcepts();
   std::sort(result.unresolvedConcepts.begin(), result.unresolvedConcepts.end());
   finished_.store(true, std::memory_order_release);

@@ -78,7 +78,7 @@ struct ClassifierConfig {
   bool toldSeeding = false;
   /// Extension (ROADMAP item 3): hybrid EL/tableau routing. Before phase
   /// 1, the maximal EL sub-ontology (owl/el_fragment.hpp) is saturated by
-  /// the concurrent EL reasoner on this run's own workers; the derived
+  /// the EL reasoner on the classifying thread; the derived
   /// subsumption closure is bulk-seeded into K, definite non-subsumptions
   /// and satisfiability verdicts are recorded for *pure* concepts (whose
   /// ⊥-module is all-EL), and the division phases then only test pairs

@@ -1,6 +1,7 @@
 #include "core/pk_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,15 +80,15 @@ bool PkStore::markUnresolved(ConceptId x, ConceptId y) {
   // (by this worker's failed attempt) — that is fine. The P bit decides
   // exactly-once recording: only the call that withdraws the pair logs it.
   tested_.testAndSet(x, y);
-  // Provisional key *before* the withdrawal: a concurrent query that
-  // observes the P clear below must already find the key, or it would
+  // Provisional bit *before* the withdrawal: a concurrent query that
+  // observes the P clear below must already find the bit, or it would
   // misread the withdrawal as a settled non-subsumption. If the clear is
-  // then lost (the pair got a real verdict first) the stale key stays —
+  // then lost (the pair got a real verdict first) the stale bit stays —
   // harmless: queries degrade that pair to kUnresolved and the serving
   // layer falls back to a direct test.
   {
     std::lock_guard<std::mutex> lock(ledgerMu_);
-    unresolvedKeys_.insert(pairKey(x, y));
+    unresolvedBits().testAndSet(x, y);
   }
   anyUnresolved_.store(true, std::memory_order_release);
   if (!p_.testAndClear(x, y)) return false;
@@ -96,10 +97,39 @@ bool PkStore::markUnresolved(ConceptId x, ConceptId y) {
   return true;
 }
 
+std::size_t PkStore::withdrawPossibleRow(ConceptId x,
+                                         std::vector<ConceptId>* withdrawn) {
+  if (p_.rowEmpty(x)) return 0;
+  std::vector<AtomicBitMatrix::Word> row;
+  p_.rowWordsInto(x, row);
+  const std::size_t words = p_.usedWordsPerRow();
+  // Same order as markUnresolved: claim and mark, then withdraw.
+  tested_.orRow(x, row.data(), words);
+  std::lock_guard<std::mutex> lock(ledgerMu_);
+  unresolvedBits().orRow(x, row.data(), words);
+  anyUnresolved_.store(true, std::memory_order_release);
+  const std::size_t count = p_.andNotRow(x, row.data(), words);
+  for (std::size_t w = 0; w < words; ++w)
+    for (AtomicBitMatrix::Word v = row[w]; v != 0; v &= v - 1) {
+      const auto y = static_cast<ConceptId>(w * AtomicBitMatrix::kWordBits +
+                                            std::countr_zero(v));
+      unresolvedPairs_.emplace_back(x, y);
+      if (withdrawn != nullptr) withdrawn->push_back(y);
+    }
+  return count;
+}
+
+AtomicBitMatrix& PkStore::unresolvedBits() {
+  if (unresolvedBits_ == nullptr)
+    unresolvedBits_ = std::make_unique<AtomicBitMatrix>(
+        n_, n_, /*counted=*/false, &p_.kernels());
+  return *unresolvedBits_;
+}
+
 bool PkStore::pairUnresolved(ConceptId x, ConceptId y) const {
   if (!anyUnresolved_.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(ledgerMu_);
-  return unresolvedKeys_.count(pairKey(x, y)) != 0 ||
+  return (unresolvedBits_ != nullptr && unresolvedBits_->test(x, y)) ||
          conceptUnresolvedFlag_[x] || conceptUnresolvedFlag_[y];
 }
 
@@ -181,9 +211,9 @@ void PkStore::restoreImage(const PkStoreImage& img) {
   for (const RetryImageEntry& e : img.retries)
     retries_[e.key] = RetryEntry{e.attempts, e.retryAtRound};
   unresolvedPairs_ = img.unresolvedPairs;
-  unresolvedKeys_.clear();
+  unresolvedBits_.reset();
   for (const auto& [ux, uy] : unresolvedPairs_)
-    unresolvedKeys_.insert(pairKey(ux, uy));
+    unresolvedBits().testAndSet(ux, uy);
   unresolvedConcepts_ = img.unresolvedConcepts;
   anyUnresolved_.store(!unresolvedPairs_.empty() || !unresolvedConcepts_.empty(),
                        std::memory_order_release);

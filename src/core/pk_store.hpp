@@ -22,9 +22,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -265,6 +265,15 @@ class PkStore {
   /// Returns true iff this call performed the withdrawal.
   bool markUnresolved(ConceptId x, ConceptId y);
 
+  /// Bulk markUnresolved over all of P_X: claims, withdraws and records
+  /// every pair still possible in row X with a few word ops per word, and
+  /// returns how many it withdrew; the Ys are also appended, ascending, to
+  /// `withdrawn` when it is given. Quiescent-only (no concurrent mutators;
+  /// concurrent readers are fine) — a cancelled run's drain, where nearly
+  /// all of P may still be set.
+  std::size_t withdrawPossibleRow(ConceptId x,
+                                  std::vector<ConceptId>* withdrawn = nullptr);
+
   /// Gives up on sat?(C) (concept-level degradation; the caller also
   /// withdraws every pending pair involving C). Idempotent; returns true
   /// iff this call recorded the concept.
@@ -275,8 +284,8 @@ class PkStore {
   std::vector<ConceptId> unresolvedConcepts() const;
   bool conceptUnresolved(ConceptId c) const;
   /// True iff ⟨X,Y⟩ was withdrawn into the unresolved set. Fast-path false
-  /// when no failure was ever recorded (single atomic load); otherwise a
-  /// hashed-set probe under the ledger mutex. Serving queries use this to
+  /// when nothing was ever withdrawn (single atomic load); otherwise a
+  /// bit-matrix probe under the ledger mutex. Serving queries use this to
   /// distinguish "settled non-subsumption" from "given up".
   bool pairUnresolved(ConceptId x, ConceptId y) const;
 
@@ -330,7 +339,11 @@ class PkStore {
   mutable std::mutex ledgerMu_;
   std::unordered_map<std::uint64_t, RetryEntry> retries_;
   std::vector<std::pair<ConceptId, ConceptId>> unresolvedPairs_;
-  std::unordered_set<std::uint64_t> unresolvedKeys_;  // mirrors unresolvedPairs_
+  /// unresolvedPairs_ as bits, for pairUnresolved; allocated on the first
+  /// withdrawal, as most runs never give up on a pair. Callers of
+  /// unresolvedBits() hold ledgerMu_.
+  std::unique_ptr<AtomicBitMatrix> unresolvedBits_;
+  AtomicBitMatrix& unresolvedBits();
   std::vector<ConceptId> unresolvedConcepts_;
   std::vector<bool> conceptUnresolvedFlag_;
 };

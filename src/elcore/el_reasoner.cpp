@@ -1,6 +1,7 @@
 #include "elcore/el_reasoner.hpp"
 
 #include "owl/el_fragment.hpp"
+#include "parallel/cancellation.hpp"
 #include "util/assert.hpp"
 
 namespace owlcl {
@@ -217,8 +218,14 @@ void ElReasoner::processLink(const LinkEvent& ev) {
   }
 }
 
-void ElReasoner::saturate() {
+bool ElReasoner::saturate(const CancellationToken* cancel) {
+  // One token poll per 4096 rule applications: off the profile, yet a
+  // fired token stops the loop within milliseconds.
+  constexpr std::size_t kPollMask = 4096 - 1;
   while (!subQueue_.empty() || !linkQueue_.empty()) {
+    if (cancel != nullptr && (ruleApplications_ & kPollMask) == 0 &&
+        cancel->cancelled())
+      return false;
     if (!subQueue_.empty()) {
       const SubEvent ev = subQueue_.front();
       subQueue_.pop_front();
@@ -229,14 +236,17 @@ void ElReasoner::saturate() {
       processLink(ev);
     }
   }
+  return true;
 }
 
-void ElReasoner::classify() {
-  if (classified_) return;
-  normalise();
-  initSaturation();
-  saturate();
-  classified_ = true;
+bool ElReasoner::classify(const CancellationToken* cancel) {
+  if (classified_) return true;
+  if (atomCount_ == 0) {  // first call; a cut-short one left its queues
+    normalise();
+    initSaturation();
+  }
+  classified_ = saturate(cancel);
+  return classified_;
 }
 
 bool ElReasoner::subsumes(ConceptId sup, ConceptId sub) const {

@@ -4,9 +4,12 @@
 // hierarchies and transitive roles.
 //
 // Roles in this codebase (DESIGN.md §2):
+//  * routing pre-pass — the parallel classifier saturates the maximal EL
+//    sub-ontology before phase 1 and seeds P/K from it (DESIGN.md §13);
+//  * plug-in backend (core/el_plugin.hpp, `--backend=el`) — the ELK-style
+//    comparator for the related-work baseline bench;
 //  * cross-check oracle — integration tests compare the tableau reasoner
-//    and the parallel classifier against this saturation on EL ontologies;
-//  * ELK-style comparator for the related-work baseline bench.
+//    and the parallel classifier against this saturation on EL ontologies.
 //
 // Usage: construct with a frozen TBox whose axioms are all in the EL
 // fragment (isElTBox() tells you), call classify(), then query subsumes().
@@ -23,6 +26,8 @@
 #include "util/bitset.hpp"
 
 namespace owlcl {
+
+class CancellationToken;
 
 /// True iff every told axiom of `tbox` lies in the EL+ fragment
 /// (no ⊔, ¬, ∀, ≥, ≤; DisjointClasses is allowed — it is encoded via ⊥).
@@ -43,27 +48,11 @@ class ElReasoner {
   /// construction.
   ElReasoner(const TBox& tbox, std::vector<std::uint8_t> axiomMask);
 
-  /// Runs saturation to a fixpoint. Idempotent.
-  void classify();
-
-  /// Concurrent saturation in the style of ELK's "concurrent
-  /// classification of EL ontologies" (Kazakov et al., the related work
-  /// the paper cites): workers drain a shared event queue, guarding the
-  /// per-atom subsumer sets and per-role link sets with striped spinlocks.
-  /// Produces exactly the same saturation as classify(). Idempotent.
-  void classifyConcurrent(std::size_t workers);
-
-  /// classifyConcurrent(), split so the worker bodies can run on an
-  /// external execution substrate (the parallel classifier's routing
-  /// phase reuses its own thread pool instead of spawning std::threads).
-  /// Protocol: one beginConcurrent(), then any number of concurrent
-  /// runConcurrentWorker(run) calls — each returns when the saturation
-  /// reaches its fixpoint — then one endConcurrent(run) after all workers
-  /// have returned. beginConcurrent() returns nullptr when the reasoner
-  /// is already classified; the other two are no-ops on nullptr.
-  void* beginConcurrent();
-  void runConcurrentWorker(void* run);
-  void endConcurrent(void* run);
+  /// Runs saturation to a fixpoint and returns true. Polls `cancel` every
+  /// few thousand rule applications and returns false once it fires; the
+  /// reasoner is then unclassified (no queries) until a later call resumes
+  /// the saturation. Idempotent once it has returned true.
+  bool classify(const CancellationToken* cancel = nullptr);
 
   /// After classify(): does `sup` subsume `sub` (i.e. sub ⊑ sup)? O(1).
   bool subsumes(ConceptId sup, ConceptId sub) const;
@@ -74,7 +63,7 @@ class ElReasoner {
   /// All named strict subsumers of `sub` (excluding ⊤ and sub itself).
   std::vector<ConceptId> subsumersOf(ConceptId sub) const;
 
-  /// After classify*(): invokes cb(sup, sub) once for every ordered named
+  /// After classify(): invokes cb(sup, sub) once for every ordered named
   /// pair with sup != sub and subsumes(sup, sub) — the full derived
   /// subsumption closure, including the "unsatisfiable sub is under
   /// everything" rows. The router consumes this to bulk-seed the
@@ -136,11 +125,6 @@ class ElReasoner {
   Atom freshAtom();
   Atom atomize(ExprId e);  // maps an EL expression to a defined atom
 
-  // Concurrent-saturation worker loop; `run` points at the ConcRun shared
-  // state defined in el_concurrent.cpp (type-erased to keep it out of the
-  // public header).
-  void concurrentWorker(void* run);
-
   void addNf1(Atom a, Atom b);
   void addNf2(Atom a1, Atom a2, Atom b);
   void addNf3(Atom a, RoleId r, Atom b);
@@ -148,7 +132,7 @@ class ElReasoner {
 
   void normalise();
   void initSaturation();
-  void saturate();
+  bool saturate(const CancellationToken* cancel);
   void processSub(const SubEvent& ev);
   void processLink(const LinkEvent& ev);
 

@@ -34,6 +34,7 @@
 #include "reasoner/tableau_reasoner.hpp"
 
 // Parallel classification (the paper's architecture)
+#include "core/el_plugin.hpp"
 #include "core/executor.hpp"
 #include "core/parallel_classifier.hpp"
 #include "core/pk_store.hpp"

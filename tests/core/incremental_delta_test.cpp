@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/el_plugin.hpp"
 #include "core/parallel_classifier.hpp"
 #include "core/real_executor.hpp"
 #include "elcore/el_reasoner.hpp"
@@ -491,21 +492,6 @@ TEST(DeltaReclassify, ElPurityFlippingDeltaSwitchesBackend) {
   // EL-only base; the factory routes pure-EL generations to the EL
   // saturation backend and everything else to the tableau — the delta
   // adds a ¬ axiom (flips purity off), then retracts it (flips it back).
-  struct ElBackend : ReasonerPlugin {
-    explicit ElBackend(const TBox& t) : el(t) { el.classify(); }
-    bool isSatisfiable(ConceptId c, std::uint64_t* costNs) override {
-      if (costNs != nullptr) *costNs = 1;
-      return el.isSatisfiable(c);
-    }
-    bool isSubsumedBy(ConceptId sub, ConceptId sup,
-                      std::uint64_t* costNs) override {
-      if (costNs != nullptr) *costNs = 1;
-      return el.subsumes(sup, sub);
-    }
-    std::uint64_t testCount() const override { return 0; }
-    ElReasoner el;
-  };
-
   Rig rig(2);
   parseFunctionalSyntax(R"(
     Ontology(
@@ -524,7 +510,7 @@ TEST(DeltaReclassify, ElPurityFlippingDeltaSwitchesBackend) {
         const_cast<TBox&>(t).freeze();  // idempotent; EL check needs it
         if (isElTBox(t)) {
           ++elBuilds;
-          return std::make_shared<ElBackend>(t);
+          return std::make_shared<ElPlugin>(t);
         }
         ++tableauBuilds;
         return std::make_shared<TableauReasoner>(const_cast<TBox&>(t));

@@ -6,6 +6,7 @@
 
 #include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
+#include "parallel/cancellation.hpp"
 
 namespace owlcl {
 namespace {
@@ -258,6 +259,51 @@ TEST(ElReasoner, MaskedConstructorConsumesOnlySelectedAxioms) {
   EXPECT_FALSE(el.subsumes(t.findConcept("B"), t.findConcept("D")));
   for (ConceptId c = 0; c < t.conceptCount(); ++c)
     EXPECT_TRUE(el.isSatisfiable(c));
+}
+
+TEST(ElReasoner, TransitiveSuperRoleDisjointnessAndDefinition) {
+  Fixture f(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(r B))
+      SubClassOf(B ObjectSomeValuesFrom(r C))
+      TransitiveObjectProperty(r)
+      SubObjectPropertyOf(r s)
+      SubClassOf(ObjectSomeValuesFrom(s C) D)
+      DisjointClasses(D E)
+      SubClassOf(F D)
+      SubClassOf(F E)
+      EquivalentClasses(G ObjectIntersectionOf(A D))
+    ))");
+  // A →r B →r C composes to A →r C, which lifts to A →s C: A ⊑ D.
+  EXPECT_TRUE(f.subs("D", "A"));
+  EXPECT_FALSE(f.subs("D", "C"));
+  // F sits under the disjoint D and E.
+  EXPECT_FALSE(f.sat("F"));
+  EXPECT_TRUE(f.sat("D"));
+  EXPECT_TRUE(f.sat("E"));
+  // G ≡ A ⊓ D, and A ⊑ D closes the equivalence.
+  EXPECT_TRUE(f.subs("A", "G"));
+  EXPECT_TRUE(f.subs("D", "G"));
+  EXPECT_TRUE(f.subs("G", "A"));
+}
+
+TEST(ElReasoner, CancelledClassifyReportsNoFixpointAndResumes) {
+  TBox t;
+  parseFunctionalSyntax(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(r B))
+      SubClassOf(ObjectSomeValuesFrom(r B) C)
+    ))",
+                        t);
+  t.freeze();
+  ElReasoner el(t);
+  CancellationToken cancel;
+  cancel.cancel();
+  EXPECT_FALSE(el.classify(&cancel));
+  cancel.reset();
+  EXPECT_TRUE(el.classify(&cancel));
+  EXPECT_TRUE(el.subsumes(t.findConcept("C"), t.findConcept("A")));
+  EXPECT_TRUE(el.classify(&cancel));  // idempotent once classified
 }
 
 TEST(ElReasoner, DeepChainScales) {

@@ -137,18 +137,28 @@ TEST_P(GeneratorTruthTest, TableauAgreesWithGroundTruth) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorTruthTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 42));
 
-// EL-only configs must also agree with the EL saturation reasoner.
-class GeneratorElTest : public ::testing::TestWithParam<std::uint64_t> {};
+// EL-only configs must also agree with the EL saturation reasoner, at two
+// sizes: 60 concepts, and 120 with denser ∃-decoration.
+struct ElCase {
+  std::uint64_t seed;
+  std::size_t concepts, subClassEdges, existentialAxioms, equivalentAxioms;
+};
+
+// Test names carry the seed alone; the seeds of the two sizes differ.
+void PrintTo(const ElCase& c, std::ostream* os) { *os << c.seed; }
+
+class GeneratorElTest : public ::testing::TestWithParam<ElCase> {};
 
 TEST_P(GeneratorElTest, ElReasonerAgreesWithGroundTruth) {
+  const ElCase& c = GetParam();
   GenConfig cfg;
-  cfg.concepts = 60;
-  cfg.subClassEdges = 90;
-  cfg.existentialAxioms = 25;
-  cfg.equivalentAxioms = 4;
+  cfg.concepts = c.concepts;
+  cfg.subClassEdges = c.subClassEdges;
+  cfg.existentialAxioms = c.existentialAxioms;
+  cfg.equivalentAxioms = c.equivalentAxioms;
   cfg.roleHierarchy = true;
   cfg.transitiveRoles = true;
-  cfg.seed = GetParam();
+  cfg.seed = c.seed;
   auto g = generateOntology(cfg);
   ASSERT_TRUE(isElTBox(*g.tbox));
   ElReasoner el(*g.tbox);
@@ -158,11 +168,16 @@ TEST_P(GeneratorElTest, ElReasonerAgreesWithGroundTruth) {
     for (ConceptId y = 0; y < n; ++y)
       ASSERT_EQ(el.subsumes(x, y), g.truth.subsumes(x, y))
           << g.tbox->conceptName(y) << " ⊑ " << g.tbox->conceptName(x)
-          << " seed " << GetParam();
+          << " seed " << c.seed << ", " << c.concepts << " concepts";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorElTest,
-                         ::testing::Values(4, 9, 16, 25, 36));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, GeneratorElTest,
+    ::testing::Values(ElCase{4, 60, 90, 25, 4}, ElCase{9, 60, 90, 25, 4},
+                      ElCase{16, 60, 90, 25, 4}, ElCase{25, 60, 90, 25, 4},
+                      ElCase{36, 60, 90, 25, 4}, ElCase{3, 120, 200, 60, 8},
+                      ElCase{14, 120, 200, 60, 8},
+                      ElCase{159, 120, 200, 60, 8}));
 
 TEST(MockReasoner, AnswersFromGroundTruth) {
   GenConfig cfg;

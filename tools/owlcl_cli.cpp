@@ -187,28 +187,6 @@ void installShutdownHandlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-/// ReasonerPlugin over the EL saturation, for --backend=el.
-class ElBackend : public ReasonerPlugin {
- public:
-  explicit ElBackend(const TBox& tbox) : el_(tbox) { el_.classify(); }
-  bool isSatisfiable(ConceptId c, std::uint64_t* costNs) override {
-    ++tests_;
-    if (costNs != nullptr) *costNs = 100;
-    return el_.isSatisfiable(c);
-  }
-  bool isSubsumedBy(ConceptId sub, ConceptId sup,
-                    std::uint64_t* costNs) override {
-    ++tests_;
-    if (costNs != nullptr) *costNs = 100;
-    return el_.subsumes(sup, sub);
-  }
-  std::uint64_t testCount() const override { return tests_; }
-
- private:
-  ElReasoner el_;
-  std::atomic<std::uint64_t> tests_{0};
-};
-
 struct Options {
   std::size_t workers = 4;
   std::size_t cycles = 2;
@@ -545,7 +523,7 @@ std::unique_ptr<ReasonerPlugin> makeBackend(const Options& o, TBox& tbox) {
                    "note: --shared-cache/--merge-models only apply to "
                    "--backend=tableau; ignored\n");
     tbox.freeze();
-    return std::make_unique<ElBackend>(tbox);
+    return std::make_unique<ElPlugin>(tbox);
   }
   if (o.backend == "tableau") {
     TableauReasonerConfig tc;
