@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -26,68 +25,6 @@ constexpr std::uint32_t kSnapVersion = 1;
 constexpr char kJournalName[] = "journal.wal";
 constexpr char kSnapPrefix[] = "ckpt-";
 constexpr char kSnapSuffix[] = ".snap";
-
-void putU32(std::vector<unsigned char>* out, std::uint32_t v) {
-  out->push_back(static_cast<unsigned char>(v));
-  out->push_back(static_cast<unsigned char>(v >> 8));
-  out->push_back(static_cast<unsigned char>(v >> 16));
-  out->push_back(static_cast<unsigned char>(v >> 24));
-}
-
-void putU64(std::vector<unsigned char>* out, std::uint64_t v) {
-  putU32(out, static_cast<std::uint32_t>(v));
-  putU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Bounds-checked little-endian reader over a byte buffer.
-class ByteReader {
- public:
-  ByteReader(const unsigned char* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    const unsigned char* p = data_ + pos_;
-    *v = static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    std::uint32_t lo = 0, hi = 0;
-    if (!u32(&lo) || !u32(&hi)) return false;
-    *v = static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-    return true;
-  }
-  bool bytes(unsigned char* out, std::size_t n) {
-    if (pos_ + n > size_) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const unsigned char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-bool writeAll(int fd, const unsigned char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 bool syncDirectory(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
@@ -198,13 +135,7 @@ bool decodeSnapshot(const std::vector<unsigned char>& bytes,
     return fail("snapshot magic mismatch");
   // CRC first: anything else in the file is untrusted until it passes.
   const std::size_t body = bytes.size() - 4;
-  const unsigned char* tail = bytes.data() + body;
-  const std::uint32_t storedCrc =
-      static_cast<std::uint32_t>(tail[0]) |
-      (static_cast<std::uint32_t>(tail[1]) << 8) |
-      (static_cast<std::uint32_t>(tail[2]) << 16) |
-      (static_cast<std::uint32_t>(tail[3]) << 24);
-  if (storedCrc != crc32(bytes.data(), body))
+  if (getU32(bytes.data() + body) != crc32(bytes.data(), body))
     return fail("snapshot CRC mismatch");
 
   ByteReader r(bytes.data(), body);
@@ -319,25 +250,12 @@ bool writeSnapshotFile(const std::string& path,
 bool readSnapshotFile(const std::string& path, std::uint64_t ontologyHash,
                       std::uint64_t seed, ClassifierCheckpoint* out,
                       std::string* error) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (error != nullptr) *error = "cannot open snapshot: " + path;
+  std::vector<unsigned char> bytes;
+  bool exists = false;
+  if (!readWholeFile(path, &bytes, &exists) || !exists) {
+    if (error != nullptr) *error = "cannot read snapshot: " + path;
     return false;
   }
-  std::vector<unsigned char> bytes;
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      if (error != nullptr) *error = "cannot read snapshot: " + path;
-      return false;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
   return decodeSnapshot(bytes, ontologyHash, seed, out, error);
 }
 
@@ -403,7 +321,6 @@ CheckpointManager::CheckpointManager(CheckpointConfig config,
                                      std::uint64_t seed)
     : config_(std::move(config)), ontologyHash_(ontologyHash), seed_(seed) {
   if (config_.everyRounds == 0) config_.everyRounds = 1;
-  if (config_.keepSnapshots == 0) config_.keepSnapshots = 1;
 }
 
 void CheckpointManager::setCrashInjector(CrashInjector* crash) {
@@ -449,8 +366,8 @@ std::vector<std::uint64_t> CheckpointManager::listSnapshotSeqs() const {
 
 void CheckpointManager::pruneSnapshots() {
   std::vector<std::uint64_t> seqs = listSnapshotSeqs();
-  if (seqs.size() <= config_.keepSnapshots) return;
-  for (std::size_t i = 0; i + config_.keepSnapshots < seqs.size(); ++i) {
+  if (seqs.size() <= kKeepSnapshots) return;
+  for (std::size_t i = 0; i + kKeepSnapshots < seqs.size(); ++i) {
     std::error_code ec;
     fs::remove(snapshotPath(seqs[i]), ec);
   }
@@ -542,7 +459,7 @@ void CheckpointManager::epochBarrier(
     const ClassifierProgress& progress,
     const std::function<ClassifierCheckpoint()>& capture) {
   (void)progress;
-  journal_.sync();
+  if (!journal_.sync()) lastError_ = "journal sync failed: " + journalPath();
   const std::uint64_t ordinal = barriers_++;
   // The first barrier a manager sees (genesis on fresh runs, the re-anchor
   // on resumed ones) always snapshots; afterwards the cadence applies.

@@ -9,7 +9,7 @@
 //                       state, written at epoch barriers (cadence
 //                       `everyRounds`), atomically: temp file → fdatasync
 //                       → rename → directory fsync. The newest
-//                       `keepSnapshots` are retained so a corrupt newest
+//                       kKeepSnapshots are retained so a corrupt newest
 //                       snapshot falls back to its predecessor.
 //
 // Recovery (`recover()`): load the newest snapshot that validates (magic,
@@ -51,10 +51,11 @@ struct CheckpointConfig {
   /// resume re-anchor barriers always snapshot regardless of cadence.
   std::uint64_t everyRounds = 1;
   FsyncPolicy fsyncPolicy = FsyncPolicy::kEveryBarrier;
-  /// Snapshots retained (newest first). Minimum 1; the default 2 keeps a
-  /// fallback anchor in case the newest file is corrupt.
-  std::size_t keepSnapshots = 2;
 };
+
+/// Snapshots retained (newest first): the second is the fallback anchor in
+/// case the newest file is corrupt.
+inline constexpr std::size_t kKeepSnapshots = 2;
 
 /// Stable content hash of a TBox (FNV-1a over its canonical functional-
 /// syntax document) — snapshots and journals refuse to load against a
@@ -130,6 +131,11 @@ class CheckpointManager : public CheckpointHook {
   /// Diagnostics for reports and tests.
   std::uint64_t snapshotsWritten() const { return snapshotsWritten_; }
   std::uint64_t journalAppends() const { return journal_.appendCount(); }
+  /// Journal appends that did not reach the disk (full disk, I/O error).
+  std::uint64_t failedJournalAppends() const {
+    return journal_.failedAppends();
+  }
+  /// The most recent failed snapshot write or journal sync ("" if none).
   const std::string& lastError() const { return lastError_; }
 
   /// Marks this manager as driving a delta cone rerun (DESIGN.md §14):

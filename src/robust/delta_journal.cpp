@@ -1,270 +1,73 @@
 #include "robust/delta_journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "robust/fault_injector.hpp"
-#include "util/crc32.hpp"
 
 namespace owlcl {
 
 namespace {
 
-constexpr char kMagic[8] = {'O', 'W', 'L', 'D', 'L', 'T', 'A', '1'};
-constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kRecordHeadBytes = 12;  // kind + pad + txid + len
 
-void putU32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
+std::size_t bodyLength(const unsigned char* head) {
+  if (head[0] < static_cast<unsigned char>(DeltaOpKind::kBegin) ||
+      head[0] > static_cast<unsigned char>(DeltaOpKind::kAbort))
+    return 0;
+  const std::size_t len = getU32(head + 8);
+  // A commit payload is exactly the u64 post-commit hash; any other
+  // length counts as torn.
+  if (head[0] == static_cast<unsigned char>(DeltaOpKind::kCommit) && len != 8)
+    return 0;
+  return kRecordHeadBytes + len;
 }
 
-void putU64(unsigned char* p, std::uint64_t v) {
-  putU32(p, static_cast<std::uint32_t>(v));
-  putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t getU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t getU64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(getU32(p)) |
-         (static_cast<std::uint64_t>(getU32(p + 4)) << 32);
-}
-
-bool validKind(unsigned char k) {
-  return k >= static_cast<unsigned char>(DeltaOpKind::kBegin) &&
-         k <= static_cast<unsigned char>(DeltaOpKind::kAbort);
-}
-
-bool writeAll(int fd, const unsigned char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool readFile(const std::string& path, std::vector<unsigned char>* bytes,
-              bool* exists) {
-  *exists = false;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return errno == ENOENT;
-  *exists = true;
-  bytes->clear();
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    bytes->insert(bytes->end(), buf, buf + n);
-  }
-  ::close(fd);
-  return true;
-}
-
-std::vector<unsigned char> encodeRecord(const DeltaRecord& rec) {
-  std::string payload;
-  if (rec.kind == DeltaOpKind::kAdd || rec.kind == DeltaOpKind::kRetract) {
-    payload = rec.stmt;
-  } else if (rec.kind == DeltaOpKind::kCommit) {
-    unsigned char h[8];
-    putU64(h, rec.newHash);
-    payload.assign(reinterpret_cast<const char*>(h), 8);
-  }
-  std::vector<unsigned char> bytes(kRecordHeadBytes + payload.size() + 4);
-  bytes[0] = static_cast<unsigned char>(rec.kind);
-  bytes[1] = bytes[2] = bytes[3] = 0;
-  putU32(bytes.data() + 4, rec.txid);
-  putU32(bytes.data() + 8, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(bytes.data() + kRecordHeadBytes, payload.data(), payload.size());
-  putU32(bytes.data() + kRecordHeadBytes + payload.size(),
-         crc32(bytes.data(), kRecordHeadBytes + payload.size()));
-  return bytes;
-}
-
-/// Header check + record walk over an in-memory WAL image. Returns the
-/// number of bytes of valid data; -1 on a bad or mismatched header.
-long long validPrefixLength(const std::vector<unsigned char>& bytes,
-                            std::uint64_t baseHash, std::string* error,
-                            std::vector<DeltaRecord>* out) {
-  if (bytes.size() < DeltaJournal::kHeaderBytes) {
-    if (error != nullptr) *error = "delta WAL header truncated";
-    return -1;
-  }
-  const unsigned char* h = bytes.data();
-  if (std::memcmp(h, kMagic, 8) != 0) {
-    if (error != nullptr) *error = "delta WAL magic mismatch";
-    return -1;
-  }
-  if (getU32(h + 20) != crc32(h, 20)) {
-    if (error != nullptr) *error = "delta WAL header CRC mismatch";
-    return -1;
-  }
-  if (getU32(h + 8) != kVersion) {
-    if (error != nullptr) *error = "delta WAL format version mismatch";
-    return -1;
-  }
-  if (getU64(h + 12) != baseHash) {
-    if (error != nullptr) *error = "delta WAL belongs to a different ontology";
-    return -1;
-  }
-  std::size_t pos = DeltaJournal::kHeaderBytes;
-  while (pos + kRecordHeadBytes + 4 <= bytes.size()) {
-    const unsigned char* r = bytes.data() + pos;
-    if (!validKind(r[0])) break;
-    const std::size_t len = getU32(r + 8);
-    if (pos + kRecordHeadBytes + len + 4 > bytes.size()) break;  // torn tail
-    if (getU32(r + kRecordHeadBytes + len) != crc32(r, kRecordHeadBytes + len))
-      break;
-    DeltaRecord rec;
-    rec.kind = static_cast<DeltaOpKind>(r[0]);
-    rec.txid = getU32(r + 4);
-    if (rec.kind == DeltaOpKind::kAdd || rec.kind == DeltaOpKind::kRetract) {
-      rec.stmt.assign(reinterpret_cast<const char*>(r + kRecordHeadBytes), len);
-    } else if (rec.kind == DeltaOpKind::kCommit) {
-      if (len != 8) break;  // malformed commit payload counts as torn
-      rec.newHash = getU64(r + kRecordHeadBytes);
-    }
-    if (out != nullptr) out->push_back(std::move(rec));
-    pos += kRecordHeadBytes + len + 4;
-  }
-  return static_cast<long long>(pos);
-}
+constexpr RecordLogFormat kFormat{
+    "delta WAL",
+    {'O', 'W', 'L', 'D', 'L', 'T', 'A', '1'},
+    /*version=*/1,
+    {"ontology", nullptr},
+    kRecordHeadBytes,
+    bodyLength,
+    CrashPoint::kDeltaTornWrite,
+    CrashPoint::kNone,
+};
 
 }  // namespace
 
-DeltaJournal::~DeltaJournal() { close(); }
-
-void DeltaJournal::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool DeltaJournal::writeHeader(std::uint64_t baseHash, std::string* error) {
-  unsigned char h[kHeaderBytes];
-  std::memcpy(h, kMagic, 8);
-  putU32(h + 8, kVersion);
-  putU64(h + 12, baseHash);
-  putU32(h + 20, crc32(h, 20));
-  if (!writeAll(fd_, h, kHeaderBytes)) {
-    if (error != nullptr) *error = "cannot write delta WAL header";
-    return false;
-  }
-  ::fdatasync(fd_);
-  return true;
-}
-
-bool DeltaJournal::open(const std::string& path, std::uint64_t baseHash,
-                        bool truncate, std::string* error) {
-  close();
-  std::lock_guard<std::mutex> lock(mu_);
-  appends_ = 0;
-
-  if (!truncate) {
-    std::vector<unsigned char> bytes;
-    bool exists = false;
-    if (!readFile(path, &bytes, &exists)) {
-      if (error != nullptr) *error = "cannot read delta WAL: " + path;
-      return false;
-    }
-    if (exists && !bytes.empty()) {
-      const long long valid = validPrefixLength(bytes, baseHash, error, nullptr);
-      if (valid < 0) return false;
-      fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-      if (fd_ < 0) {
-        if (error != nullptr)
-          *error = "cannot open delta WAL for append: " + path;
-        return false;
-      }
-      if (::ftruncate(fd_, static_cast<off_t>(valid)) != 0 ||
-          ::lseek(fd_, 0, SEEK_END) < 0) {
-        if (error != nullptr) *error = "cannot truncate delta WAL tail: " + path;
-        ::close(fd_);
-        fd_ = -1;
-        return false;
-      }
-      return true;
-    }
-  }
-
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    if (error != nullptr) *error = "cannot create delta WAL: " + path;
-    return false;
-  }
-  if (!writeHeader(baseHash, error)) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  return true;
-}
+DeltaJournal::DeltaJournal() : log_(kFormat) {}
 
 bool DeltaJournal::append(const DeltaRecord& rec, std::string* error) {
-  const std::vector<unsigned char> bytes = encodeRecord(rec);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
-    if (error != nullptr) *error = "delta WAL is not open";
-    return false;
-  }
-  const std::uint64_t ordinal = appends_++;
-  if (crash_ != nullptr && crash_->deltaTornWriteNow(ordinal)) {
-    // Torn write: half the record reaches the file, then the process dies.
-    // Recovery must truncate the fragment and treat the operation as
-    // never journaled.
-    writeAll(fd_, bytes.data(), bytes.size() / 2);
-    ::fdatasync(fd_);
-    CrashInjector::crash();
-  }
-  if (!writeAll(fd_, bytes.data(), bytes.size())) {
-    if (error != nullptr) *error = "delta WAL append failed";
-    return false;
-  }
-  // Every record gates a transaction state transition; make it durable
-  // before the reclassifier acts on it.
-  ::fdatasync(fd_);
-  return true;
-}
-
-std::uint64_t DeltaJournal::appendCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return appends_;
+  std::vector<unsigned char> payload;
+  if (rec.kind == DeltaOpKind::kAdd || rec.kind == DeltaOpKind::kRetract)
+    payload.assign(rec.stmt.begin(), rec.stmt.end());
+  else if (rec.kind == DeltaOpKind::kCommit)
+    putU64(&payload, rec.newHash);
+  std::vector<unsigned char> body = {static_cast<unsigned char>(rec.kind), 0,
+                                     0, 0};
+  body.reserve(kRecordHeadBytes + payload.size() + 4);
+  putU32(&body, rec.txid);
+  putU32(&body, static_cast<std::uint32_t>(payload.size()));
+  body.insert(body.end(), payload.begin(), payload.end());
+  return log_.append(std::move(body), error);
 }
 
 bool DeltaJournal::replay(const std::string& path, std::uint64_t baseHash,
                           std::vector<DeltaRecord>* out, std::string* error) {
   out->clear();
-  std::vector<unsigned char> bytes;
-  bool exists = false;
-  if (!readFile(path, &bytes, &exists)) {
-    if (error != nullptr) *error = "cannot read delta WAL: " + path;
-    return false;
-  }
-  if (!exists || bytes.empty()) return true;
-  return validPrefixLength(bytes, baseHash, error, out) >= 0;
+  return RecordLog::replay(
+      kFormat, path, {baseHash},
+      [out](const unsigned char* body, std::size_t len) {
+        DeltaRecord rec;
+        rec.kind = static_cast<DeltaOpKind>(body[0]);
+        rec.txid = getU32(body + 4);
+        const unsigned char* payload = body + kRecordHeadBytes;
+        if (rec.kind == DeltaOpKind::kAdd || rec.kind == DeltaOpKind::kRetract)
+          rec.stmt.assign(reinterpret_cast<const char*>(payload),
+                          len - kRecordHeadBytes);
+        else if (rec.kind == DeltaOpKind::kCommit)
+          rec.newHash = getU64(payload);
+        out->push_back(std::move(rec));
+      },
+      error);
 }
 
 DeltaLogFold foldDeltaLog(const std::vector<DeltaRecord>& records) {

@@ -28,22 +28,22 @@
 //            u32 crc(preceding 12+len bytes)
 // Payload: the canonical statement text (kAdd/kRetract), the u64
 // post-commit ontology hash (kCommit), empty otherwise. `baseHash` is the
-// GENERATION-0 ontology hash — replay re-derives every later hash.
+// GENERATION-0 ontology hash — replay re-derives every later hash. The
+// header, framing, torn-tail truncation, fsync and the kDeltaTornWrite
+// crash point are RecordLog's (robust/record_log.hpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/incremental.hpp"
 #include "robust/checkpoint.hpp"
+#include "robust/record_log.hpp"
 
 namespace owlcl {
-
-class CrashInjector;
 
 enum class DeltaOpKind : std::uint8_t {
   kBegin = 1,
@@ -64,26 +64,27 @@ class DeltaJournal {
  public:
   static constexpr std::size_t kHeaderBytes = 24;
 
-  DeltaJournal() = default;
-  ~DeltaJournal();
-  DeltaJournal(const DeltaJournal&) = delete;
-  DeltaJournal& operator=(const DeltaJournal&) = delete;
+  DeltaJournal();
 
   /// Opens `path` for appending. A missing/empty file gets a fresh header;
   /// an existing one must match (version, baseHash) and is truncated back
   /// to its last valid record. `truncate` recreates from scratch.
   bool open(const std::string& path, std::uint64_t baseHash, bool truncate,
-            std::string* error);
-  bool isOpen() const { return fd_ >= 0; }
-  void close();
+            std::string* error) {
+    return log_.open(path, {baseHash}, FsyncPolicy::kEveryRecord, truncate,
+                     error);
+  }
+  bool isOpen() const { return log_.isOpen(); }
+  void close() { log_.close(); }
 
   /// Appends one record and makes it durable (every delta record is
   /// force-synced — they are human-scale rare and each one gates a state
-  /// transition). Consults the kDeltaTornWrite crash point.
+  /// transition). False if the write or the sync failed. Consults the
+  /// kDeltaTornWrite crash point.
   bool append(const DeltaRecord& rec, std::string* error);
 
-  std::uint64_t appendCount() const;
-  void setCrashInjector(CrashInjector* crash) { crash_ = crash; }
+  std::uint64_t appendCount() const { return log_.appendCount(); }
+  void setCrashInjector(CrashInjector* crash) { log_.setCrashInjector(crash); }
 
   /// Reads every valid record, stopping at the first torn/corrupt one. A
   /// missing file yields zero records and returns true.
@@ -91,12 +92,7 @@ class DeltaJournal {
                      std::vector<DeltaRecord>* out, std::string* error);
 
  private:
-  bool writeHeader(std::uint64_t baseHash, std::string* error);
-
-  mutable std::mutex mu_;
-  int fd_ = -1;
-  std::uint64_t appends_ = 0;
-  CrashInjector* crash_ = nullptr;
+  RecordLog log_;
 };
 
 /// One transaction reconstructed from the log.

@@ -121,19 +121,18 @@ struct CrashPlan {
   bool enabled() const { return point != CrashPoint::kNone; }
 };
 
-/// Deterministic process-death injector consulted by ResultJournal and
-/// CheckpointManager. The `*Now()` predicates answer "is this the
-/// occurrence the plan targets"; the caller performs any partial write
+/// Deterministic process-death injector consulted by RecordLog,
+/// CheckpointManager and DeltaJournalSink. The predicates answer "is this
+/// the occurrence the plan targets"; the caller performs any partial write
 /// first and then calls crash().
 class CrashInjector {
  public:
   explicit CrashInjector(CrashPlan plan) : plan_(plan) {}
 
-  bool tornWriteNow(std::uint64_t appendOrdinal) const {
-    return plan_.point == CrashPoint::kTornWrite && appendOrdinal == plan_.after;
-  }
-  bool crashAfterAppendNow(std::uint64_t appendOrdinal) const {
-    return plan_.point == CrashPoint::kCrashAfterJournal &&
+  /// Append-ordinal points of a RecordLog (kTornWrite / kCrashAfterJournal
+  /// on journal.wal, kDeltaTornWrite on deltas.wal).
+  bool firesAtAppend(CrashPoint point, std::uint64_t appendOrdinal) const {
+    return point != CrashPoint::kNone && plan_.point == point &&
            appendOrdinal == plan_.after;
   }
   bool crashBeforeRenameNow(std::uint64_t barrierOrdinal) const {
@@ -145,12 +144,8 @@ class CrashInjector {
            barrierOrdinal == plan_.after;
   }
 
-  // Delta transaction stages (consulted by DeltaJournal / DeltaJournalSink;
-  // ordinals count delta-WAL appends resp. journaled rerun verdicts).
-  bool deltaTornWriteNow(std::uint64_t appendOrdinal) const {
-    return plan_.point == CrashPoint::kDeltaTornWrite &&
-           appendOrdinal == plan_.after;
-  }
+  // Delta transaction stages (the ordinal counts journaled rerun
+  // verdicts).
   bool crashMidRerunNow(std::uint64_t verdictOrdinal) const {
     return plan_.point == CrashPoint::kCrashMidRerun &&
            verdictOrdinal == plan_.after;

@@ -1,269 +1,56 @@
 #include "robust/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
-#include "robust/fault_injector.hpp"
-#include "util/crc32.hpp"
-
 namespace owlcl {
 
 namespace {
 
-constexpr char kMagic[8] = {'O', 'W', 'L', 'J', 'R', 'N', 'L', '1'};
-constexpr std::uint32_t kVersion = 1;
+// Record body: u8 kind | u8×3 zero | u32 x | u32 y | u32 epoch.
+constexpr std::size_t kBodyBytes = ResultJournal::kRecordBytes - 4;
 
-void putU32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
+std::size_t bodyLength(const unsigned char* head) {
+  const bool validKind =
+      head[0] >= static_cast<unsigned char>(SettledKind::kSubsumption) &&
+      head[0] <= static_cast<unsigned char>(SettledKind::kUnresolvedConcept);
+  return validKind ? kBodyBytes : 0;
 }
 
-void putU64(unsigned char* p, std::uint64_t v) {
-  putU32(p, static_cast<std::uint32_t>(v));
-  putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t getU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t getU64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(getU32(p)) |
-         (static_cast<std::uint64_t>(getU32(p + 4)) << 32);
-}
-
-void encodeHeader(unsigned char* h, std::uint64_t ontologyHash,
-                  std::uint64_t seed) {
-  std::memcpy(h, kMagic, 8);
-  putU32(h + 8, kVersion);
-  putU64(h + 12, ontologyHash);
-  putU64(h + 20, seed);
-}
-
-void encodeRecord(unsigned char* r, SettledKind kind, ConceptId x, ConceptId y,
-                  std::uint32_t epoch) {
-  r[0] = static_cast<unsigned char>(kind);
-  r[1] = r[2] = r[3] = 0;
-  putU32(r + 4, x);
-  putU32(r + 8, y);
-  putU32(r + 12, epoch);
-  putU32(r + 16, crc32(r, 16));
-}
-
-bool validKind(unsigned char k) {
-  return k >= static_cast<unsigned char>(SettledKind::kSubsumption) &&
-         k <= static_cast<unsigned char>(SettledKind::kUnresolvedConcept);
-}
-
-bool writeAll(int fd, const unsigned char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads the whole file into `bytes`; false on open/read error (a missing
-/// file is reported via `exists`).
-bool readFile(const std::string& path, std::vector<unsigned char>* bytes,
-              bool* exists) {
-  *exists = false;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return errno == ENOENT;
-  *exists = true;
-  bytes->clear();
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    bytes->insert(bytes->end(), buf, buf + n);
-  }
-  ::close(fd);
-  return true;
-}
-
-/// Header check on an in-memory journal image. Returns the number of
-/// bytes of valid data (header + whole CRC-valid records); -1 on a bad or
-/// mismatched header.
-long long validPrefixLength(const std::vector<unsigned char>& bytes,
-                            std::uint64_t ontologyHash, std::uint64_t seed,
-                            std::string* error,
-                            std::vector<JournalRecord>* out) {
-  if (bytes.size() < ResultJournal::kHeaderBytes) {
-    if (error != nullptr) *error = "journal header truncated";
-    return -1;
-  }
-  const unsigned char* h = bytes.data();
-  if (std::memcmp(h, kMagic, 8) != 0) {
-    if (error != nullptr) *error = "journal magic mismatch";
-    return -1;
-  }
-  if (getU32(h + 28) != crc32(h, 28)) {
-    if (error != nullptr) *error = "journal header CRC mismatch";
-    return -1;
-  }
-  if (getU32(h + 8) != kVersion) {
-    if (error != nullptr) *error = "journal format version mismatch";
-    return -1;
-  }
-  if (getU64(h + 12) != ontologyHash) {
-    if (error != nullptr) *error = "journal belongs to a different ontology";
-    return -1;
-  }
-  if (getU64(h + 20) != seed) {
-    if (error != nullptr) *error = "journal belongs to a different seed";
-    return -1;
-  }
-  std::size_t pos = ResultJournal::kHeaderBytes;
-  while (pos + ResultJournal::kRecordBytes <= bytes.size()) {
-    const unsigned char* r = bytes.data() + pos;
-    if (!validKind(r[0]) || getU32(r + 16) != crc32(r, 16)) break;
-    if (out != nullptr)
-      out->push_back(JournalRecord{static_cast<SettledKind>(r[0]), getU32(r + 4),
-                                   getU32(r + 8), getU32(r + 12)});
-    pos += ResultJournal::kRecordBytes;
-  }
-  return static_cast<long long>(pos);
-}
+constexpr RecordLogFormat kFormat{
+    "journal",
+    {'O', 'W', 'L', 'J', 'R', 'N', 'L', '1'},
+    /*version=*/1,
+    {"ontology", "seed"},
+    kBodyBytes,
+    bodyLength,
+    CrashPoint::kTornWrite,
+    CrashPoint::kCrashAfterJournal,
+};
 
 }  // namespace
 
-ResultJournal::~ResultJournal() { close(); }
+ResultJournal::ResultJournal() : log_(kFormat) {}
 
-void ResultJournal::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool ResultJournal::writeHeader(std::uint64_t ontologyHash, std::uint64_t seed,
-                                std::string* error) {
-  unsigned char h[kHeaderBytes];
-  encodeHeader(h, ontologyHash, seed);
-  putU32(h + 28, crc32(h, 28));
-  if (!writeAll(fd_, h, kHeaderBytes)) {
-    if (error != nullptr) *error = "cannot write journal header";
-    return false;
-  }
-  ::fdatasync(fd_);  // the header anchors everything; always durable
-  return true;
-}
-
-bool ResultJournal::open(const std::string& path, std::uint64_t ontologyHash,
-                         std::uint64_t seed, FsyncPolicy fsync, bool truncate,
-                         std::string* error) {
-  close();
-  std::lock_guard<std::mutex> lock(mu_);
-  fsync_ = fsync;
-  appends_ = 0;
-
-  if (!truncate) {
-    // Existing journal: validate the header, then cut a torn/corrupt tail
-    // so appends extend the valid prefix.
-    std::vector<unsigned char> bytes;
-    bool exists = false;
-    if (!readFile(path, &bytes, &exists)) {
-      if (error != nullptr) *error = "cannot read journal: " + path;
-      return false;
-    }
-    if (exists && !bytes.empty()) {
-      const long long valid =
-          validPrefixLength(bytes, ontologyHash, seed, error, nullptr);
-      if (valid < 0) return false;
-      fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-      if (fd_ < 0) {
-        if (error != nullptr) *error = "cannot open journal for append: " + path;
-        return false;
-      }
-      if (::ftruncate(fd_, static_cast<off_t>(valid)) != 0 ||
-          ::lseek(fd_, 0, SEEK_END) < 0) {
-        if (error != nullptr) *error = "cannot truncate journal tail: " + path;
-        ::close(fd_);
-        fd_ = -1;
-        return false;
-      }
-      return true;
-    }
-  }
-
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    if (error != nullptr) *error = "cannot create journal: " + path;
-    return false;
-  }
-  if (!writeHeader(ontologyHash, seed, error)) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  return true;
-}
-
-void ResultJournal::append(SettledKind kind, ConceptId x, ConceptId y,
+bool ResultJournal::append(SettledKind kind, ConceptId x, ConceptId y,
                            std::uint32_t epoch) {
-  unsigned char r[kRecordBytes];
-  encodeRecord(r, kind, x, y, epoch);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  const std::uint64_t ordinal = appends_++;
-  if (crash_ != nullptr && crash_->tornWriteNow(ordinal)) {
-    // Torn write: half the record reaches the disk, then the process
-    // dies. Recovery must refuse to parse the fragment.
-    writeAll(fd_, r, kRecordBytes / 2);
-    ::fdatasync(fd_);
-    CrashInjector::crash();
-  }
-  writeAll(fd_, r, kRecordBytes);
-  if (fsync_ == FsyncPolicy::kEveryRecord) ::fdatasync(fd_);
-  if (crash_ != nullptr && crash_->crashAfterAppendNow(ordinal)) {
-    ::fdatasync(fd_);
-    CrashInjector::crash();
-  }
-}
-
-void ResultJournal::sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0 && fsync_ != FsyncPolicy::kNever) ::fdatasync(fd_);
-}
-
-std::uint64_t ResultJournal::appendCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return appends_;
+  std::vector<unsigned char> body = {static_cast<unsigned char>(kind), 0, 0, 0};
+  body.reserve(kRecordBytes);
+  putU32(&body, x);
+  putU32(&body, y);
+  putU32(&body, epoch);
+  return log_.append(std::move(body), nullptr);
 }
 
 bool ResultJournal::replay(const std::string& path, std::uint64_t ontologyHash,
                            std::uint64_t seed, std::vector<JournalRecord>* out,
                            std::string* error) {
   out->clear();
-  std::vector<unsigned char> bytes;
-  bool exists = false;
-  if (!readFile(path, &bytes, &exists)) {
-    if (error != nullptr) *error = "cannot read journal: " + path;
-    return false;
-  }
-  if (!exists || bytes.empty()) return true;  // nothing journaled yet
-  return validPrefixLength(bytes, ontologyHash, seed, error, out) >= 0;
+  return RecordLog::replay(
+      kFormat, path, {ontologyHash, seed},
+      [out](const unsigned char* body, std::size_t) {
+        out->push_back(JournalRecord{static_cast<SettledKind>(body[0]),
+                                     getU32(body + 4), getU32(body + 8),
+                                     getU32(body + 12)});
+      },
+      error);
 }
 
 }  // namespace owlcl

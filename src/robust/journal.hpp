@@ -13,31 +13,19 @@
 //   records : u8 kind | u8×3 zero | u32 x | u32 y | u32 epoch |
 //             u32 crc(first 16 bytes)          — 20 bytes each
 //
-// Torn-write handling: a record is valid only if it is complete AND its
-// CRC matches; replay stops at the first invalid record, and re-opening
-// for append truncates the file back to the last valid record so new
-// appends extend a clean prefix (a torn tail is never parsed as data).
-//
-// Fsync policy: kNever trusts the OS page cache (fastest, loses the most
-// on power failure — process crashes still lose nothing once the kernel
-// has the write); kEveryRecord makes each verdict durable before the call
-// returns; kEveryBarrier syncs once per epoch barrier (the default:
-// bounded loss, negligible cost).
+// The header, framing, torn-tail truncation, fsync policy and crash points
+// are RecordLog's (robust/record_log.hpp); this class is the record format.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint_hook.hpp"
 #include "owl/ids.hpp"
+#include "robust/record_log.hpp"
 
 namespace owlcl {
-
-class CrashInjector;
-
-enum class FsyncPolicy : std::uint8_t { kNever = 0, kEveryRecord, kEveryBarrier };
 
 struct JournalRecord {
   SettledKind kind;
@@ -51,10 +39,7 @@ class ResultJournal {
   static constexpr std::size_t kHeaderBytes = 32;
   static constexpr std::size_t kRecordBytes = 20;
 
-  ResultJournal() = default;
-  ~ResultJournal();
-  ResultJournal(const ResultJournal&) = delete;
-  ResultJournal& operator=(const ResultJournal&) = delete;
+  ResultJournal();
 
   /// Opens `path` for appending. A missing/empty file gets a fresh header;
   /// an existing file must carry a matching (version, ontologyHash, seed)
@@ -63,23 +48,28 @@ class ResultJournal {
   /// Returns false (with *error set) on I/O failure or header mismatch.
   bool open(const std::string& path, std::uint64_t ontologyHash,
             std::uint64_t seed, FsyncPolicy fsync, bool truncate,
-            std::string* error);
+            std::string* error) {
+    return log_.open(path, {ontologyHash, seed}, fsync, truncate, error);
+  }
 
-  bool isOpen() const { return fd_ >= 0; }
-  void close();
+  bool isOpen() const { return log_.isOpen(); }
+  void close() { log_.close(); }
 
-  /// Appends one record (thread-safe). Durability per the fsync policy.
-  void append(SettledKind kind, ConceptId x, ConceptId y, std::uint32_t epoch);
+  /// Appends one record (thread-safe). Durability per the fsync policy;
+  /// false (and counted in failedAppends()) if the write or sync failed.
+  bool append(SettledKind kind, ConceptId x, ConceptId y, std::uint32_t epoch);
 
   /// Forces buffered records to disk (kEveryBarrier calls this at epoch
-  /// barriers; harmless under the other policies).
-  void sync();
+  /// barriers; harmless under the other policies). False if the sync
+  /// failed.
+  bool sync() { return log_.sync(); }
 
   /// Records appended through this handle (not counting replayed ones).
-  std::uint64_t appendCount() const;
+  std::uint64_t appendCount() const { return log_.appendCount(); }
+  std::uint64_t failedAppends() const { return log_.failedAppends(); }
 
   /// Process-death injection for the crash drills (may be null).
-  void setCrashInjector(CrashInjector* crash) { crash_ = crash; }
+  void setCrashInjector(CrashInjector* crash) { log_.setCrashInjector(crash); }
 
   /// Reads every valid record of `path`, stopping at the first torn or
   /// corrupt one. A missing file yields zero records and returns true; an
@@ -89,14 +79,7 @@ class ResultJournal {
                      std::string* error);
 
  private:
-  bool writeHeader(std::uint64_t ontologyHash, std::uint64_t seed,
-                   std::string* error);
-
-  mutable std::mutex mu_;
-  int fd_ = -1;
-  FsyncPolicy fsync_ = FsyncPolicy::kEveryBarrier;
-  std::uint64_t appends_ = 0;
-  CrashInjector* crash_ = nullptr;
+  RecordLog log_;
 };
 
 }  // namespace owlcl

@@ -509,7 +509,6 @@ TEST(CheckpointManager, SnapshotCadenceAndPruningHonoured) {
   CheckpointConfig conf;
   conf.dir = dir;
   conf.everyRounds = 3;
-  conf.keepSnapshots = 2;
   CheckpointManager mgr(conf, 1, 2);
   std::string err;
   ASSERT_TRUE(mgr.beginFresh(&err)) << err;

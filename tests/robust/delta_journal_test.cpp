@@ -124,6 +124,38 @@ TEST(DeltaJournal, TornTailIsIgnoredOnReplayAndTruncatedOnReopen) {
   EXPECT_EQ(recs[2].kind, DeltaOpKind::kCommit);
 }
 
+TEST(DeltaJournal, SingleBitFlipStopsReplayAtThatRecord) {
+  const std::string path = tempDir("dwal-flip") + "/deltas.wal";
+  const std::string stmt = "SubClassOf(A B)";
+  DeltaJournal j;
+  std::string err;
+  ASSERT_TRUE(j.open(path, 5, /*truncate=*/true, &err)) << err;
+  ASSERT_TRUE(j.append(rec(DeltaOpKind::kBegin, 1), &err));
+  for (int i = 0; i < 4; ++i)
+    ASSERT_TRUE(j.append(rec(DeltaOpKind::kAdd, 1, stmt), &err));
+  j.close();
+
+  std::vector<unsigned char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Records: begin = 12 + 4 bytes, each add = 12 + |stmt| + 4 bytes. Flip
+  // one payload bit inside record #2 (0-based) — records 0 and 1 stay valid.
+  const std::size_t addBytes = 12 + stmt.size() + 4;
+  bytes[DeltaJournal::kHeaderBytes + 16 + addBytes + 12 + 3] ^= 0x10;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::vector<DeltaRecord> recs;
+  ASSERT_TRUE(DeltaJournal::replay(path, 5, &recs, &err)) << err;
+  EXPECT_EQ(recs.size(), 2u);
+}
+
 TEST(DeltaJournal, FoldSplitsCommittedOpenAndAborted) {
   std::vector<DeltaRecord> log{
       rec(DeltaOpKind::kBegin, 1),

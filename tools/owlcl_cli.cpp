@@ -955,11 +955,21 @@ int cmdClassify(const std::string& path, const Options& o) {
                    tbox.conceptName(c).c_str());
   }
 
-  if (checkpoints != nullptr)
-    std::fprintf(stderr, "  checkpoint: %llu journal records, %llu snapshots\n",
+  if (checkpoints != nullptr) {
+    std::fprintf(stderr, "  checkpoint: %llu journal records, %llu snapshots",
                  static_cast<unsigned long long>(checkpoints->journalAppends()),
                  static_cast<unsigned long long>(
                      checkpoints->snapshotsWritten()));
+    // A full disk must not turn --checkpoint-dir into a silent no-op.
+    if (checkpoints->failedJournalAppends() > 0)
+      std::fprintf(stderr, ", %llu journal appends FAILED",
+                   static_cast<unsigned long long>(
+                       checkpoints->failedJournalAppends()));
+    if (!checkpoints->lastError().empty())
+      std::fprintf(stderr, ", last error: %s",
+                   checkpoints->lastError().c_str());
+    std::fprintf(stderr, "\n");
+  }
 
   // --- transactional delta replay (--apply-deltas) ---------------------------
   int deltaStatus = 0;
