@@ -524,22 +524,24 @@ void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
   const std::uint64_t t0 = exec.elapsedNs();
 
   // randomDivision: w contiguous slices of the shuffled order, one per
-  // worker (group count == worker count, Section III-A1).
+  // worker (group count == worker count, Section III-A1). Each slice keeps
+  // only the live concepts (P row or P column non-empty): every pair with
+  // a dead member would be quick-rejected, and P only shrinks, so the set
+  // of pairs tested is unchanged. A routed EL corpus leaves no live
+  // concept, and its cycles dispatch nothing.
+  const DynamicBitset live = store_.liveConcepts();
   const CancellationToken& cancel = exec.cancellation();
   const bool steal = config_.scheduling == SchedulingPolicy::kSteal;
   const std::size_t base = n / w;
   const std::size_t extra = n % w;
   std::size_t begin = 0;
   for (std::size_t g = 0; g < w && begin < n; ++g) {
-    const std::size_t size = base + (g < extra ? 1 : 0);
-    if (size < 2) {
-      begin += size;
-      continue;  // a group needs at least one pair
-    }
-    auto slice = std::make_shared<const std::vector<ConceptId>>(
-        order.begin() + static_cast<std::ptrdiff_t>(begin),
-        order.begin() + static_cast<std::ptrdiff_t>(begin + size));
-    begin += size;
+    const std::size_t end = begin + base + (g < extra ? 1 : 0);
+    auto slice = std::make_shared<std::vector<ConceptId>>();
+    for (; begin < end; ++begin)
+      if (live.test(order[begin])) slice->push_back(order[begin]);
+    const std::size_t size = slice->size();
+    if (size < 2) continue;  // a group needs at least one pair
 
     // One chunk covers the pairs whose *leading* index falls in
     // [iBegin, iEnd) — i.e. pairs (i, j) with iBegin ≤ i < iEnd < j ≤ size.

@@ -30,6 +30,18 @@ void PkStore::initPossibleAll() {
   }
 }
 
+DynamicBitset PkStore::liveConcepts() const {
+  DynamicBitset live(n_);
+  std::vector<std::uint64_t> row;
+  for (std::size_t x = 0; x < n_; ++x) {
+    if (p_.rowEmpty(x)) continue;
+    live.set(x);
+    p_.rowWordsInto(x, row);
+    bitKernels().orInto(live.mutableWords(), row.data(), live.wordCountUsed());
+  }
+  return live;
+}
+
 void PkStore::eraseUnsatConcept(ConceptId x) {
   p_.clearRow(x);
   k_.clearRow(x);

@@ -184,6 +184,11 @@ class PkStore {
   /// |R_O| = Σ_X |P_X| (Definition 1; snapshot).
   std::size_t remainingPossible() const { return p_.countAll(); }
 
+  /// The live concepts: X with P_X ≠ ∅ or X ∈ P_Y for some Y. One OR
+  /// pass over the rows whose counter is non-zero. P only shrinks, so a
+  /// concept found dead stays dead; read it at a barrier.
+  DynamicBitset liveConcepts() const;
+
   /// Snapshot of P_X / K_X as index lists.
   std::vector<ConceptId> possibleRow(ConceptId x) const { return p_.rowIndices(x); }
   /// P_X restricted to candidate subsumees in [yBegin, yEnd) — the chunked

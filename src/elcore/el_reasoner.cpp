@@ -1,5 +1,7 @@
 #include "elcore/el_reasoner.hpp"
 
+#include <bit>
+
 #include "owl/el_fragment.hpp"
 #include "parallel/cancellation.hpp"
 #include "util/assert.hpp"
@@ -49,52 +51,75 @@ void ElReasoner::addNf3(Atom a, RoleId r, Atom b) { nf3Of_[a].push_back({r, b});
 
 void ElReasoner::addNf4(RoleId r, Atom a, Atom b) { nf4Of_[a].push_back({r, b}); }
 
-ElReasoner::Atom ElReasoner::atomize(ExprId e) {
-  auto it = exprAtom_.find(e);
-  if (it != exprAtom_.end()) return it->second;
-
+ElReasoner::Atom ElReasoner::atomize(ExprId e, std::uint8_t polarity) {
   const ExprFactory& f = tbox_.exprs();
-  Atom result;
   switch (f.kind(e)) {
     case ExprKind::kTop:
-      result = kTopAtom;
-      break;
+      return kTopAtom;
     case ExprKind::kBottom:
-      result = kBotAtom;
-      break;
+      return kBotAtom;
     case ExprKind::kAtom:
-      result = namedAtom(f.node(e).atom);
+      return namedAtom(f.node(e).atom);
+    case ExprKind::kAnd:
+    case ExprKind::kExists:
       break;
-    case ExprKind::kAnd: {
-      // F ≡ C1 ⊓ … ⊓ Cn: F ⊑ Ci (NF1 each) and a left fold of NF2s.
-      std::vector<Atom> parts;
-      for (ExprId c : f.children(e)) parts.push_back(atomize(c));
-      const Atom fAtom = freshAtom();
-      for (Atom p : parts) addNf1(fAtom, p);
-      Atom acc = parts[0];
-      for (std::size_t i = 1; i < parts.size(); ++i) {
-        const Atom next = i + 1 == parts.size() ? fAtom : freshAtom();
-        addNf2(acc, parts[i], next);
-        acc = next;
-      }
-      result = fAtom;
-      break;
-    }
-    case ExprKind::kExists: {
-      // F ≡ ∃r.C: F ⊑ ∃r.B (NF3) and ∃r.B ⊑ F (NF4), B = atomize(C).
-      const Atom b = atomize(f.children(e)[0]);
-      const Atom fAtom = freshAtom();
-      addNf3(fAtom, f.node(e).role, b);
-      addNf4(f.node(e).role, b, fAtom);
-      result = fAtom;
-      break;
-    }
     default:
       OWLCL_ASSERT_MSG(false, "non-EL expression reached ElReasoner::atomize");
-      result = kTopAtom;
+      return kTopAtom;
   }
-  exprAtom_.emplace(e, result);
-  return result;
+
+  const auto [it, isNew] = defined_.try_emplace(e, Definition{0, 0});
+  if (isNew) it->second.atom = freshAtom();
+  const Atom fAtom = it->second.atom;
+  const std::uint8_t todo = polarity & ~it->second.polarities;
+  // Marked before recursing; the recursion may rehash defined_.
+  it->second.polarities |= todo;
+
+  if (f.kind(e) == ExprKind::kAnd) {
+    const auto& children = f.children(e);
+    // Positive F ⊑ C1 ⊓ … ⊓ Cn: F ⊑ Ci (NF1 each).
+    if (todo & kPositive)
+      for (ExprId c : children) addNf1(fAtom, atomize(c, kPositive));
+    // Negative C1 ⊓ … ⊓ Cn ⊑ F: a left fold of NF2s.
+    if (todo & kNegative) {
+      Atom acc = atomize(children[0], kNegative);
+      for (std::size_t i = 1; i < children.size(); ++i) {
+        const Atom part = atomize(children[i], kNegative);
+        const Atom next = i + 1 == children.size() ? fAtom : freshAtom();
+        addNf2(acc, part, next);
+        acc = next;
+      }
+    }
+    return fAtom;
+  }
+
+  const RoleId r = f.node(e).role;
+  const ExprId filler = f.children(e)[0];
+  // Positive F ⊑ ∃r.B (NF3).
+  if (todo & kPositive) addNf3(fAtom, r, atomize(filler, kPositive));
+  // Negative ∃r.A ⊑ F (NF4), plus E(t, A) ⊑ F for every declared-transitive
+  // t ⊑* r: E carries A back along t-chains, which stands in for
+  // composing t-links (∃t.∃t.A ⊑ ∃t.A ⊑ ∃r.A).
+  if (todo & kNegative) {
+    const Atom a = atomize(filler, kNegative);
+    addNf4(r, a, fAtom);
+    const RoleBox& roles = tbox_.roles();
+    for (std::size_t t : roles.subRoles(r).setBits())
+      if (roles.isTransitiveDeclared(static_cast<RoleId>(t)))
+        addNf1(transitiveAtom(static_cast<RoleId>(t), a), fAtom);
+  }
+  return fAtom;
+}
+
+ElReasoner::Atom ElReasoner::transitiveAtom(RoleId t, Atom a) {
+  const std::uint64_t key = (static_cast<std::uint64_t>(t) << 32) | a;
+  const auto [it, isNew] = transAtom_.try_emplace(key, 0);
+  if (!isNew) return it->second;
+  const Atom e = freshAtom();
+  it->second = e;
+  addNf4(t, a, e);
+  addNf4(t, e, e);
+  return e;
 }
 
 void ElReasoner::normalise() {
@@ -110,12 +135,13 @@ void ElReasoner::normalise() {
     const ToldAxiom& ax = told[i];
     switch (ax.kind) {
       case AxiomKind::kSubClassOf:
-        addNf1(atomize(ax.classArgs[0]), atomize(ax.classArgs[1]));
+        addNf1(atomize(ax.classArgs[0], kNegative),
+               atomize(ax.classArgs[1], kPositive));
         break;
       case AxiomKind::kEquivalentClasses:
         for (std::size_t i = 0; i + 1 < ax.classArgs.size(); ++i) {
-          const Atom a = atomize(ax.classArgs[i]);
-          const Atom b = atomize(ax.classArgs[i + 1]);
+          const Atom a = atomize(ax.classArgs[i], kBoth);
+          const Atom b = atomize(ax.classArgs[i + 1], kBoth);
           addNf1(a, b);
           addNf1(b, a);
         }
@@ -124,7 +150,8 @@ void ElReasoner::normalise() {
         // Ci ⊓ Cj ⊑ ⊥ pairwise — stays inside EL+⊥.
         for (std::size_t i = 0; i < ax.classArgs.size(); ++i)
           for (std::size_t j = i + 1; j < ax.classArgs.size(); ++j)
-            addNf2(atomize(ax.classArgs[i]), atomize(ax.classArgs[j]), kBotAtom);
+            addNf2(atomize(ax.classArgs[i], kNegative),
+                   atomize(ax.classArgs[j], kNegative), kBotAtom);
         break;
       case AxiomKind::kSubObjectPropertyOf:
       case AxiomKind::kTransitiveObjectProperty:
@@ -135,35 +162,37 @@ void ElReasoner::normalise() {
   }
 }
 
+void ElReasoner::activate(Atom x) {
+  if (!subsumers_[x].empty()) return;
+  subsumers_[x] = DynamicBitset(atomCount_);
+  addSubsumer(x, x);
+  addSubsumer(x, kTopAtom);
+}
+
 void ElReasoner::addSubsumer(Atom x, Atom s) {
   if (subsumers_[x].test(s)) return;
   subsumers_[x].set(s);
   subQueue_.push_back({x, s});
 }
 
-void ElReasoner::addLinkWithSupers(RoleId r, Atom x, Atom y) {
-  for (std::size_t s : tbox_.roles().superRoles(r).setBits())
-    addLinkExact(static_cast<RoleId>(s), x, y);
-}
-
-void ElReasoner::addLinkExact(RoleId r, Atom x, Atom y) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(x) << 32) | y;
-  if (!linkHas_[r].insert(key).second) return;
-  linkFwd_[r][x].push_back(y);
+void ElReasoner::addLink(RoleId r, Atom x, Atom y) {
+  activate(y);
+  if (linkBwd_[r].empty()) linkBwd_[r].resize(atomCount_);
   linkBwd_[r][y].push_back(x);
   linkQueue_.push_back({r, x, y});
 }
 
 void ElReasoner::initSaturation() {
-  subsumers_.assign(atomCount_, DynamicBitset(atomCount_));
-  const std::size_t nr = tbox_.roles().size();
-  linkFwd_.assign(nr, std::vector<std::vector<Atom>>(atomCount_));
-  linkBwd_.assign(nr, std::vector<std::vector<Atom>>(atomCount_));
-  linkHas_.assign(nr, {});
-  for (Atom x = 0; x < atomCount_; ++x) {
-    addSubsumer(x, x);
-    addSubsumer(x, kTopAtom);
-  }
+  negFiller_.assign(tbox_.roles().size(), {});
+  for (Atom a = 0; a < atomCount_; ++a)
+    for (const Nf4& nf : nf4Of_[a]) {
+      if (negFiller_[nf.role].empty())
+        negFiller_[nf.role] = DynamicBitset(atomCount_);
+      negFiller_[nf.role].set(a);
+    }
+  linkBwd_.assign(tbox_.roles().size(), {});
+  subsumers_.assign(atomCount_, {});
+  for (ConceptId c = 0; c < tbox_.conceptCount(); ++c) activate(namedAtom(c));
   // ⊥ ⊑ X for every X is handled at query time (subsumes/subsumersOf test
   // for ⊥ ∈ S(sub)) instead of inflating S(⊥) with every atom.
 }
@@ -180,41 +209,44 @@ void ElReasoner::processSub(const SubEvent& ev) {
     if (subsumers_[x].test(a.other)) addSubsumer(x, a.rhs);
 
   // CR3: s ⊑ ∃r.B.
-  for (const Nf3& a : nf3Of_[s]) addLinkWithSupers(a.role, x, a.filler);
+  for (const Nf3& a : nf3Of_[s]) addLink(a.role, x, a.filler);
 
-  // CR4 (dual direction): a new subsumer s of x fires ∃r.s ⊑ B for every
-  // predecessor of x over r.
+  // CR4 + CR10 (dual direction): a new subsumer s of x fires ∃r.s ⊑ B for
+  // every predecessor of x over any sub-role of r.
   for (const Nf4& a : nf4Of_[s])
-    for (Atom w : linkBwd_[a.role][x]) addSubsumer(w, a.rhs);
+    for (std::size_t t : tbox_.roles().subRoles(a.role).setBits())
+      if (!linkBwd_[t].empty())
+        for (Atom w : linkBwd_[t][x]) addSubsumer(w, a.rhs);
 
   // CR5 (dual direction): x became unsatisfiable; poison predecessors.
   if (s == kBotAtom) {
-    for (std::size_t r = 0; r < linkBwd_.size(); ++r)
-      for (Atom w : linkBwd_[r][x]) addSubsumer(w, kBotAtom);
+    for (const std::vector<std::vector<Atom>>& bwd : linkBwd_)
+      if (!bwd.empty())
+        for (Atom w : bwd[x]) addSubsumer(w, kBotAtom);
   }
 }
 
 void ElReasoner::processLink(const LinkEvent& ev) {
   const auto [r, x, y] = ev;
   ++ruleApplications_;
-
-  // CR4: ∃r.A ⊑ B for A ∈ S(y).
-  for (std::size_t a : subsumers_[y].setBits())
-    for (const Nf4& nf : nf4Of_[a])
-      if (nf.role == r) addSubsumer(x, nf.rhs);
+  const DynamicBitset& sy = subsumers_[y];
 
   // CR5: unsatisfiable successor poisons x.
-  if (subsumers_[y].test(kBotAtom)) addSubsumer(x, kBotAtom);
+  if (sy.test(kBotAtom)) addSubsumer(x, kBotAtom);
 
-  // CR11 for transitive r (r ∘ r ⊑ r): compose on both sides. New links go
-  // through addLinkExact so duplicates are filtered.
-  if (tbox_.roles().isTransitiveDeclared(r)) {
-    // Copy first: the add below may grow the adjacency vectors. Composed
-    // links must also flow up the role hierarchy (R(r) ⊆ R(s) for r ⊑ s).
-    const std::vector<Atom> succs = linkFwd_[r][y];
-    for (Atom z : succs) addLinkWithSupers(r, x, z);
-    const std::vector<Atom> preds = linkBwd_[r][x];
-    for (Atom w : preds) addLinkWithSupers(r, w, y);
+  // CR4 + CR10: ∃s.A ⊑ B for every super-role s of r and A ∈ S(y), walking
+  // S(y) ∧ negFiller(s) word by word.
+  for (std::size_t s : tbox_.roles().superRoles(r).setBits()) {
+    const DynamicBitset& neg = negFiller_[s];
+    if (neg.empty()) continue;
+    const std::uint64_t* sw = sy.words();
+    const std::uint64_t* nw = neg.words();
+    for (std::size_t w = 0; w < sy.wordCountUsed(); ++w)
+      for (std::uint64_t v = sw[w] & nw[w]; v != 0; v &= v - 1) {
+        const Atom a = static_cast<Atom>(w * 64 + std::countr_zero(v));
+        for (const Nf4& nf : nf4Of_[a])
+          if (nf.role == s) addSubsumer(x, nf.rhs);
+      }
   }
 }
 
@@ -227,12 +259,12 @@ bool ElReasoner::saturate(const CancellationToken* cancel) {
         cancel->cancelled())
       return false;
     if (!subQueue_.empty()) {
-      const SubEvent ev = subQueue_.front();
-      subQueue_.pop_front();
+      const SubEvent ev = subQueue_.back();
+      subQueue_.pop_back();
       processSub(ev);
     } else {
-      const LinkEvent ev = linkQueue_.front();
-      linkQueue_.pop_front();
+      const LinkEvent ev = linkQueue_.back();
+      linkQueue_.pop_back();
       processLink(ev);
     }
   }

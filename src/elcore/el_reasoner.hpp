@@ -3,6 +3,13 @@
 // the EL+ fragment: ⊤, ⊥, named concepts, ⊓, ∃, DisjointClasses, role
 // hierarchies and transitive roles.
 //
+// Normalisation is polarity-aware: a complex expression gets only the
+// definition direction its occurrences need (positive: F ⊑ …, negative:
+// … ⊑ F), so the completion rules fire only where a rule body can match.
+// Transitivity needs no link composition: each negative ∃s.A ⊑ B gains,
+// per declared-transitive t ⊑* s, one atom E with ∃t.A ⊑ E, ∃t.E ⊑ E and
+// E ⊑ B, which carries A back along t-chains of any length.
+//
 // Roles in this codebase (DESIGN.md §2):
 //  * routing pre-pass — the parallel classifier saturates the maximal EL
 //    sub-ontology before phase 1 and seeds P/K from it (DESIGN.md §13);
@@ -16,9 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "owl/tbox.hpp"
@@ -99,6 +104,12 @@ class ElReasoner {
   static constexpr Atom kTopAtom = 0;
   static constexpr Atom kBotAtom = 1;
 
+  /// Occurrence polarities of an expression: positive on the right of ⊑,
+  /// negative on the left (and in DisjointClasses), both under ≡.
+  static constexpr std::uint8_t kPositive = 1;
+  static constexpr std::uint8_t kNegative = 2;
+  static constexpr std::uint8_t kBoth = kPositive | kNegative;
+
   Atom namedAtom(ConceptId c) const { return static_cast<Atom>(2 + c); }
 
   struct Nf2 {
@@ -122,8 +133,18 @@ class ElReasoner {
     Atom x, y;
   };
 
+  /// An expression's atom and the polarities already defined for it.
+  struct Definition {
+    Atom atom;
+    std::uint8_t polarities;
+  };
+
   Atom freshAtom();
-  Atom atomize(ExprId e);  // maps an EL expression to a defined atom
+  /// Maps an EL expression to an atom, adding the definition axioms for
+  /// the polarities in `polarity` that are not defined yet.
+  Atom atomize(ExprId e, std::uint8_t polarity);
+  /// E(t, A) ≡ ∃t.A for transitive t: ∃t.A ⊑ E and ∃t.E ⊑ E.
+  Atom transitiveAtom(RoleId t, Atom a);
 
   void addNf1(Atom a, Atom b);
   void addNf2(Atom a1, Atom a2, Atom b);
@@ -136,10 +157,14 @@ class ElReasoner {
   void processSub(const SubEvent& ev);
   void processLink(const LinkEvent& ev);
 
+  /// Allocates S(x) and seeds it with x and ⊤, once per atom. Named atoms
+  /// start active; any other atom only once it becomes a link target.
+  void activate(Atom x);
   void addSubsumer(Atom x, Atom s);
-  /// Adds (x,y) to R(r) *and all super-roles of r* (CR10 materialised).
-  void addLinkWithSupers(RoleId r, Atom x, Atom y);
-  void addLinkExact(RoleId r, Atom x, Atom y);
+  /// Records the link (x,y) under its told role r. CR3 fires once per
+  /// (x, F) for the one atom F defining ∃r.y, so no link repeats and none
+  /// needs a dedup check. Super-roles (CR10) are matched at CR4 time.
+  void addLink(RoleId r, Atom x, Atom y);
 
   const TBox& tbox_;
   /// Told-axiom filter for the masked constructor; empty = all axioms.
@@ -154,16 +179,16 @@ class ElReasoner {
   std::vector<std::vector<Nf3>> nf3Of_;   // A  -> [(r, B)]   (A ⊑ ∃r.B)
   std::vector<std::vector<Nf4>> nf4Of_;   // A  -> [(r, B)]   (∃r.A ⊑ B)
 
+  std::unordered_map<ExprId, Definition> defined_;      // definition cache
+  std::unordered_map<std::uint64_t, Atom> transAtom_;   // t << 32 | A -> E
+
   // Saturation state.
-  std::vector<DynamicBitset> subsumers_;                  // S(x) over atoms
-  std::vector<std::vector<std::vector<Atom>>> linkFwd_;   // [r][x] -> ys
-  std::vector<std::vector<std::vector<Atom>>> linkBwd_;   // [r][y] -> xs
-  std::vector<std::unordered_set<std::uint64_t>> linkHas_;  // [r] {x<<32|y}
+  std::vector<DynamicBitset> negFiller_;  // [r] {A : some ∃r.A ⊑ B}; may be empty
+  std::vector<DynamicBitset> subsumers_;  // S(x); empty = inactive
+  std::vector<std::vector<std::vector<Atom>>> linkBwd_;  // [r][y] -> xs
 
-  std::deque<SubEvent> subQueue_;
-  std::deque<LinkEvent> linkQueue_;
-
-  std::unordered_map<ExprId, Atom> exprAtom_;  // definition cache
+  std::vector<SubEvent> subQueue_;
+  std::vector<LinkEvent> linkQueue_;
 };
 
 }  // namespace owlcl

@@ -6,10 +6,12 @@
 // threads of the tableau phases then read and write.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/parallel_classifier.hpp"
 #include "core/real_executor.hpp"
@@ -30,10 +32,10 @@ struct ClassifyRun {
 };
 
 ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl, bool seedTold,
-                 std::size_t workers = 4) {
+                 std::size_t workers = 4, std::size_t randomCycles = 1) {
   TableauReasoner reasoner(tbox);
   ClassifierConfig cfg;
-  cfg.randomCycles = 1;
+  cfg.randomCycles = randomCycles;
   cfg.routeEl = routeEl;
   cfg.toldSeeding = seedTold;
   ThreadPool pool(workers);
@@ -205,6 +207,132 @@ TEST(RoutingDifferential, WorkerCountSweepKeepsParity) {
     ASSERT_EQ(base.taxonomy, on.taxonomy) << "workers=" << workers;
   }
 }
+
+TEST(RoutingDifferential, LeafResidualParityAcrossWorkerCounts) {
+  // Phase 1 drops concepts routing settled from its slices; the pairs it
+  // still tests, and so the taxonomy, must not change. Two random cycles,
+  // so the second one filters on what the first left possible.
+  GenConfig cfg = elHeavy();
+  cfg.name = "diff-leaf-residual";
+  cfg.concepts = 240;
+  cfg.subClassEdges = 320;
+  cfg.universalAxioms = 6;
+  cfg.seed = 41;
+  const GeneratedOntology g = generateOntology(cfg);
+  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff, false, 1, 2);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    const ClassifyRun on =
+        classifyOnce(*g.tbox, ElRouting::kOn, false, workers, 2);
+    ASSERT_EQ(off.taxonomy, on.taxonomy) << "workers=" << workers;
+    EXPECT_GT(on.result.routedConcepts, 0u);
+    EXPECT_TRUE(on.countersOk);
+  }
+}
+
+/// RealExecutor that records how many tasks each barrier interval held.
+class DispatchCountingExecutor : public RealExecutor {
+ public:
+  using RealExecutor::RealExecutor;
+  void dispatch(std::size_t worker, Task task) override {
+    ++pending_;
+    RealExecutor::dispatch(worker, std::move(task));
+  }
+  void barrier() override {
+    RealExecutor::barrier();
+    perBarrier.push_back(pending_);
+    pending_ = 0;
+  }
+  std::vector<std::size_t> perBarrier;
+
+ private:
+  std::size_t pending_ = 0;
+};
+
+TEST(RoutingDifferential, FullyRoutedCorpusSkipsPhaseOne) {
+  // Routing settles every pair of a fully-EL corpus, so no concept is
+  // live when phase 1 starts: its cycles see an empty P, run no test and
+  // dispatch no task.
+  GenConfig cfg;
+  cfg.name = "fully-routed";
+  cfg.concepts = 300;
+  cfg.subClassEdges = 450;
+  cfg.existentialAxioms = 120;
+  cfg.equivalentAxioms = 6;
+  cfg.disjointAxioms = 3;
+  cfg.unsatConcepts = 4;
+  cfg.roleHierarchy = true;
+  cfg.transitiveRoles = true;
+  const GeneratedOntology g = generateOntology(cfg);
+  ASSERT_TRUE(isElTBox(*g.tbox));
+
+  TableauReasoner reasoner(*g.tbox);
+  ClassifierConfig config;
+  config.routeEl = ElRouting::kOn;
+  ASSERT_EQ(config.randomCycles, 2u);
+  ThreadPool pool(4);
+  DispatchCountingExecutor exec(pool);
+  ParallelClassifier classifier(*g.tbox, reasoner, config);
+  const ClassificationResult r = classifier.classify(exec);
+  ASSERT_TRUE(r.complete());
+  EXPECT_EQ(r.testsPerformed(), 0u);
+
+  std::size_t randomCycles = 0;
+  for (const CycleStats& c : r.cycles) {
+    if (c.phase != CycleStats::Phase::kRandomDivision) continue;
+    ++randomCycles;
+    EXPECT_EQ(c.possibleBefore, 0u) << "cycle " << c.index;
+    EXPECT_EQ(c.reasonerTests, 0u) << "cycle " << c.index;
+  }
+  EXPECT_EQ(randomCycles, config.randomCycles);
+  // Routing runs without a barrier, so the first barriers close the
+  // random cycles.
+  ASSERT_GE(exec.perBarrier.size(), config.randomCycles);
+  for (std::size_t i = 0; i < config.randomCycles; ++i)
+    EXPECT_EQ(exec.perBarrier[i], 0u) << "cycle " << i << " dispatched tasks";
+
+  const TaxonomyIssues semantic = verifyAgainstOracle(
+      r.taxonomy, [&g](ConceptId sup, ConceptId sub) {
+        return g.truth.subsumes(sup, sub);
+      });
+  EXPECT_TRUE(semantic.ok()) << semantic.summary();
+}
+
+// Table IV's EHDAA2 (ELH+: a transitive role under a role hierarchy) with
+// routing on: the saturation must reach its fixpoint, settle every pair
+// without a tableau test, and agree with the generator's ground truth.
+class RoutedEhdaa2 : public ::testing::TestWithParam<
+                         std::tuple<std::uint64_t, std::size_t>> {};
+
+TEST_P(RoutedEhdaa2, CompletesWithoutTableauTests) {
+  const auto [seed, workers] = GetParam();
+  const std::vector<PaperOntologyRow> suite = oreEl2015Suite();
+  const auto row = std::find_if(suite.begin(), suite.end(), [](const auto& r) {
+    return r.config.name == "EHDAA2";
+  });
+  ASSERT_NE(row, suite.end());
+  GenConfig cfg = row->config;
+  cfg.seed = seed;
+  const GeneratedOntology g = generateOntology(cfg);
+  ASSERT_TRUE(isElTBox(*g.tbox));
+
+  const ClassifyRun on =
+      classifyOnce(*g.tbox, ElRouting::kOn, false, workers, 2);
+  ASSERT_TRUE(on.result.complete()) << "seed=" << seed;
+  EXPECT_EQ(on.result.testsPerformed(), 0u);
+  EXPECT_EQ(on.result.routedConcepts, g.tbox->conceptCount());
+  EXPECT_TRUE(on.countersOk);
+  const auto oracle = [&g](ConceptId sup, ConceptId sub) {
+    return g.truth.subsumes(sup, sub);
+  };
+  const TaxonomyIssues sound = verifySoundAgainstOracle(on.result.taxonomy, oracle);
+  EXPECT_TRUE(sound.ok()) << "seed=" << seed << ": " << sound.summary();
+  const TaxonomyIssues exact = verifyAgainstOracle(on.result.taxonomy, oracle);
+  EXPECT_TRUE(exact.ok()) << "seed=" << seed << ": " << exact.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoutedEhdaa2,
+                         ::testing::Combine(::testing::Values(102u, 1102u, 2102u),
+                                            ::testing::Values(1u, 4u)));
 
 // Fully-EL generated ontologies (the 120-concept config the sequential
 // engine is checked on in generator_test) classified with routing on at

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
 #include "parallel/cancellation.hpp"
+#include "reasoner/tableau_reasoner.hpp"
+#include "util/rng.hpp"
 
 namespace owlcl {
 namespace {
@@ -108,6 +111,92 @@ TEST(ElReasoner, TransitivityThroughHierarchy) {
       SubClassOf(ObjectSomeValuesFrom(s C) D)
     ))");
   EXPECT_TRUE(f.subs("D", "A"));
+}
+
+TEST(ElReasoner, TransitiveSubRoleChainReachesSuperRoleExistential) {
+  // A ⊑ ∃t.B, B ⊑ ∃t.C, ∃s.C ⊑ D, t ⊑ s, Trans(t)  ⟹  A ⊑ D.
+  Fixture f(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(t B))
+      SubClassOf(B ObjectSomeValuesFrom(t C))
+      SubClassOf(ObjectSomeValuesFrom(s C) D)
+      SubObjectPropertyOf(t s)
+      TransitiveObjectProperty(t)
+    ))");
+  EXPECT_TRUE(f.subs("D", "A"));
+  EXPECT_TRUE(f.subs("D", "B"));  // one t-step lifts to s directly
+  EXPECT_FALSE(f.subs("D", "C"));
+}
+
+TEST(ElReasoner, NonTransitiveChainDoesNotCompose) {
+  // The same chain without Trans(t): A reaches C in two t-steps only.
+  Fixture f(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(t B))
+      SubClassOf(B ObjectSomeValuesFrom(t C))
+      SubClassOf(ObjectSomeValuesFrom(s C) D)
+      SubObjectPropertyOf(t s)
+    ))");
+  EXPECT_FALSE(f.subs("D", "A"));
+  EXPECT_TRUE(f.subs("D", "B"));
+}
+
+TEST(ElReasoner, PlainSubRoleLinkJoinsTransitiveSuperRoleChain) {
+  // p ⊑ t, Trans(t): A -p-> B -t-> C is a t-chain, so ∃t.C ⊑ D gives
+  // A ⊑ D; p itself is not transitive, so ∃p.C ⊑ E stays off A.
+  Fixture f(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(p B))
+      SubClassOf(B ObjectSomeValuesFrom(t C))
+      SubObjectPropertyOf(p t)
+      TransitiveObjectProperty(t)
+      SubClassOf(ObjectSomeValuesFrom(t C) D)
+      SubClassOf(ObjectSomeValuesFrom(p C) E)
+    ))");
+  EXPECT_TRUE(f.subs("D", "A"));
+  EXPECT_TRUE(f.subs("D", "B"));
+  EXPECT_FALSE(f.subs("E", "A"));
+  EXPECT_FALSE(f.subs("E", "B"));
+}
+
+TEST(ElReasoner, ExistentialDefinitionIsUsedInBothDirections) {
+  // C ≡ ∃r.B: A ⊑ ∃r.B2 with B2 ⊑ B puts A under C (C on the right), and
+  // D ⊑ C with B ⊑ E, ∃r.E ⊑ G puts D under G (C on the left).
+  Fixture f(R"(
+    Ontology(
+      EquivalentClasses(C ObjectSomeValuesFrom(r B))
+      SubClassOf(A ObjectSomeValuesFrom(r B2))
+      SubClassOf(B2 B)
+      SubClassOf(D C)
+      SubClassOf(B E)
+      SubClassOf(ObjectSomeValuesFrom(r E) G)
+    ))");
+  EXPECT_TRUE(f.subs("C", "A"));
+  EXPECT_TRUE(f.subs("G", "D"));
+  EXPECT_TRUE(f.subs("G", "C"));
+  EXPECT_TRUE(f.subs("G", "A"));
+  EXPECT_FALSE(f.subs("C", "B"));
+  EXPECT_FALSE(f.subs("D", "C"));
+}
+
+TEST(ElReasoner, BottomPropagatesBackAlongTransitiveChain) {
+  // A -t-> B -t-> C with C under two disjoint concepts: C, B and A are
+  // all unsatisfiable; an unrelated t-successor stays satisfiable.
+  Fixture f(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(t B))
+      SubClassOf(B ObjectSomeValuesFrom(t C))
+      TransitiveObjectProperty(t)
+      SubClassOf(C P)
+      SubClassOf(C Q)
+      DisjointClasses(P Q)
+      SubClassOf(X ObjectSomeValuesFrom(t P))
+    ))");
+  EXPECT_FALSE(f.sat("C"));
+  EXPECT_FALSE(f.sat("B"));
+  EXPECT_FALSE(f.sat("A"));
+  EXPECT_TRUE(f.sat("P"));
+  EXPECT_TRUE(f.sat("X"));
 }
 
 TEST(ElReasoner, DisjointnessMakesUnsat) {
@@ -274,7 +363,7 @@ TEST(ElReasoner, TransitiveSuperRoleDisjointnessAndDefinition) {
       SubClassOf(F E)
       EquivalentClasses(G ObjectIntersectionOf(A D))
     ))");
-  // A →r B →r C composes to A →r C, which lifts to A →s C: A ⊑ D.
+  // A →r B →r C is an r-chain under the transitive r ⊑ s: A ⊑ D.
   EXPECT_TRUE(f.subs("D", "A"));
   EXPECT_FALSE(f.subs("D", "C"));
   // F sits under the disjoint D and E.
@@ -304,6 +393,76 @@ TEST(ElReasoner, CancelledClassifyReportsNoFixpointAndResumes) {
   EXPECT_TRUE(el.classify(&cancel));
   EXPECT_TRUE(el.subsumes(t.findConcept("C"), t.findConcept("A")));
   EXPECT_TRUE(el.classify(&cancel));  // idempotent once classified
+}
+
+// Random small EL+⊥ TBoxes with existentials on both sides of ⊑, a role
+// hierarchy p ⊑ t ⊑ s with transitive t, conjunctions, equivalences and
+// disjointness: saturation must agree with the tableau on every named
+// pair and every concept's satisfiability.
+TEST(ElReasoner, AgreesWithTableauOnRandomElTBoxes) {
+  constexpr int kConcepts = 7;
+  const char* const roles[] = {"p", "t", "s"};
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    Xoshiro256 rng(seed);
+    auto named = [&rng] { return "C" + std::to_string(rng.below(kConcepts)); };
+    auto some = [&](const std::string& filler) {
+      return "ObjectSomeValuesFrom(" + std::string(roles[rng.below(3)]) + " " +
+             filler + ")";
+    };
+    auto expr = [&]() -> std::string {
+      switch (rng.below(4)) {
+        case 0:
+          return some(named());
+        case 1:
+          return "ObjectIntersectionOf(" + named() + " " + named() + ")";
+        case 2:
+          return some("ObjectIntersectionOf(" + named() + " " + named() + ")");
+        default:
+          return named();
+      }
+    };
+    std::string doc =
+        "Ontology(SubObjectPropertyOf(p t) SubObjectPropertyOf(t s) "
+        "TransitiveObjectProperty(t)";
+    for (int c = 0; c < kConcepts; ++c)
+      doc += " Declaration(Class(C" + std::to_string(c) + "))";
+    for (int i = 0; i < 9; ++i) {
+      switch (rng.below(8)) {
+        case 0:
+          doc += " EquivalentClasses(" + named() + " " + expr() + ")";
+          break;
+        case 1:
+          if (rng.below(3) == 0)
+            doc += " DisjointClasses(" + named() + " " + named() + ")";
+          break;
+        case 2:
+        case 3:
+          doc += " SubClassOf(" + expr() + " " + named() + ")";
+          break;
+        default:
+          doc += " SubClassOf(" + named() + " " + expr() + ")";
+      }
+    }
+    doc += ")";
+
+    TBox tbox;
+    parseFunctionalSyntax(doc, tbox);
+    tbox.freeze();
+    ASSERT_TRUE(isElTBox(tbox)) << doc;
+    ElReasoner el(tbox);
+    ASSERT_TRUE(el.classify());
+    TableauReasoner tableau(tbox);
+    for (int a = 0; a < kConcepts; ++a) {
+      const ConceptId ca = tbox.findConcept("C" + std::to_string(a));
+      ASSERT_EQ(el.isSatisfiable(ca), tableau.isSatisfiable(ca))
+          << "C" << a << " in " << doc;
+      for (int b = 0; b < kConcepts; ++b) {
+        const ConceptId cb = tbox.findConcept("C" + std::to_string(b));
+        ASSERT_EQ(el.subsumes(cb, ca), tableau.isSubsumedBy(ca, cb))
+            << "C" << a << " ⊑ C" << b << " in " << doc;
+      }
+    }
+  }
 }
 
 TEST(ElReasoner, DeepChainScales) {
