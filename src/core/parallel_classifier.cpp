@@ -7,6 +7,7 @@
 #include "elcore/el_reasoner.hpp"
 #include "owl/el_fragment.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace owlcl {
 
@@ -15,6 +16,8 @@ namespace {
 // pair tests so idle workers can steal partial groups. Small enough to
 // balance, large enough that per-chunk dispatch cost stays noise.
 constexpr std::size_t kStealChunkPairs = 512;
+// Concepts per task in the merge sweep's two parallel steps.
+constexpr std::size_t kSweepChunk = 32;
 }  // namespace
 
 ParallelClassifier::ParallelClassifier(const TBox& tbox, ReasonerPlugin& plugin,
@@ -514,6 +517,70 @@ void ParallelClassifier::routeElFragment(Executor& exec,
        satTests_.value() + subsTests_.value() - testsBefore});
 }
 
+bool ParallelClassifier::sweepMergeRefutable(Executor& exec) {
+  // Batched merge sweep (DESIGN.md §11): every pair the plug-in can refute
+  // by model merging settles with one mask per P row, applied with the
+  // routing's bulk negative kernel, so the division phases only see the
+  // pairs no mask refutes. Without the hooks this costs nothing.
+  RowRefuter* refuter = plugin_.rowRefuter();
+  const CancellationToken& cancel = exec.cancellation();
+  if (refuter == nullptr || cancel.cancelled()) return false;
+
+  // Both steps run `work` over their concepts in unpinned chunks (one task
+  // per concept would cost as much as the work) and end at a barrier. The
+  // token is checked before every concept.
+  std::vector<ConceptId> ids;
+  const auto runChunked = [&exec, &cancel, &ids](const auto& work) {
+    for (std::size_t b = 0; b < ids.size(); b += kSweepChunk) {
+      const std::size_t e = std::min(ids.size(), b + kSweepChunk);
+      exec.dispatch(Executor::kAnyWorker,
+                    [&ids, &work, &cancel, b, e]() -> std::uint64_t {
+                      Stopwatch sw;
+                      for (std::size_t i = b; i < e && !cancel.cancelled(); ++i)
+                        work(ids[i]);
+                      return static_cast<std::uint64_t>(sw.elapsedNs());
+                    });
+    }
+    exec.barrier();
+  };
+
+  // Step 1: sat verdict and refutation inputs of every live concept —
+  // routed ones too: their verdict came from the saturation, but their
+  // {c} model is what lets the masks refute them as candidates.
+  store_.liveConcepts().forEachSetBit(
+      [&ids](std::size_t c) { ids.push_back(static_cast<ConceptId>(c)); });
+  runChunked([this, refuter](ConceptId c) {
+    std::uint64_t cost = 0;
+    if (ensureSat(c, cost) == SatResult::kSat) refuter->prepare(c);
+  });
+  if (cancel.cancelled()) return true;
+
+  // Step 2: behind the barrier the inputs are complete and immutable; each
+  // open row is one refuteRow() over a P_x snapshot plus one bulk settle.
+  ids.clear();
+  for (ConceptId x = 0; x < store_.conceptCount(); ++x)
+    if (store_.possibleCount(x) != 0 && store_.satStatus(x) == SatStatus::kSat)
+      ids.push_back(x);
+  const BitKernels& bk = store_.bitKernels();
+  runChunked([this, refuter, &bk](ConceptId x) {
+    thread_local std::vector<std::uint64_t> candidates;
+    thread_local std::vector<std::uint64_t> refuted;
+    store_.possibleRowWordsInto(x, candidates);
+    refuted.resize(candidates.size());
+    if (refuter->refuteRow(x, candidates.data(), refuted.data(),
+                           refuted.size(), bk) == 0)
+      return;
+    sweepRefuted_.add(store_.seedNonSubRow(x, refuted.data(), refuted.size()));
+    if (config_.checkpoint == nullptr) return;
+    for (std::size_t w = 0; w < refuted.size(); ++w)
+      for (std::uint64_t v = refuted[w]; v != 0; v &= v - 1)
+        settle(SettledKind::kNonSubsumption, x,
+               static_cast<ConceptId>(
+                   w * 64 + static_cast<std::size_t>(std::countr_zero(v))));
+  });
+  return true;
+}
+
 void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
                                         std::vector<ConceptId>& order,
                                         ClassificationResult& result) {
@@ -846,9 +913,22 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   // reopened cone rows never saw a routing phase; route them too so the
   // EL fragment settles at saturation speed. Crash-recovery resumes keep
   // routeElOnResume off — their routed verdicts are in the replayed journal.
-  if (config_.routeEl != ElRouting::kOff &&
-      (from == nullptr || config_.routeElOnResume))
+  const bool freshRows = from == nullptr || config_.routeElOnResume;
+  if (config_.routeEl != ElRouting::kOff && freshRows)
     routeElFragment(exec, result);
+
+  // The merge sweep runs on routing's resume condition, for the same
+  // reason. It has no phase of its own: its time and tests are folded
+  // into the first phase-1 entry below.
+  const std::uint64_t sweepT0 = exec.elapsedNs();
+  const std::uint64_t sweepTests0 = satTests_.value() + subsTests_.value();
+  const std::size_t sweepBefore = store_.remainingPossible();
+  const bool swept = freshRows && sweepMergeRefutable(exec);
+  const CycleStats sweep{CycleStats::Phase::kRandomDivision, startCycle,
+                         sweepBefore, store_.remainingPossible(),
+                         exec.elapsedNs() - sweepT0,
+                         satTests_.value() + subsTests_.value() - sweepTests0};
+  const std::size_t phaseOneEntry = result.cycles.size();
 
   // Convergence slack for fault tolerance: a test key may fail up to
   // maxRetries+1 times, each followed by at most backoffCapRounds idle
@@ -870,6 +950,16 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     runRandomCycle(exec, cycle, order, result);
     advanceEpoch();  // backoff round clock; wakes epoch waiters
     notifyBarrier(cycle + 1, round);
+  }
+  if (swept) {
+    if (result.cycles.size() == phaseOneEntry) {  // no cycle ran after it
+      result.cycles.push_back(sweep);
+    } else {
+      CycleStats& first = result.cycles[phaseOneEntry];
+      first.possibleBefore = sweep.possibleBefore;
+      first.elapsedNs += sweep.elapsedNs;
+      first.reasonerTests += sweep.reasonerTests;
+    }
   }
 
   // Phase 2: group division until R_O = ∅. One round resolves every
@@ -944,6 +1034,7 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   result.routedConcepts = routedConcepts_;
   result.saturationSeeded = routeSeeded_;
   result.testsAvoidedByRouting = routeAvoided_;
+  result.sweepRefuted = sweepRefuted_.value();
   result.failedTests = failedTests_.value();
   result.retriedTests = retriedTests_.value();
   // Engine-level numbers (zero for plug-ins without engine internals).

@@ -175,12 +175,17 @@ struct ClassificationResult {
   /// verdicts taken straight from the saturation fixpoint.
   std::uint64_t testsAvoidedByRouting = 0;
 
+  /// Ordered pairs the batched merge sweep refuted before phase 1, a row
+  /// at a time (DESIGN.md §11); also counted in mergeRefuted.
+  std::uint64_t sweepRefuted = 0;
+
   /// Reasoner calls actually performed this run.
   std::uint64_t testsPerformed() const { return satTests + subsumptionTests; }
   /// Tests resolved without a reasoner call (Algorithm 5 pruning,
-  /// told-subsumption seeding, EL-fragment routing).
+  /// told-subsumption seeding, EL-fragment routing, the merge sweep).
   std::uint64_t testsAvoided() const {
-    return prunedWithoutTest + seededWithoutTest + testsAvoidedByRouting;
+    return prunedWithoutTest + seededWithoutTest + testsAvoidedByRouting +
+           sweepRefuted;
   }
 
   // --- reasoner-engine report (plug-ins exposing engine internals) -----------
@@ -334,6 +339,8 @@ class ParallelClassifier {
 
   void seedTold();
   void routeElFragment(Executor& exec, ClassificationResult& result);
+  /// Batched merge sweep before phase 1; false when it did not run.
+  bool sweepMergeRefutable(Executor& exec);
   void runRandomCycle(Executor& exec, std::size_t cycleIndex,
                       std::vector<ConceptId>& order,
                       ClassificationResult& result);
@@ -363,6 +370,8 @@ class ParallelClassifier {
   std::uint64_t routedConcepts_ = 0;
   std::uint64_t routeSeeded_ = 0;
   std::uint64_t routeAvoided_ = 0;
+  /// Pairs settled by the merge sweep's row tasks (claims won).
+  ShardedCounter sweepRefuted_;
   /// Division-round clock for the retry backoff: incremented after every
   /// random cycle and group round (barrier-separated from the tasks that
   /// read it).

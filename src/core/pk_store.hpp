@@ -237,6 +237,12 @@ class PkStore {
   void knownRowWordsInto(ConceptId x, std::vector<std::uint64_t>& out) const {
     k_.rowWordsInto(x, out);
   }
+  /// Word-atomic snapshot of P_X — the candidate set the merge sweep
+  /// hands to the plug-in's row refuter.
+  void possibleRowWordsInto(ConceptId x,
+                            std::vector<std::uint64_t>& out) const {
+    p_.rowWordsInto(x, out);
+  }
 
   // --- retry ledger (failed plug-in calls) -----------------------------------
   // Keys are ordered pairs ⟨X,Y⟩ for subs?(X,Y); sat?(C) failures use the

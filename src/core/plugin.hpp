@@ -19,6 +19,7 @@
 // top of this boundary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <new>
 #include <stdexcept>
@@ -76,6 +77,32 @@ struct ReasonerStats {
   std::uint64_t cacheRejectedLong = 0;
 };
 
+class BitKernels;
+
+/// Batched non-subsumption refutation (DESIGN.md §11, "Batched merge
+/// sweep"): the optional pair of hooks a plug-in exposes through
+/// ReasonerPlugin::rowRefuter(). The classifier calls prepare() on every
+/// live concept, waits at a barrier, then calls refuteRow() once per open
+/// row and settles the refuted pairs with word operations instead of one
+/// subs?() call each. Both hooks are thread-safe.
+class RowRefuter {
+ public:
+  /// Builds c's refutation inputs. Never throws: a failed build leaves c
+  /// out of every row mask, so its pairs take the per-pair path.
+  virtual void prepare(ConceptId c) noexcept = 0;
+
+  /// Writes into `refuted` every y of `candidates` (a word snapshot of
+  /// P_x, bit y = concept y) for which "y ⊑ x" is refuted, never x
+  /// itself; returns how many. Every prepare() of the sweep must have
+  /// returned before the first call.
+  virtual std::size_t refuteRow(ConceptId x, const std::uint64_t* candidates,
+                                std::uint64_t* refuted, std::size_t nWords,
+                                const BitKernels& kernels) = 0;
+
+ protected:
+  ~RowRefuter() = default;
+};
+
 class ReasonerPlugin {
  public:
   virtual ~ReasonerPlugin() = default;
@@ -126,6 +153,13 @@ class ReasonerPlugin {
   virtual std::vector<ReasonerStats> perWorkerReasonerStats() const {
     return {};
   }
+
+  /// The batched refutation hooks, or nullptr (the default) when this
+  /// plug-in cannot refute a row at once — the classifier then runs no
+  /// sweep. Decorators choose whether to forward it: GuardedPlugin does,
+  /// FaultInjector does not, so injected-fault drills keep exercising
+  /// per-pair failures.
+  virtual RowRefuter* rowRefuter() { return nullptr; }
 };
 
 }  // namespace owlcl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "parallel/bit_kernels.hpp"
 #include "reasoner/kb.hpp"
 
 namespace owlcl {
@@ -104,6 +105,62 @@ bool pseudoModelsMergable(const PseudoModel& a, const PseudoModel& b) {
   if (!disjoint(b.existsRoles, a.forallRoles)) return false;
   if (!disjoint(b.existsRoles, a.atmostRoles)) return false;
   return true;
+}
+
+MergeColumns::MergeColumns(const SharedModelStore& store, std::size_t concepts)
+    : validPos_(concepts) {
+  const auto mark = [concepts](std::vector<DynamicBitset>& cols,
+                               const std::vector<std::uint32_t>& ids,
+                               ConceptId y) {
+    for (std::uint32_t id : ids) {
+      if (id >= cols.size()) cols.resize(id + 1);
+      if (cols[id].empty()) cols[id] = DynamicBitset(concepts);
+      cols[id].set(y);
+    }
+  };
+  for (ConceptId y = 0; y < concepts; ++y) {
+    const PseudoModel* m = store.find(y, false);
+    if (m == nullptr) continue;
+    validPos_.set(y);
+    mark(posCol_, m->pos, y);
+    mark(negCol_, m->neg, y);
+    mark(existsCol_, m->existsRoles, y);
+    mark(forallCol_, m->forallRoles, y);
+    mark(atmostCol_, m->atmostRoles, y);
+  }
+}
+
+std::size_t MergeColumns::refute(const PseudoModel& negX,
+                                 const std::uint64_t* candidates,
+                                 std::uint64_t* refuted, std::size_t nWords,
+                                 const BitKernels& kernels) const {
+  const std::size_t w = std::min(nWords, validPos_.wordCountUsed());
+  std::fill(refuted + w, refuted + nWords, 0);
+  if (!negX.valid) {
+    std::fill(refuted, refuted + w, 0);
+    return 0;
+  }
+  // Start from ¬validPos (no model(y), or past the last concept), then OR
+  // in each column whose members fail one of pseudoModelsMergable's five
+  // disjointness checks against negX.
+  thread_local std::vector<std::uint64_t> blocked;
+  blocked.resize(w);
+  const std::uint64_t* valid = validPos_.words();
+  for (std::size_t i = 0; i < w; ++i) blocked[i] = ~valid[i];
+  const auto block = [&](const std::vector<DynamicBitset>& cols,
+                         const std::vector<std::uint32_t>& ids) {
+    for (std::uint32_t id : ids)
+      if (id < cols.size() && !cols[id].empty())
+        kernels.orInto(blocked.data(), cols[id].words(), w);
+  };
+  block(posCol_, negX.neg);              // pos(y) ∩ neg(¬x)
+  block(negCol_, negX.pos);              // neg(y) ∩ pos(¬x)
+  block(existsCol_, negX.forallRoles);   // ∃(y) ∩ ∀(¬x)
+  block(existsCol_, negX.atmostRoles);   // ∃(y) ∩ ≤(¬x)
+  block(forallCol_, negX.existsRoles);   // ∀(y) ∩ ∃(¬x)
+  block(atmostCol_, negX.existsRoles);   // ≤(y) ∩ ∃(¬x)
+  kernels.andNotInto(refuted, candidates, blocked.data(), w);
+  return static_cast<std::size_t>(kernels.popcountWords(refuted, w));
 }
 
 }  // namespace owlcl

@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "owl/ids.hpp"
+#include "util/bitset.hpp"
 
 namespace owlcl {
 
+class BitKernels;
 struct ReasonerKb;
 
 /// Flat summary of the root node of a found model. All vectors are sorted
@@ -118,6 +120,34 @@ class SharedModelStore {
 
   std::vector<Slot> pos_;
   std::vector<Slot> neg_;
+};
+
+/// The positive models {y} of a SharedModelStore transposed into bit
+/// columns over y, so that one row of merge tests — every y against one
+/// model(¬x) — is a handful of word ORs (DESIGN.md §11, "Batched merge
+/// sweep"). A column exists only for an atom or role that occurs in some
+/// model. Immutable once built; refute() is safe from any thread.
+class MergeColumns {
+ public:
+  /// Columns over the positive models ready in `store` for concepts
+  /// [0, concepts).
+  MergeColumns(const SharedModelStore& store, std::size_t concepts);
+
+  /// refuted = candidates ∧ validPos ∧ ¬blocked(negX), where blocked is
+  /// the OR of the columns negX's signature conflicts with: exactly the y
+  /// with pseudoModelsMergable(model(y), negX). Words past the columns are
+  /// zeroed. Returns the number of bits set.
+  std::size_t refute(const PseudoModel& negX, const std::uint64_t* candidates,
+                     std::uint64_t* refuted, std::size_t nWords,
+                     const BitKernels& kernels) const;
+
+ private:
+  DynamicBitset validPos_;                // y with a ready model(y)
+  std::vector<DynamicBitset> posCol_;     // atom a → {y : a ∈ pos(y)}
+  std::vector<DynamicBitset> negCol_;     // atom a → {y : a ∈ neg(y)}
+  std::vector<DynamicBitset> existsCol_;  // role r → {y : r ∈ ∃(y)}
+  std::vector<DynamicBitset> forallCol_;  // role r → {y : r ∈ ∀(y)}
+  std::vector<DynamicBitset> atmostCol_;  // role r → {y : r ∈ ≤(y)}
 };
 
 }  // namespace owlcl

@@ -6,8 +6,14 @@
 
 namespace owlcl {
 
+namespace {
+std::atomic<std::uint64_t> nextReasonerId{1};
+}  // namespace
+
 TableauReasoner::TableauReasoner(TBox& tbox, TableauReasonerConfig config)
-    : kb_(buildKb(tbox)), config_(config) {
+    : kb_(buildKb(tbox)),
+      config_(config),
+      id_(nextReasonerId.fetch_add(1, std::memory_order_relaxed)) {
   if (config_.sharedCache) {
     std::size_t slots = config_.sharedCacheSlots;
     if (slots == 0)
@@ -20,14 +26,23 @@ TableauReasoner::TableauReasoner(TBox& tbox, TableauReasonerConfig config)
 }
 
 Tableau& TableauReasoner::workspace() {
-  const std::thread::id id = std::this_thread::get_id();
+  // One-entry thread-local cache keyed by reasoner id: a worker serving
+  // one reasoner takes no lock per call. A miss (first touch, or the
+  // thread last served another reasoner) goes through the registry.
+  struct Slot {
+    std::uint64_t owner = 0;
+    Tableau* ws = nullptr;
+  };
+  thread_local Slot slot;
+  if (slot.owner == id_) return *slot.ws;
   std::lock_guard<std::mutex> lock(wsMu_);
-  auto it = workspaces_.find(id);
-  if (it == workspaces_.end()) {
-    it = workspaces_.emplace(id, std::make_unique<Tableau>(kb_)).first;
-    if (sharedCache_) it->second->attachSharedCache(sharedCache_.get());
+  std::unique_ptr<Tableau>& ws = workspaces_[std::this_thread::get_id()];
+  if (!ws) {
+    ws = std::make_unique<Tableau>(kb_);
+    if (sharedCache_) ws->attachSharedCache(sharedCache_.get());
   }
-  return *it->second;
+  slot = {id_, ws.get()};
+  return *ws;
 }
 
 const PseudoModel* TableauReasoner::modelFor(ConceptId c, bool negated,
@@ -49,6 +64,45 @@ const PseudoModel* TableauReasoner::modelFor(ConceptId c, bool negated,
   }
   models_->abandon(c, negated);
   return nullptr;
+}
+
+void TableauReasoner::prepare(ConceptId c) noexcept {
+  try {
+    Tableau& t = workspace();
+    modelFor(c, false, t);
+    modelFor(c, true, t);
+  } catch (...) {
+    // modelFor abandoned the slot it was building: c stays out of the
+    // columns, or its row unswept, and its pairs take the per-pair path.
+  }
+  columnsStale_.store(true, std::memory_order_relaxed);
+}
+
+std::shared_ptr<const MergeColumns> TableauReasoner::columns() {
+  std::lock_guard<std::mutex> lock(columnsMu_);
+  if (columnsStale_.exchange(false, std::memory_order_relaxed))
+    columns_ = std::make_shared<const MergeColumns>(*models_,
+                                                    kb_.atomExpr.size());
+  return columns_;
+}
+
+std::size_t TableauReasoner::refuteRow(ConceptId x,
+                                       const std::uint64_t* candidates,
+                                       std::uint64_t* refuted,
+                                       std::size_t nWords,
+                                       const BitKernels& kernels) {
+  const PseudoModel* negX = models_->find(x, true);
+  if (negX == nullptr) {
+    std::fill(refuted, refuted + nWords, 0);
+    return 0;
+  }
+  const std::size_t n =
+      columns()->refute(*negX, candidates, refuted, nWords, kernels);
+  // x itself never merges: x ∈ pos(model(x)) and x ∈ neg(model(¬x)).
+  OWLCL_DEBUG_ASSERT(x / 64 >= nWords ||
+                     ((refuted[x / 64] >> (x % 64)) & 1) == 0);
+  mergeRefuted_.fetch_add(n, std::memory_order_relaxed);
+  return n;
 }
 
 bool TableauReasoner::isSatisfiable(ConceptId c, std::uint64_t* costNs) {
@@ -88,6 +142,8 @@ bool TableauReasoner::isSubsumedBy(ConceptId sub, ConceptId sup,
     // Model-merging fast path: if the models of {sub} and {¬sup} merge,
     // their union is a model of {sub, ¬sup} — sound non-subsumption with
     // no tableau run. A missing model or failed merge just falls through.
+    // The classifier's sweep settles these pairs a row at a time; this
+    // branch serves callers that do not get the RowRefuter hooks.
     const PseudoModel* msub = modelFor(sub, false, t);
     const PseudoModel* mneg = msub != nullptr ? modelFor(sup, true, t) : nullptr;
     if (msub != nullptr && mneg != nullptr &&

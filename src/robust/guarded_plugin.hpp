@@ -86,6 +86,10 @@ class GuardedPlugin : public ReasonerPlugin {
   std::vector<ReasonerStats> perWorkerReasonerStats() const override {
     return inner_.perWorkerReasonerStats();
   }
+  /// Forwarded: a swept pair settles without a verdict to time out or
+  /// contain, the sweep polls the run token itself, and the pairs it
+  /// leaves open still come through try*().
+  RowRefuter* rowRefuter() override { return inner_.rowRefuter(); }
 
   GuardStats stats() const;
   std::uint64_t deadlineNs() const { return config_.deadlineNs; }

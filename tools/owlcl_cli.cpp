@@ -875,9 +875,11 @@ int cmdClassify(const std::string& path, const Options& o) {
                r.taxonomy.nodeCount(), r.taxonomy.depth());
   if (r.crossCacheHits > 0 || r.mergeRefuted > 0)
     std::fprintf(stderr,
-                 "  avoidance: %llu cross-cache hits, %llu merge-refuted\n",
+                 "  avoidance: %llu cross-cache hits, %llu merge-refuted "
+                 "(%llu by the row sweep)\n",
                  static_cast<unsigned long long>(r.crossCacheHits),
-                 static_cast<unsigned long long>(r.mergeRefuted));
+                 static_cast<unsigned long long>(r.mergeRefuted),
+                 static_cast<unsigned long long>(r.sweepRefuted));
   if (r.routedConcepts > 0 || r.saturationSeeded > 0 ||
       r.testsAvoidedByRouting > 0)
     std::fprintf(stderr,
