@@ -16,8 +16,66 @@ namespace {
 // pair tests so idle workers can steal partial groups. Small enough to
 // balance, large enough that per-chunk dispatch cost stays noise.
 constexpr std::size_t kStealChunkPairs = 512;
-// Concepts per task in the merge sweep's two parallel steps.
-constexpr std::size_t kSweepChunk = 32;
+// Concepts per task in the merge sweep's and the hierarchy build's
+// parallel steps (one task per concept would cost as much as the work).
+constexpr std::size_t kConceptChunk = 32;
+
+// Dispatches work(begin, end) over [0, count) in unpinned chunks of
+// kConceptChunk, then waits at a barrier. work returns the chunk's cost.
+template <class Work>
+void runChunked(Executor& exec, std::size_t count, const Work& work) {
+  for (std::size_t b = 0; b < count; b += kConceptChunk) {
+    const std::size_t e = std::min(count, b + kConceptChunk);
+    exec.dispatch(Executor::kAnyWorker, [&work, b, e] { return work(b, e); });
+  }
+  exec.barrier();
+}
+
+// Settles every row whose K the seeding passes wrote through plain views,
+// before the store is published: for each x in `rows` ∪ `nonSub` (which
+// may be null),
+//   S = K_x ∪ (nonSub \ {x} if x ∈ nonSub),  tested_x |= S,  P_x &= ~S,
+// one fused plain word loop per row, then one P-counter recount. Because
+// K ⊆ tested and K ∩ P = ∅ at quiescence, this equals applying only the
+// newly written K bits (bulk recordSubsumption) plus nonSub (bulk
+// recordNonSubsumption). Returns the claims won, {from K, in total},
+// counted against the old tested row.
+struct SeedClaims {
+  std::uint64_t known = 0;
+  std::uint64_t total = 0;
+};
+
+SeedClaims settleSeededRows(PkStore& store, const DynamicBitset& rows,
+                            DynamicBitset* nonSub) {
+  const std::size_t n = store.conceptCount();
+  const std::size_t words = store.rowWords();
+  const BitKernels& bk = store.bitKernels();
+  std::vector<std::uint64_t> freshK(words);
+  std::vector<std::uint64_t> fresh(words);
+  SeedClaims claims;
+  for (ConceptId x = 0; x < n; ++x) {
+    const bool neg = nonSub != nullptr && nonSub->test(x);
+    if (!neg && !rows.test(x)) continue;
+    if (neg) nonSub->reset(x);
+    const PkStore::RowWords row = store.quiescentRow(x);
+    const std::uint64_t* extra = neg ? nonSub->words() : nullptr;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t k = row.k[w];
+      const std::uint64_t sw = extra != nullptr ? k | extra[w] : k;
+      const std::uint64_t t = row.tested[w];
+      freshK[w] = k & ~t;
+      fresh[w] = sw & ~t;
+      row.tested[w] = t | sw;
+      row.p[w] &= ~sw;
+    }
+    if (neg) nonSub->set(x);
+    claims.known += bk.popcountWords(freshK.data(), words);
+    claims.total += bk.popcountWords(fresh.data(), words);
+  }
+  store.recountPossible();
+  return claims;
+}
+
 }  // namespace
 
 ParallelClassifier::ParallelClassifier(const TBox& tbox, ReasonerPlugin& plugin,
@@ -363,31 +421,36 @@ void ParallelClassifier::seedTold() {
     }
   }
 
-  // Seeding sweep: apply each closure row to the store with three word
-  // ops per word (claim tested, set K, clear P) — the word-level
-  // Algorithm-5-style bulk transition. The diagonal is never seeded (a
-  // told equivalence ring puts x into its own closure; X ⊑ X is already
-  // claimed by initPossibleAll). Per-pair journaling only runs when a
-  // checkpoint hook is attached.
-  std::uint64_t seeded = 0;
+  // Seeding: OR each closure row into K through the plain row view, then
+  // settle the seeded rows in one fused pass (claim tested, clear P). The
+  // diagonal is never seeded (a told equivalence ring puts x into its own
+  // closure; X ⊑ X is already claimed by initPossibleAll). Per-pair
+  // journaling only runs when a checkpoint hook is attached.
+  DynamicBitset seededRows(n);
   for (ConceptId x = 0; x < n; ++x) {
     DynamicBitset& row = closure[x];
     if (row.empty()) continue;
     row.reset(x);
     if (row.none()) continue;
-    seeded += store_.seedKnownRow(x, row.words(), row.wordCountUsed());
-    if (config_.checkpoint != nullptr)
-      row.forEachSetBit([this, x](std::size_t y) {
-        settle(SettledKind::kSubsumption, x, static_cast<ConceptId>(y));
-      });
+    bk.orInto(store_.quiescentRow(x).k, row.words(), row.wordCountUsed());
+    seededRows.set(x);
   }
-  seeded_ = seeded;
+  seeded_ = settleSeededRows(store_, seededRows, nullptr).known;
+  if (config_.checkpoint == nullptr) return;
+  seededRows.forEachSetBit([this, &closure](std::size_t x) {
+    closure[x].forEachSetBit([this, x](std::size_t y) {
+      settle(SettledKind::kSubsumption, static_cast<ConceptId>(x),
+             static_cast<ConceptId>(y));
+    });
+  });
 }
 
 void ParallelClassifier::routeElFragment(Executor& exec,
                                          ClassificationResult& result) {
   // Hybrid EL/tableau routing (DESIGN.md §13). Runs on the classifying
-  // thread between the genesis barrier and phase 1. Soundness:
+  // thread between the genesis barrier and phase 1, before the store is
+  // published: no query and no worker can see it, so it seeds with plain
+  // word loops and dispatches nothing. Soundness:
   //  * the EL sub-ontology E is a subset of O, so every saturation-derived
   //    subsumption / unsatisfiability is entailed by O (monotonicity);
   //  * for *pure* concepts (⊥-module all-EL, mod ⊆ E ⊆ O) the module
@@ -450,65 +513,64 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     }
   }
 
-  // Positive closure → per-sup K row masks (lazily allocated), applied
-  // with the told-seeding bulk kernel. Unsat subs are handled above;
-  // forEachSubsumption's contract excludes the diagonal.
-  std::vector<DynamicBitset> krow(n);
-  el.forEachSubsumption([&el, &krow, n](ConceptId sup, ConceptId sub) {
-    if (!el.isSatisfiable(sub)) return;
-    if (krow[sup].empty()) krow[sup] = DynamicBitset(n);
-    krow[sup].set(sub);
-  });
-  std::uint64_t seededK = 0;
-  for (ConceptId x = 0; x < n; ++x) {
-    const DynamicBitset& row = krow[x];
-    if (row.empty() || row.none()) continue;
-    seededK += store_.seedKnownRow(x, row.words(), row.wordCountUsed());
-    if (config_.checkpoint != nullptr)
-      row.forEachSetBit([this, x](std::size_t y) {
-        settle(SettledKind::kSubsumption, x, static_cast<ConceptId>(y));
-      });
-  }
-  avoided += seededK;
-
+  // Satisfiability of pure concepts comes straight from the fixpoint;
+  // ensureSat short-circuits on the published status, so these concepts
+  // never reach the tableau.
+  DynamicBitset pureSat(n);
+  std::vector<ConceptId> satSettled;  // journal order
   if (allowNegative) {
-    // Satisfiability of pure concepts comes straight from the fixpoint;
-    // ensureSat short-circuits on the published status, so these concepts
-    // never reach the tableau.
-    DynamicBitset pureSat(n);
     for (ConceptId c = 0; c < n; ++c) {
       if (!part.pureConcepts.test(c) || !el.isSatisfiable(c)) continue;
       pureSat.set(c);
       if (store_.satStatus(c) != SatStatus::kUnknown) continue;
       store_.setSatStatus(c, true);
-      settle(SettledKind::kSatTrue, c, c);
+      satSettled.push_back(c);
       ++avoided;
-    }
-    // Definite non-subsumptions: pure × pure, both satisfiable, not in
-    // the derived closure — mask built with the backend's andNot kernel,
-    // settled with the bulk negative kernel so the division phases only
-    // ever see pairs with a non-EL side.
-    const BitKernels& bk = store_.bitKernels();
-    DynamicBitset mask(n);
-    for (ConceptId x = 0; x < n; ++x) {
-      if (!pureSat.test(x)) continue;
-      if (!krow[x].empty())
-        bk.andNotInto(mask.mutableWords(), pureSat.words(), krow[x].words(),
-                      mask.wordCountUsed());
-      else
-        mask.assignWords(pureSat.words(), pureSat.wordCountUsed());
-      mask.reset(x);
-      if (mask.none()) continue;
-      avoided += store_.seedNonSubRow(x, mask.words(), mask.wordCountUsed());
-      if (config_.checkpoint != nullptr)
-        mask.forEachSetBit([this, x](std::size_t y) {
-          settle(SettledKind::kNonSubsumption, x, static_cast<ConceptId>(y));
-        });
     }
   }
 
+  // Positive closure straight into K through the plain row views. Unsat
+  // subs are handled above; forEachSubsumption's contract excludes the
+  // diagonal.
+  const bool journal = config_.checkpoint != nullptr;
+  DynamicBitset closureRows(n);
+  std::vector<std::uint64_t> closurePairs;  // (sup << 32) | sub, journal only
+  el.forEachSubsumption([&](ConceptId sup, ConceptId sub) {
+    if (!el.isSatisfiable(sub)) return;
+    store_.quiescentRow(sup).k[sub / 64] |= std::uint64_t{1} << (sub % 64);
+    closureRows.set(sup);
+    if (journal)
+      closurePairs.push_back((static_cast<std::uint64_t>(sup) << 32) | sub);
+  });
+
+  // One fused pass settles both: the closure rows, and — the definite
+  // non-subsumptions — pure × pure pairs, both satisfiable, not in the
+  // closure, so the division phases only ever see pairs with a non-EL
+  // side.
+  const SeedClaims claims = settleSeededRows(store_, closureRows, &pureSat);
+  avoided += claims.total;
+
+  if (journal) {
+    std::sort(closurePairs.begin(), closurePairs.end());
+    for (const std::uint64_t pair : closurePairs)
+      settle(SettledKind::kSubsumption, static_cast<ConceptId>(pair >> 32),
+             static_cast<ConceptId>(pair & 0xffffffffu));
+    for (const ConceptId c : satSettled) settle(SettledKind::kSatTrue, c, c);
+    const std::size_t words = store_.rowWords();
+    pureSat.forEachSetBit([&](std::size_t xi) {
+      const auto x = static_cast<ConceptId>(xi);
+      const std::uint64_t* k = store_.knownRowQuiescent(x);
+      for (std::size_t w = 0; w < words; ++w)
+        for (std::uint64_t v = pureSat.words()[w] & ~k[w]; v != 0; v &= v - 1) {
+          const auto y = static_cast<ConceptId>(
+              w * 64 + static_cast<std::size_t>(std::countr_zero(v)));
+          if (y != x) settle(SettledKind::kNonSubsumption, x, y);
+        }
+    });
+  }
+
   routedConcepts_ = allowNegative ? part.pureCount : 0;
-  routeSeeded_ = seededK;
+  routeSeeded_ = claims.known;
   routeAvoided_ = avoided;
 
   result.cycles.push_back(
@@ -520,28 +582,24 @@ void ParallelClassifier::routeElFragment(Executor& exec,
 bool ParallelClassifier::sweepMergeRefutable(Executor& exec) {
   // Batched merge sweep (DESIGN.md §11): every pair the plug-in can refute
   // by model merging settles with one mask per P row, applied with the
-  // routing's bulk negative kernel, so the division phases only see the
-  // pairs no mask refutes. Without the hooks this costs nothing.
+  // atomic bulk negative kernel (workers run the rows concurrently), so
+  // the division phases only see the pairs no mask refutes. Without the
+  // hooks this costs nothing.
   RowRefuter* refuter = plugin_.rowRefuter();
   const CancellationToken& cancel = exec.cancellation();
   if (refuter == nullptr || cancel.cancelled()) return false;
 
-  // Both steps run `work` over their concepts in unpinned chunks (one task
-  // per concept would cost as much as the work) and end at a barrier. The
-  // token is checked before every concept.
+  // Both steps run `work` over their concepts in unpinned chunks and end
+  // at a barrier. The token is checked before every concept.
   std::vector<ConceptId> ids;
-  const auto runChunked = [&exec, &cancel, &ids](const auto& work) {
-    for (std::size_t b = 0; b < ids.size(); b += kSweepChunk) {
-      const std::size_t e = std::min(ids.size(), b + kSweepChunk);
-      exec.dispatch(Executor::kAnyWorker,
-                    [&ids, &work, &cancel, b, e]() -> std::uint64_t {
-                      Stopwatch sw;
-                      for (std::size_t i = b; i < e && !cancel.cancelled(); ++i)
-                        work(ids[i]);
-                      return static_cast<std::uint64_t>(sw.elapsedNs());
-                    });
-    }
-    exec.barrier();
+  const auto sweepStep = [&exec, &cancel, &ids](const auto& work) {
+    runChunked(exec, ids.size(),
+               [&ids, &work, &cancel](std::size_t b, std::size_t e) {
+                 Stopwatch sw;
+                 for (std::size_t i = b; i < e && !cancel.cancelled(); ++i)
+                   work(ids[i]);
+                 return static_cast<std::uint64_t>(sw.elapsedNs());
+               });
   };
 
   // Step 1: sat verdict and refutation inputs of every live concept —
@@ -549,7 +607,7 @@ bool ParallelClassifier::sweepMergeRefutable(Executor& exec) {
   // {c} model is what lets the masks refute them as candidates.
   store_.liveConcepts().forEachSetBit(
       [&ids](std::size_t c) { ids.push_back(static_cast<ConceptId>(c)); });
-  runChunked([this, refuter](ConceptId c) {
+  sweepStep([this, refuter](ConceptId c) {
     std::uint64_t cost = 0;
     if (ensureSat(c, cost) == SatResult::kSat) refuter->prepare(c);
   });
@@ -562,7 +620,7 @@ bool ParallelClassifier::sweepMergeRefutable(Executor& exec) {
     if (store_.possibleCount(x) != 0 && store_.satStatus(x) == SatStatus::kSat)
       ids.push_back(x);
   const BitKernels& bk = store_.bitKernels();
-  runChunked([this, refuter, &bk](ConceptId x) {
+  sweepStep([this, refuter, &bk](ConceptId x) {
     thread_local std::vector<std::uint64_t> candidates;
     thread_local std::vector<std::uint64_t> refuted;
     store_.possibleRowWordsInto(x, candidates);
@@ -730,20 +788,18 @@ void ParallelClassifier::runGroupRound(Executor& exec, std::size_t roundIndex,
 void ParallelClassifier::buildHierarchy(Executor& exec,
                                         ClassificationResult& result) {
   const std::size_t n = store_.conceptCount();
+  const std::size_t words = store_.rowWords();
   const std::uint64_t t0 = exec.elapsedNs();
 
-  // Divide (Algorithm 4, parallel): snapshot K rows and detect
-  // equivalences; compute each concept's direct subsumees by removing
-  // everything reachable through another known subsumee.
-  std::vector<DynamicBitset> kbits(n);
-  for (ConceptId x = 0; x < n; ++x) {
-    const std::size_t worker = exec.pickWorker(config_.scheduling);
-    exec.dispatch(worker, [this, x, &kbits]() -> std::uint64_t {
-      kbits[x] = store_.knownRowBits(x);
-      return 1000;  // bookkeeping tick; real cost is negligible per row
-    });
-  }
-  exec.barrier();
+  // Divide (Algorithm 4, parallel). Behind the last barrier K is
+  // immutable, so every step reads its rows in place.
+  const auto forEachKnown = [this, words](ConceptId x, auto&& fn) {
+    const std::uint64_t* k = store_.knownRowQuiescent(x);
+    for (std::size_t w = 0; w < words; ++w)
+      for (std::uint64_t v = k[w]; v != 0; v &= v - 1)
+        fn(static_cast<ConceptId>(w * 64 + static_cast<std::size_t>(
+                                               std::countr_zero(v))));
+  };
 
   // Union-find over mutual known-subsumption (setEquivalentConcept).
   std::vector<ConceptId> rep(n);
@@ -756,108 +812,104 @@ void ParallelClassifier::buildHierarchy(Executor& exec,
     return x;
   };
   for (ConceptId x = 0; x < n; ++x) {
-    kbits[x].forEachSetBit([&](std::size_t y) {
-      if (y <= x) return;
-      if (kbits[y].test(x)) {
-        const ConceptId rx = find(x);
-        const ConceptId ry = find(static_cast<ConceptId>(y));
-        if (rx != ry) rep[std::max(rx, ry)] = std::min(rx, ry);
-      }
+    forEachKnown(x, [&](ConceptId y) {
+      if (y <= x || !store_.known(y, x)) return;
+      const ConceptId rx = find(x);
+      const ConceptId ry = find(y);
+      if (rx != ry) rep[std::max(rx, ry)] = std::min(rx, ry);
     });
   }
-  // Flatten before the parallel phase: tasks below read rep[] lock-free.
+  // Flatten before the parallel steps: tasks below read rep[] lock-free.
   for (ConceptId x = 0; x < n; ++x) rep[x] = find(x);
 
-  // Per-class union of member K rows, minus the members themselves.
+  // One class per representative r, its members ascending (members[r][0]
+  // == r); unsatisfiable concepts go to ⊥ instead.
   std::vector<std::vector<ConceptId>> members(n);
   for (ConceptId x = 0; x < n; ++x)
     if (store_.satStatus(x) != SatStatus::kUnsat) members[rep[x]].push_back(x);
+  std::vector<ConceptId> classes;
+  for (ConceptId r = 0; r < n; ++r)
+    if (!members[r].empty() && members[r][0] == r) classes.push_back(r);
 
-  // Class-level K adjacency: adj[r] = representatives of classes with at
-  // least one member in some member-row of class r. Algorithm 5 pruning
-  // may have dropped *single-step* K entries whose indirectness is only
+  // Per-thread marks over the classes, all clear between uses: each task
+  // clears exactly the marks it set.
+  const auto marks = [n]() -> std::vector<std::uint8_t>& {
+    thread_local std::vector<std::uint8_t> m;
+    if (m.size() < n) m.resize(n, 0);
+    return m;
+  };
+  // Deterministic bookkeeping tick per class (the virtual executor's cost).
+  constexpr std::uint64_t kClassTickNs = 1000;
+
+  // Class-level K adjacency, sorted: adj[r] = representatives of classes
+  // with a member in some member row of class r. Algorithm 5 pruning may
+  // have dropped *single-step* K entries whose indirectness is only
   // witnessed through an intermediate class, so direct children must be
   // computed by *reachability* over this adjacency, not by one-step row
   // subtraction (the pruning invariant guarantees every true subsumee
   // stays reachable through a chain of witnesses).
   std::vector<std::vector<ConceptId>> adj(n);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (members[r].empty() || members[r][0] != r) continue;
-    const std::size_t worker = exec.pickWorker(config_.scheduling);
-    exec.dispatch(worker, [r, &members, &kbits, &adj, &rep, n]() -> std::uint64_t {
-      DynamicBitset k(n);
-      for (ConceptId m : members[r]) k |= kbits[m];
-      for (ConceptId m : members[r]) k.reset(m);
+  runChunked(exec, classes.size(), [&](std::size_t b, std::size_t e) {
+    std::vector<std::uint8_t>& seen = marks();
+    for (std::size_t i = b; i < e; ++i) {
+      const ConceptId r = classes[i];
       std::vector<ConceptId>& out = adj[r];
-      // O(1) bitset membership for the dedup — the linear std::find made
-      // this loop O(deg²) on bushy hierarchies.
-      DynamicBitset seen(n);
-      k.forEachSetBit([&](std::size_t y) {
-        const ConceptId ry = rep[y];
-        if (ry == r || seen.test(ry)) return;
-        seen.set(ry);
-        out.push_back(ry);
-      });
-      return 1000;  // bookkeeping tick; real cost is negligible per row
-    });
-  }
-  exec.barrier();
+      for (ConceptId m : members[r])
+        forEachKnown(m, [&](ConceptId y) {
+          const ConceptId ry = rep[y];
+          if (ry == r || seen[ry]) return;
+          seen[ry] = 1;
+          out.push_back(ry);
+        });
+      for (ConceptId c : out) seen[c] = 0;
+      std::sort(out.begin(), out.end());
+    }
+    return kClassTickNs * (e - b);
+  });
 
-  // buildPartialHierarchy (divide): H_r = candidate child classes minus
-  // those reachable from another candidate (transitive reduction by DFS).
-  std::vector<DynamicBitset> classK(n);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (members[r].empty() || members[r][0] != r) continue;
-    const std::size_t worker = exec.pickWorker(config_.scheduling);
-    exec.dispatch(worker, [r, &adj, &classK, n]() -> std::uint64_t {
+  // buildPartialHierarchy (divide): the direct children of r are its
+  // candidate classes minus those reachable from another candidate
+  // (transitive reduction by a reachability walk). Sorted, as adj is.
+  std::vector<std::vector<ConceptId>> children(n);
+  runChunked(exec, classes.size(), [&](std::size_t b, std::size_t e) {
+    std::vector<std::uint8_t>& reached = marks();
+    thread_local std::vector<ConceptId> walk;
+    for (std::size_t i = b; i < e; ++i) {
+      const ConceptId r = classes[i];
       const std::vector<ConceptId>& cand = adj[r];
-      DynamicBitset reachable(n);
+      walk.clear();
+      const auto reach = [&](ConceptId c) {
+        if (reached[c]) return;
+        reached[c] = 1;
+        walk.push_back(c);
+      };
+      // Walk from every candidate's children; anything reached is an
+      // indirect subsumee of r.
       if (cand.size() > 1) {
-        // DFS from every candidate's children; anything reached is an
-        // indirect subsumee of r.
-        std::vector<ConceptId> stack;
         for (ConceptId c : cand)
-          for (ConceptId cc : adj[c])
-            if (!reachable.test(cc)) {
-              reachable.set(cc);
-              stack.push_back(cc);
-            }
-        while (!stack.empty()) {
-          const ConceptId cur = stack.back();
-          stack.pop_back();
-          for (ConceptId cc : adj[cur]) {
-            if (!reachable.test(cc)) {
-              reachable.set(cc);
-              stack.push_back(cc);
-            }
-          }
-        }
+          for (ConceptId cc : adj[c]) reach(cc);
+        for (std::size_t j = 0; j < walk.size(); ++j)
+          for (ConceptId cc : adj[walk[j]]) reach(cc);
       }
-      DynamicBitset direct(n);
       for (ConceptId c : cand)
-        if (!reachable.test(c)) direct.set(c);
-      classK[r] = std::move(direct);
-      return 1000;
-    });
-  }
-  exec.barrier();
+        if (!reached[c]) children[r].push_back(c);
+      for (ConceptId c : walk) reached[c] = 0;
+    }
+    return kClassTickNs * (e - b);
+  });
 
   // Conquer (sequential): merge the partial hierarchies into the taxonomy.
   Taxonomy tax(n);
   std::vector<Taxonomy::NodeId> nodeOfRep(n, Taxonomy::kNoNode);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (!members[r].empty() && members[r][0] == r)
-      nodeOfRep[r] = tax.addNode(members[r]);
-  }
+  for (ConceptId r : classes) nodeOfRep[r] = tax.addNode(members[r]);
   for (ConceptId x = 0; x < n; ++x)
     if (store_.satStatus(x) == SatStatus::kUnsat) tax.assignToBottom(x);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (nodeOfRep[r] == Taxonomy::kNoNode) continue;
-    classK[r].forEachSetBit([&](std::size_t childRep) {
+  for (ConceptId r : classes) {
+    for (ConceptId childRep : children[r]) {
       const Taxonomy::NodeId child = nodeOfRep[childRep];
       if (child != Taxonomy::kNoNode && child != nodeOfRep[r])
         tax.addEdge(nodeOfRep[r], child);
-    });
+    }
   }
   tax.finalize();
   result.taxonomy = std::move(tax);
@@ -892,7 +944,6 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     // resume path below never re-seeds; unseeded pairs are simply tested,
     // yielding the identical taxonomy).
     notifyBarrier(0, 0);
-    started_.store(true, std::memory_order_release);
     if (config_.toldSeeding) seedTold();
   } else {
     store_.restoreImage(from->store);
@@ -904,7 +955,6 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     // becomes the newest snapshot, and the journal is already truncated to
     // its last valid record — post-resume appends extend a clean prefix.
     notifyBarrier(startCycle, round);
-    started_.store(true, std::memory_order_release);
   }
   // Armed before routing so the budget bounds the EL saturation too.
   if (config_.watchdogBudgetNs != 0) exec.armWatchdog(config_.watchdogBudgetNs);
@@ -916,6 +966,13 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   const bool freshRows = from == nullptr || config_.routeElOnResume;
   if (config_.routeEl != ElRouting::kOff && freshRows)
     routeElFragment(exec, result);
+  // Publication point (DESIGN.md §13): seeding and routing wrote the store
+  // with plain word loops while no query or worker could see it. Queries
+  // answer kUnknown until here; the release store orders every seeded word
+  // before the first verdict a query reads, and the dispatches below
+  // publish them to the workers. A cancelled routing publishes too.
+  started_.store(true, std::memory_order_release);
+  signalProgress();
 
   // The merge sweep runs on routing's resume condition, for the same
   // reason. It has no phase of its own: its time and tests are folded

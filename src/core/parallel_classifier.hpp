@@ -263,7 +263,7 @@ class ParallelClassifier {
   // upward reachability walk).
 
   /// Settled-pair subsumption query "is sub ⊑ sup?". kUnknown while the
-  /// pair is still possible (or classification has not started).
+  /// pair is still possible (or the store is not yet published).
   PairVerdict queryPair(ConceptId sup, ConceptId sub) const;
 
   /// Satisfiability status of `c` as far as the run has decided it.
@@ -283,8 +283,12 @@ class ParallelClassifier {
   /// Blocks until the run exits (true) or `deadline` passes (false).
   bool waitForCompletion(std::chrono::steady_clock::time_point deadline) const;
 
-  /// True once classify()/resumeClassify() initialised the store (queries
-  /// before that point answer kUnknown — P is not yet populated).
+  /// True once classify()/resumeClassify() has published the store: after
+  /// initialisation, told seeding and EL routing (a cancelled routing
+  /// publishes too), before phase 1. Those steps write the store with
+  /// plain word loops on the classifying thread, so queries before this
+  /// point answer kUnknown without reading it (DESIGN.md §13, "Quiescent
+  /// seeding and the publication point").
   bool started() const { return started_.load(std::memory_order_acquire); }
   /// True once the run() call has returned (completed, cancelled or paused).
   bool finished() const { return finished_.load(std::memory_order_acquire); }
@@ -361,12 +365,12 @@ class ParallelClassifier {
   ShardedCounter pruned_;
   ShardedCounter failedTests_;
   ShardedCounter retriedTests_;
-  /// Ordered pairs resolved by the told-seeding sweep. Written once,
-  /// single-threaded, before phase 1 — no sharding needed.
+  /// Ordered pairs resolved by told seeding. Written once, on the
+  /// classifying thread before the store is published — no sharding.
   std::uint64_t seeded_ = 0;
-  /// Routing-phase report (written single-threaded after the saturation
-  /// barrier, before phase 1): pure-EL concept count, K claims won by the
-  /// closure sweep, and total reasoner calls made unnecessary.
+  /// Routing-phase report (written on the classifying thread before the
+  /// store is published): pure-EL concept count, K claims won by the
+  /// closure pass, and total reasoner calls made unnecessary.
   std::uint64_t routedConcepts_ = 0;
   std::uint64_t routeSeeded_ = 0;
   std::uint64_t routeAvoided_ = 0;

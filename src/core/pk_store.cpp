@@ -22,12 +22,21 @@ PkStore::PkStore(std::size_t conceptCount, const BitKernels* kernels)
 }
 
 void PkStore::initPossibleAll() {
+  using Word = AtomicBitMatrix::Word;
+  const std::size_t words = rowWords();
+  const std::size_t tailBits = n_ % AtomicBitMatrix::kWordBits;
+  const Word tail = tailBits == 0 ? ~Word{0} : ~Word{0} >> (64 - tailBits);
   for (std::size_t x = 0; x < n_; ++x) {
-    p_.fillRow(x, /*skip=*/x);
+    const RowWords row = quiescentRow(static_cast<ConceptId>(x));
+    std::fill_n(row.p, words, ~Word{0});
+    row.p[words - 1] = tail;
+    const Word self = Word{1} << (x % 64);
+    row.p[x / 64] &= ~self;
     // X ⊑ X is trivially known; mark the diagonal tested so no worker
     // wastes a reasoner call on it.
-    tested_.testAndSet(x, x);
+    row.tested[x / 64] |= self;
   }
+  recountPossible();
 }
 
 DynamicBitset PkStore::liveConcepts() const {

@@ -1,8 +1,10 @@
 // PkStore — the paper's shared-memory global data structure (Section III):
 // for every named concept X the set P_X of *possible* subsumees, the set
 // K_X of *known* subsumees, the tested-pair matrix behind tested(), and
-// the per-concept satisfiability status. All state is updated with
-// single-word atomic RMWs so classification workers never lock.
+// the per-concept satisfiability status. While workers run, all state is
+// updated with single-word atomic RMWs so they never lock; at quiescent
+// points (before the classifier publishes the store, and after its last
+// barrier) plain word loops over quiescentRow() views do the bulk work.
 //
 // Encoding: row X of P/K is indexed by candidate subsumee Y.
 //   P.test(X, Y)  — "Y might be subsumed by X, not yet resolved"
@@ -76,7 +78,8 @@ class PkStore {
   const BitKernels& bitKernels() const { return p_.kernels(); }
 
   // --- initialisation ------------------------------------------------------
-  /// P_X := N_O \ {X} for every X; K := ∅ (paper Section III).
+  /// P_X := N_O \ {X} for every X, and the diagonal tested (paper Section
+  /// III; K starts empty). Quiescent-only: plain stores, then one recount.
   void initPossibleAll();
 
   // --- satisfiability cache --------------------------------------------------
@@ -147,9 +150,8 @@ class PkStore {
   }
 
   /// Bulk recordSubsumption: claims tested(x, y), inserts y into K_x and
-  /// deletes y from P_x for every y in `mask`. The told-seeding sweep uses
-  /// this to apply a whole closure row with three word ops per word.
-  /// Returns the number of claims won (tests avoided by seeding).
+  /// deletes y from P_x for every y in `mask`, three word RMWs per word.
+  /// Returns the number of claims won.
   std::size_t seedKnownRow(ConceptId x, const std::uint64_t* mask,
                            std::size_t nWords) {
     const std::size_t claimed = tested_.orRow(x, mask, nWords);
@@ -160,9 +162,8 @@ class PkStore {
 
   /// Bulk recordNonSubsumption: claims tested(x, y) and deletes y from
   /// P_x for every y in `mask` — the negative twin of seedKnownRow. The
-  /// EL-routing sweep applies saturation-refuted rows with it (definite
-  /// non-subsumptions within pure-EL signatures, DESIGN.md §13).
-  /// Returns the number of claims won (tests avoided).
+  /// merge sweep's concurrent row tasks settle refuted rows with it
+  /// (DESIGN.md §11). Returns the number of claims won (tests avoided).
   std::size_t seedNonSubRow(ConceptId x, const std::uint64_t* mask,
                             std::size_t nWords) {
     const std::size_t claimed = tested_.orRow(x, mask, nWords);
@@ -243,6 +244,31 @@ class PkStore {
                             std::vector<std::uint64_t>& out) const {
     p_.rowWordsInto(x, out);
   }
+
+  // --- quiescent plain-word access --------------------------------------------
+  // Same contract as captureImage/restoreImage: no concurrent mutators,
+  // and no concurrent readers of a row being written. The classifier seeds
+  // rows through these before it publishes the store (started()) and
+  // reads K in place after its last barrier; the next dispatch publishes
+  // the plain writes to the workers.
+
+  /// Plain views of row X of P, K and tested, rowWords() words each.
+  struct RowWords {
+    std::uint64_t* p;
+    std::uint64_t* k;
+    std::uint64_t* tested;
+  };
+  RowWords quiescentRow(ConceptId x) {
+    return {p_.quiescentRow(x), k_.quiescentRow(x), tested_.quiescentRow(x)};
+  }
+  const std::uint64_t* knownRowQuiescent(ConceptId x) const {
+    return k_.quiescentRow(x);
+  }
+  /// Words carrying columns per row, (conceptCount()+63)/64 — the same
+  /// count as a DynamicBitset over the concepts.
+  std::size_t rowWords() const { return p_.usedWordsPerRow(); }
+  /// Rebuilds P's O(1) counters after writes through quiescentRow().
+  void recountPossible() { p_.recount(); }
 
   // --- retry ledger (failed plug-in calls) -----------------------------------
   // Keys are ordered pairs ⟨X,Y⟩ for subs?(X,Y); sat?(C) failures use the

@@ -8,7 +8,9 @@
 //
 // All mutating ops are single-word lock-free RMWs, so concurrent workers
 // never block on the shared state (Section I: "atomic global data
-// structures ... avoid possible race conditions for updates").
+// structures ... avoid possible race conditions for updates"). Where no
+// worker or reader can run, quiescentRow() hands out plain word views
+// instead, so bulk passes run as ordinary (vectorisable) loops.
 //
 // Memory ordering: testAndSet/clear use acq_rel so that a worker that
 // *observes* a bit (e.g. tested[X][Y]) also observes the P/K updates the
@@ -40,6 +42,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/bit_kernels.hpp"
@@ -64,7 +67,8 @@ class AtomicBitMatrix {
 
   /// Re-dimensions and zeroes the matrix. Not thread-safe. A null
   /// `kernels` keeps the matrix's current backend (or, on first reset,
-  /// binds the process-wide activeBitKernels()).
+  /// binds the process-wide activeBitKernels()). The fresh block vector is
+  /// value-initialised, which already zeroes every word and counter.
   void reset(std::size_t rows, std::size_t cols, bool counted = false,
              const BitKernels* kernels = nullptr) {
     if (kernels != nullptr) kernels_ = kernels;
@@ -80,8 +84,6 @@ class AtomicBitMatrix {
     words_ = blocks_.empty() ? nullptr : blocks_.front().w;
     OWLCL_DEBUG_ASSERT(words_ == nullptr ||
                        reinterpret_cast<std::uintptr_t>(words_) % 64 == 0);
-    for (std::size_t i = 0; i < wordCount_; ++i)
-      words_[i].store(0, std::memory_order_relaxed);
     rowCounts_ = std::vector<PaddedCount>(counted ? rows : 0);
     globalShards_ = std::vector<PaddedCount>(counted ? kGlobalShards : 0);
   }
@@ -117,14 +119,15 @@ class AtomicBitMatrix {
 
   // --- word-granularity bulk kernels ----------------------------------------
   // One atomic RMW per 64-bit word that changes, instead of one per bit:
-  // the hot paths (Algorithm 5 pruning, told-subsumption seeding, routing
-  // sweeps) apply a whole mask row at once. Counted-mode deltas come from
-  // the popcount of each word's own before/after transition, so the
-  // exactly-one-counter-update-per-bit-flip invariant is identical to the
-  // single-bit ops and bulk/scalar mixes stay consistent (tested under
-  // TSan, for every registered backend). Orderings are acq_rel like
-  // testAndSet/testAndClear: a worker that observes a bulk-set bit also
-  // observes every write the setting worker published before the RMW.
+  // the concurrent hot paths (Algorithm 5 pruning, the merge sweep, the
+  // cancelled-run drain) apply a whole mask row at once. Counted-mode
+  // deltas come from the popcount of each word's own before/after
+  // transition, so the exactly-one-counter-update-per-bit-flip invariant
+  // is identical to the single-bit ops and bulk/scalar mixes stay
+  // consistent (tested under TSan, for every registered backend).
+  // Orderings are acq_rel like testAndSet/testAndClear: a worker that
+  // observes a bulk-set bit also observes every write the setting worker
+  // published before the RMW.
   //
   // `mask` holds `nWords` row-major words; nWords may be shorter than the
   // row (missing words are treated as zero). Bits in mask words past
@@ -355,15 +358,39 @@ class AtomicBitMatrix {
                    std::memory_order_relaxed);
       }
     }
-    if (counted_) {
-      for (auto& s : globalShards_) s.v.store(0, std::memory_order_relaxed);
-      for (std::size_t r = 0; r < rows_; ++r) {
-        const auto cnt = static_cast<std::int64_t>(recountRow(r));
-        rowCounts_[r].v.store(cnt, std::memory_order_relaxed);
-        globalShards_[r & (kGlobalShards - 1)].v.fetch_add(
-            cnt, std::memory_order_relaxed);
-      }
+    recount();
+  }
+
+  /// Plain-word view of row r: wordsPerRow() words, of which the padding
+  /// past usedWordsPerRow() must stay zero. Same contract as loadWords —
+  /// no concurrent mutators, and no concurrent reader of a row being
+  /// written; a later dispatch or barrier publishes the writes to the
+  /// workers. Writes through the view bypass
+  /// the counted-mode bookkeeping, so a writer calls recount() before
+  /// the next counted read. The seeding passes and the hierarchy build
+  /// use it to run plain (vectorisable) word loops instead of one locked
+  /// RMW per word.
+  Word* quiescentRow(std::size_t r) {
+    OWLCL_DEBUG_ASSERT(r < rows_);
+    return reinterpret_cast<Word*>(rowPtr(r));
+  }
+  const Word* quiescentRow(std::size_t r) const {
+    OWLCL_DEBUG_ASSERT(r < rows_);
+    return reinterpret_cast<const Word*>(rowPtr(r));
+  }
+
+  /// Quiescent-only: rebuilds the counted-mode bookkeeping from the words
+  /// (exact by construction). No-op in uncounted mode.
+  void recount() {
+    if (!counted_) return;
+    std::int64_t shards[kGlobalShards] = {};
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const auto cnt = static_cast<std::int64_t>(recountRow(r));
+      rowCounts_[r].v.store(cnt, std::memory_order_relaxed);
+      shards[r & (kGlobalShards - 1)] += cnt;
     }
+    for (std::size_t i = 0; i < kGlobalShards; ++i)
+      globalShards_[i].v.store(shards[i], std::memory_order_relaxed);
   }
 
   /// Quiescent verification that the maintained counters agree with a full
@@ -434,6 +461,12 @@ class AtomicBitMatrix {
     std::atomic<Word> w[kBlockWords];
   };
   static_assert(sizeof(Block) == 64);
+  // quiescentRow() views the atomic words as plain ones: a lock-free,
+  // standard-layout atomic holds exactly its value, at its own address
+  // (the AVX2 quiescent copies in bit_kernels.cpp rely on the same).
+  static_assert(sizeof(std::atomic<Word>) == sizeof(Word) &&
+                std::atomic<Word>::is_always_lock_free &&
+                std::is_standard_layout_v<std::atomic<Word>>);
 
   // Padded so concurrent updates to different rows / shards never share a
   // cache line with each other or with the matrix words.

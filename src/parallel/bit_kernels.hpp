@@ -115,7 +115,7 @@ class BitKernels {
   /// told-closure seeding, verify's descendants fixpoint).
   virtual bool orInto(Word* dst, const Word* src, std::size_t n) const;
 
-  /// dst = a & ~b (the routing/prune mask builder).
+  /// dst = a & ~b (the merge-refutation and snapshot mask builder).
   virtual void andNotInto(Word* dst, const Word* a, const Word* b,
                           std::size_t n) const;
 };

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace owlcl {
@@ -295,6 +296,44 @@ TEST(AtomicBitMatrix, LoadWordsMasksCorruptTailBits) {
   a.loadWords(words);
   EXPECT_EQ(a.countRow(0), 6u);  // only columns 64..69 are real
   EXPECT_TRUE(a.countersMatchRecount());
+}
+
+TEST(AtomicBitMatrix, ResetOfDirtyMatrixReadsAllZero) {
+  // reset() relies on the fresh block vector's value-initialisation alone:
+  // no word or counter of the old content may survive it, at the old size
+  // or a different one.
+  AtomicBitMatrix m(9, 130, /*counted=*/true);
+  for (std::size_t r = 0; r < 9; ++r) m.fillRow(r, r);
+  ASSERT_GT(m.countAll(), 0u);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{9, 130}, {4, 70}, {12, 200}}) {
+    m.reset(rows, cols, /*counted=*/true);
+    EXPECT_EQ(m.countAll(), 0u);
+    EXPECT_EQ(m.recountAll(), 0u);
+    EXPECT_TRUE(m.countersMatchRecount());
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(m.countRow(r), 0u) << rows << "x" << cols << " row " << r;
+      const AtomicBitMatrix::Word* words = m.quiescentRow(r);
+      for (std::size_t w = 0; w < m.wordsPerRow(); ++w)
+        ASSERT_EQ(words[w], 0u) << rows << "x" << cols << " row " << r;
+    }
+    m.fillRow(rows - 1);  // dirty it again for the next reset
+  }
+}
+
+TEST(AtomicBitMatrix, QuiescentRowWritesCountAfterRecount) {
+  AtomicBitMatrix m(3, 70, /*counted=*/true);
+  m.testAndSet(0, 1);
+  AtomicBitMatrix::Word* row = m.quiescentRow(2);
+  row[0] = 0xF0;
+  row[1] = 0x3;  // columns 64, 65
+  m.recount();
+  EXPECT_TRUE(m.countersMatchRecount());
+  EXPECT_EQ(m.countRow(0), 1u);
+  EXPECT_EQ(m.countRow(2), 6u);
+  EXPECT_EQ(m.countAll(), 7u);
+  EXPECT_TRUE(m.test(2, 65));
+  EXPECT_FALSE(m.test(2, 66));
 }
 
 }  // namespace
