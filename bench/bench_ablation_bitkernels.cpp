@@ -6,7 +6,7 @@
 //                  skip fast path: no word changes), andNotRow both ways,
 //                  the popcount recount, and the private-buffer mask
 //                  kernels (orInto / andNotInto / popcountWords) that the
-//                  seeding/routing/verify fixpoints run.
+//                  routing/merge-sweep/verify passes run.
 //   end to end     full classification of a generated dense-hierarchy
 //                  ontology, portable vs every vectorized backend, with
 //                  the taxonomies byte-compared (divergence is FATAL —
@@ -136,8 +136,8 @@ void runKernelMatrix(const BitKernels& bk, std::size_t nWords, int reps,
 
 GenConfig workload(bool quick) {
   // Dense hierarchy: lots of concepts and told edges so the P/K matrices
-  // are big and the seeding/pruning word loops dominate — the corpus the
-  // bit kernels were built for.
+  // are big and the pruning word loops dominate — the corpus the bit
+  // kernels were built for.
   GenConfig cfg;
   cfg.name = "ablation-bitkernels";
   cfg.concepts = quick ? 150 : 320;
@@ -165,7 +165,6 @@ EndToEnd runEndToEnd(const GenConfig& cfg, const BitKernels* bk,
   TableauReasoner reasoner(*g.tbox);
   ClassifierConfig config;
   config.randomCycles = 1;
-  config.toldSeeding = true;  // exercise the orInto closure fixpoint too
   config.bitKernels = bk;
   ThreadPool pool(threads);
   RealExecutor exec(pool);

@@ -1,18 +1,17 @@
 // Hybrid EL/tableau routing ablation: the real tableau backend classifying
 // an EL-heavy generated ontology (mostly ∃/⊓ decorations, a thin ∀ residual)
-// in three modes —
+// in two modes —
 //
-//   tableau-only        --route-el=off, no told seeding (the pre-PR baseline)
+//   tableau-only        --route-el=off (the paper's architecture)
 //   route-el            --route-el=on: saturate the EL sub-ontology first and
 //                       seed P/K from its closure (DESIGN.md §13)
-//   route-el+seed-told  + told-subsumption seeding (PR 4) layered underneath
 //
 // The payload is testsPerformed: routing settles every pair of pure-EL
 // concepts (both polarities) before phase 1, so the tableau only ever sees
 // pairs touching the non-EL residual. Per-phase wall time (routing /
 // random-division / group-division / hierarchy) comes from result.cycles.
 //
-// Every mode's taxonomy is rendered to a string and byte-compared against
+// The routed taxonomy is rendered to a string and byte-compared against
 // the tableau-only baseline — the bench doubles as the CI proof that
 // routing never changes a verdict. The run FATALs (for the --quick CI
 // smoke) unless routing fired (routedConcepts > 0, saturationSeeded > 0)
@@ -41,13 +40,11 @@ namespace {
 struct Mode {
   const char* name;
   ElRouting routeEl;
-  bool seedTold;
 };
 
 constexpr Mode kModes[] = {
-    {"tableau-only", ElRouting::kOff, false},
-    {"route-el", ElRouting::kOn, false},
-    {"route-el+seed-told", ElRouting::kOn, true},
+    {"tableau-only", ElRouting::kOff},
+    {"route-el", ElRouting::kOn},
 };
 
 struct RunResult {
@@ -56,7 +53,6 @@ struct RunResult {
   std::uint64_t satTests = 0;
   std::uint64_t subsumptionTests = 0;
   std::uint64_t pruned = 0;
-  std::uint64_t seeded = 0;
   std::uint64_t routedConcepts = 0;
   std::uint64_t saturationSeeded = 0;
   std::uint64_t testsAvoidedByRouting = 0;
@@ -102,7 +98,6 @@ RunResult runOnce(const GenConfig& cfg, std::size_t threads,
   ClassifierConfig config;
   config.randomCycles = 1;
   config.routeEl = mode.routeEl;
-  config.toldSeeding = mode.seedTold;
   ThreadPool pool(threads);
   RealExecutor exec(pool);
   ParallelClassifier classifier(*g.tbox, reasoner, config);
@@ -115,7 +110,6 @@ RunResult runOnce(const GenConfig& cfg, std::size_t threads,
   out.satTests = r.satTests;
   out.subsumptionTests = r.subsumptionTests;
   out.pruned = r.prunedWithoutTest;
-  out.seeded = r.seededWithoutTest;
   out.routedConcepts = r.routedConcepts;
   out.saturationSeeded = r.saturationSeeded;
   out.testsAvoidedByRouting = r.testsAvoidedByRouting;
@@ -185,7 +179,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!parityOk) return 1;
-  std::printf("taxonomy parity: all modes byte-identical per thread count\n");
+  std::printf("taxonomy parity: both modes byte-identical per thread count\n");
 
   std::FILE* out = std::fopen("BENCH_routing.json", "w");
   if (out == nullptr) {
@@ -205,7 +199,7 @@ int main(int argc, char** argv) {
         out,
         "    {\"threads\": %zu, \"mode\": \"%s\", \"wall_ns\": %llu, "
         "\"tests\": %llu, \"sat_tests\": %llu, \"subsumption_tests\": %llu, "
-        "\"pruned\": %llu, \"seeded\": %llu, \"routed_concepts\": %llu, "
+        "\"pruned\": %llu, \"routed_concepts\": %llu, "
         "\"saturation_seeded\": %llu, \"tests_avoided_by_routing\": %llu, "
         "\"routing_ns\": %llu, \"random_division_ns\": %llu, "
         "\"group_division_ns\": %llu, \"hierarchy_ns\": %llu}%s\n",
@@ -214,7 +208,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(row.r.satTests),
         static_cast<unsigned long long>(row.r.subsumptionTests),
         static_cast<unsigned long long>(row.r.pruned),
-        static_cast<unsigned long long>(row.r.seeded),
         static_cast<unsigned long long>(row.r.routedConcepts),
         static_cast<unsigned long long>(row.r.saturationSeeded),
         static_cast<unsigned long long>(row.r.testsAvoidedByRouting),

@@ -1,7 +1,7 @@
-// Real-thread scaling bench: the work-stealing pool with and without
-// told-subsumption seeding on a group-division-heavy workload
-// (randomCycles=0 sends every pair test through runGroupRound's dispatch
-// path, where scheduling cost matters most).
+// Real-thread scaling bench: the work-stealing pool on a
+// group-division-heavy workload (randomCycles=0 sends every pair test
+// through runGroupRound's dispatch path, where scheduling cost matters
+// most).
 //
 // Unlike the figure benches this one runs on REAL std::threads — it
 // measures the scheduler itself (queue contention, wake-up latency, steal
@@ -9,9 +9,7 @@
 // deterministic spin so tasks have genuine cost and per-task scheduling
 // overhead is measurable against it; a few concepts are made much harder
 // than the rest so group costs are skewed — the load shape stealing is
-// built for. The seeded rows show the word-parallel seeding sweep's
-// effect: told-entailed pairs never reach the test loop, so `tests`
-// drops and `avoid_seed` accounts for the difference.
+// built for.
 //
 // Every run is followed by a countersConsistent() check — the bench
 // doubles as the CI smoke test that the bulk kernels' counter deltas
@@ -19,7 +17,7 @@
 // recount after a full classification.
 //
 // Output: a human-readable table on stdout and machine-readable
-// BENCH_scaling.json (threads × mode → wall min/mean, per-phase ns,
+// BENCH_scaling.json (threads → wall min/mean, per-phase ns,
 // steals, tests performed/avoided) for CI trend tracking. `--quick`
 // shrinks the matrix for the CI smoke job.
 #include <algorithm>
@@ -28,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -89,22 +86,11 @@ class SpinReasoner : public ReasonerPlugin {
   std::atomic<std::uint64_t> sink_{0};
 };
 
-struct Mode {
-  const char* name;
-  bool seeded;
-};
-
-constexpr Mode kModes[] = {
-    {"steal", false},
-    {"steal+seed", true},
-};
-
 struct RunResult {
   std::uint64_t wallNs = 0;
   std::uint64_t busyNs = 0;
   std::uint64_t steals = 0;
   std::uint64_t tests = 0;         // reasoner calls (sat + subsumption)
-  std::uint64_t avoidedSeed = 0;   // pairs resolved by told seeding
   std::uint64_t avoidedPrune = 0;  // pairs resolved by Algorithm 5
   std::uint64_t routingNs = 0;     // EL routing phase
   std::uint64_t randomNs = 0;      // phase 1 barrier-to-barrier total
@@ -122,15 +108,13 @@ struct RunResult {
   std::uint64_t cacheRejectedLong = 0;  // oversize-label sheds
 };
 
-RunResult runOnce(const GeneratedOntology& g, std::size_t threads,
-                  const Mode& mode) {
+RunResult runOnce(const GeneratedOntology& g, std::size_t threads) {
   // Small per-test spin (~1 µs easy / ~30 µs hard): enough real work that
   // tasks aren't empty, small enough that per-task scheduling overhead
   // (the thing under test) is a measurable fraction of the total.
   SpinReasoner reasoner(g.truth, /*baseIters=*/150);
   ClassifierConfig config;
   config.randomCycles = 0;  // group-division-heavy: only runGroupRound
-  config.toldSeeding = mode.seeded;
   ThreadPool pool(threads);
   RealExecutor exec(pool);
   ParallelClassifier classifier(*g.tbox, reasoner, config);
@@ -141,14 +125,13 @@ RunResult runOnce(const GeneratedOntology& g, std::size_t threads,
   if (!classifier.countersConsistent()) {
     std::fprintf(stderr,
                  "FATAL: possible-set counters diverged from recount "
-                 "(threads=%zu mode=%s)\n",
-                 threads, mode.name);
+                 "(threads=%zu)\n",
+                 threads);
     std::abort();  // CI smoke: the counter invariant is the point
   }
   out.busyNs = r.busyNs;
   out.steals = pool.stealCount();
   out.tests = r.testsPerformed();
-  out.avoidedSeed = r.seededWithoutTest;
   out.avoidedPrune = r.prunedWithoutTest;
   out.reasonerSatCalls = r.reasonerSatCalls;
   out.reasonerCacheHits = r.reasonerCacheHits;
@@ -179,17 +162,15 @@ RunResult runOnce(const GeneratedOntology& g, std::size_t threads,
 
 struct Row {
   std::size_t threads;
-  const char* mode;
-  bool seeded;
   RunResult best;  // detail fields from the fastest recorded run
   bench::RepeatStats stats;
 };
 
-Row measure(const GeneratedOntology& g, std::size_t threads, const Mode& mode,
-            int warmups, int repeats) {
-  Row row{threads, mode.name, mode.seeded, {}, {}};
+Row measure(const GeneratedOntology& g, std::size_t threads, int warmups,
+            int repeats) {
+  Row row{threads, {}, {}};
   row.stats = bench::repeatWall(warmups, repeats, [&] {
-    const RunResult r = runOnce(g, threads, mode);
+    const RunResult r = runOnce(g, threads);
     if (row.best.wallNs == 0 || r.wallNs < row.best.wallNs) row.best = r;
     return r.wallNs;
   });
@@ -202,9 +183,9 @@ Row measure(const GeneratedOntology& g, std::size_t threads, const Mode& mode,
 int main(int argc, char** argv) {
   using namespace owlcl;
 
-  // --quick: CI smoke shape — one thread count, one repeat, both
-  // modes (the countersConsistent() assert and the seeded-tests check
-  // still run; only the timing matrix shrinks).
+  // --quick: CI smoke shape — one thread count, one repeat (the
+  // countersConsistent() assert still runs; only the timing matrix
+  // shrinks).
   bool quick = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
@@ -224,24 +205,19 @@ int main(int argc, char** argv) {
 
   std::printf("scaling bench — %s (%zu concepts), group division only%s\n",
               cfg.name.c_str(), cfg.concepts, quick ? " [quick]" : "");
-  std::printf("%8s %12s %12s %12s %10s %10s %10s %10s\n", "threads", "mode",
-              "wall_ms_min", "wall_ms_mean", "steals", "tests", "avoid_seed",
-              "avoid_prune");
+  std::printf("%8s %12s %12s %10s %10s %10s\n", "threads", "wall_ms_min",
+              "wall_ms_mean", "steals", "tests", "avoid_prune");
 
   std::vector<Row> rows;
   for (std::size_t t : threadCounts) {
-    for (const Mode& mode : kModes) {
-      Row row = measure(g, t, mode, warmups, repeats);
-      std::printf("%8zu %12s %12.2f %12.2f %10llu %10llu %10llu %10llu\n", t,
-                  row.mode,
-                  static_cast<double>(row.stats.wallNsMin) / 1e6,
-                  static_cast<double>(row.stats.wallNsMean) / 1e6,
-                  static_cast<unsigned long long>(row.best.steals),
-                  static_cast<unsigned long long>(row.best.tests),
-                  static_cast<unsigned long long>(row.best.avoidedSeed),
-                  static_cast<unsigned long long>(row.best.avoidedPrune));
-      rows.push_back(std::move(row));
-    }
+    Row row = measure(g, t, warmups, repeats);
+    std::printf("%8zu %12.2f %12.2f %10llu %10llu %10llu\n", t,
+                static_cast<double>(row.stats.wallNsMin) / 1e6,
+                static_cast<double>(row.stats.wallNsMean) / 1e6,
+                static_cast<unsigned long long>(row.best.steals),
+                static_cast<unsigned long long>(row.best.tests),
+                static_cast<unsigned long long>(row.best.avoidedPrune));
+    rows.push_back(std::move(row));
   }
 
   std::FILE* out = std::fopen("BENCH_scaling.json", "w");
@@ -261,10 +237,10 @@ int main(int argc, char** argv) {
     const Row& row = rows[i];
     std::fprintf(
         out,
-        "    {\"threads\": %zu, \"mode\": \"%s\", \"seeded\": %s, "
+        "    {\"threads\": %zu, \"mode\": \"steal\", "
         "\"wall_ns\": %llu, \"wall_ns_min\": %llu, \"wall_ns_mean\": %llu, "
         "\"busy_ns\": %llu, \"steals\": %llu, \"tests\": %llu, "
-        "\"tests_avoided_seed\": %llu, \"tests_avoided_prune\": %llu, "
+        "\"tests_avoided_prune\": %llu, "
         "\"phase_routing_ns\": %llu, \"phase_random_ns\": %llu, "
         "\"phase_group_ns\": %llu, "
         "\"phase_taxonomy_ns\": %llu, "
@@ -272,14 +248,13 @@ int main(int argc, char** argv) {
         "\"reasoner_clashes\": %llu, \"cross_cache_hits\": %llu, "
         "\"merge_refuted\": %llu, \"cache_inserts\": %llu, "
         "\"cache_rejected_full\": %llu, \"cache_rejected_long\": %llu}%s\n",
-        row.threads, row.mode, row.seeded ? "true" : "false",
+        row.threads,
         static_cast<unsigned long long>(row.stats.wallNsMin),
         static_cast<unsigned long long>(row.stats.wallNsMin),
         static_cast<unsigned long long>(row.stats.wallNsMean),
         static_cast<unsigned long long>(row.best.busyNs),
         static_cast<unsigned long long>(row.best.steals),
         static_cast<unsigned long long>(row.best.tests),
-        static_cast<unsigned long long>(row.best.avoidedSeed),
         static_cast<unsigned long long>(row.best.avoidedPrune),
         static_cast<unsigned long long>(row.best.routingNs),
         static_cast<unsigned long long>(row.best.randomNs),
@@ -298,30 +273,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_scaling.json\n");
-
-  // Acceptance summary. Seeding must strictly reduce reasoner calls on
-  // this told-edge-rich workload — fail loudly if it doesn't (the CI
-  // smoke runs --quick and relies on this exit code).
-  const auto find = [&rows](std::size_t t, const std::string& m) -> RunResult {
-    for (const Row& row : rows)
-      if (row.threads == t && m == row.mode) return row.best;
-    return {};
-  };
-  const std::size_t tMax = threadCounts.back();
-  const RunResult s8 = find(tMax, "steal");
-  const RunResult d8 = find(tMax, "steal+seed");
-  if (s8.wallNs != 0 && d8.wallNs != 0) {
-    std::printf(
-        "%zu threads: seeding avoided %llu tests (%llu -> %llu reasoner "
-        "calls)\n",
-        tMax, static_cast<unsigned long long>(d8.avoidedSeed),
-        static_cast<unsigned long long>(s8.tests),
-        static_cast<unsigned long long>(d8.tests));
-    if (d8.tests >= s8.tests || d8.avoidedSeed == 0) {
-      std::fprintf(stderr,
-                   "FATAL: told seeding did not reduce reasoner calls\n");
-      return 1;
-    }
-  }
   return 0;
 }

@@ -31,9 +31,8 @@ void runChunked(Executor& exec, std::size_t count, const Work& work) {
   exec.barrier();
 }
 
-// Settles every row whose K the seeding passes wrote through plain views,
-// before the store is published: for each x in `rows` ∪ `nonSub` (which
-// may be null),
+// Settles every row whose K routing wrote through plain views, before the
+// store is published: for each x in `rows` ∪ `nonSub`,
 //   S = K_x ∪ (nonSub \ {x} if x ∈ nonSub),  tested_x |= S,  P_x &= ~S,
 // one fused plain word loop per row, then one P-counter recount. Because
 // K ⊆ tested and K ∩ P = ∅ at quiescence, this equals applying only the
@@ -46,7 +45,7 @@ struct SeedClaims {
 };
 
 SeedClaims settleSeededRows(PkStore& store, const DynamicBitset& rows,
-                            DynamicBitset* nonSub) {
+                            DynamicBitset& nonSub) {
   const std::size_t n = store.conceptCount();
   const std::size_t words = store.rowWords();
   const BitKernels& bk = store.bitKernels();
@@ -54,11 +53,11 @@ SeedClaims settleSeededRows(PkStore& store, const DynamicBitset& rows,
   std::vector<std::uint64_t> fresh(words);
   SeedClaims claims;
   for (ConceptId x = 0; x < n; ++x) {
-    const bool neg = nonSub != nullptr && nonSub->test(x);
+    const bool neg = nonSub.test(x);
     if (!neg && !rows.test(x)) continue;
-    if (neg) nonSub->reset(x);
+    if (neg) nonSub.reset(x);
     const PkStore::RowWords row = store.quiescentRow(x);
-    const std::uint64_t* extra = neg ? nonSub->words() : nullptr;
+    const std::uint64_t* extra = neg ? nonSub.words() : nullptr;
     for (std::size_t w = 0; w < words; ++w) {
       const std::uint64_t k = row.k[w];
       const std::uint64_t sw = extra != nullptr ? k | extra[w] : k;
@@ -68,7 +67,7 @@ SeedClaims settleSeededRows(PkStore& store, const DynamicBitset& rows,
       row.tested[w] = t | sw;
       row.p[w] &= ~sw;
     }
-    if (neg) nonSub->set(x);
+    if (neg) nonSub.set(x);
     claims.known += bk.popcountWords(freshK.data(), words);
     claims.total += bk.popcountWords(fresh.data(), words);
   }
@@ -371,80 +370,6 @@ void ParallelClassifier::testOrdered(ConceptId x, ConceptId y,
   runClaimedSubsTest(x, y, cost);
 }
 
-void ParallelClassifier::seedTold() {
-  // Extension: every told axiom A ⊑ B with both sides atomic is a known
-  // subsumption, and so is every *composition* of such axioms — compute
-  // the transitive closure of the told atomic subclass graph (equivalences
-  // arrive pre-expanded into inclusion rings by TBox::freeze()) and seed K
-  // with all of it, so structurally entailed pairs never reach the
-  // division test loops at all. Runs single-threaded before phase 1.
-  const ExprFactory& f = tbox_.exprs();
-  const std::size_t n = store_.conceptCount();
-  std::vector<std::vector<ConceptId>> subsOf(n);  // sup → told subsumees
-  bool any = false;
-  for (const SubClassAxiom& ax : tbox_.inclusions()) {
-    if (f.kind(ax.lhs) != ExprKind::kAtom || f.kind(ax.rhs) != ExprKind::kAtom)
-      continue;
-    const ConceptId sub = f.node(ax.lhs).atom;
-    const ConceptId sup = f.node(ax.rhs).atom;
-    if (sub == sup) continue;
-    subsOf[sup].push_back(sub);
-    any = true;
-  }
-  if (!any) return;
-
-  // Word-parallel closure fixpoint: closure[x] ⊇ {sub} ∪ closure[sub] for
-  // every told edge sub ⊑ x. Each pass is one |= (O(n/64) words) per edge;
-  // the pass count is bounded by the told hierarchy depth (cycles — told
-  // equivalence rings — converge too, leaving x ∈ closure[x], which the
-  // sweep strips below). Descending order tends to finish generated
-  // corpora (children declared after parents) in two passes.
-  std::vector<DynamicBitset> closure(n);
-  for (ConceptId x = 0; x < n; ++x) {
-    if (subsOf[x].empty()) continue;
-    closure[x] = DynamicBitset(n);
-    for (ConceptId sub : subsOf[x]) closure[x].set(sub);
-  }
-  const BitKernels& bk = store_.bitKernels();
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (std::size_t xi = n; xi-- > 0;) {
-      const ConceptId x = static_cast<ConceptId>(xi);
-      if (closure[x].empty()) continue;
-      for (ConceptId sub : subsOf[x]) {
-        if (closure[sub].empty()) continue;
-        if (bk.orInto(closure[x].mutableWords(), closure[sub].words(),
-                      closure[x].wordCountUsed()))
-          grew = true;
-      }
-    }
-  }
-
-  // Seeding: OR each closure row into K through the plain row view, then
-  // settle the seeded rows in one fused pass (claim tested, clear P). The
-  // diagonal is never seeded (a told equivalence ring puts x into its own
-  // closure; X ⊑ X is already claimed by initPossibleAll). Per-pair
-  // journaling only runs when a checkpoint hook is attached.
-  DynamicBitset seededRows(n);
-  for (ConceptId x = 0; x < n; ++x) {
-    DynamicBitset& row = closure[x];
-    if (row.empty()) continue;
-    row.reset(x);
-    if (row.none()) continue;
-    bk.orInto(store_.quiescentRow(x).k, row.words(), row.wordCountUsed());
-    seededRows.set(x);
-  }
-  seeded_ = settleSeededRows(store_, seededRows, nullptr).known;
-  if (config_.checkpoint == nullptr) return;
-  seededRows.forEachSetBit([this, &closure](std::size_t x) {
-    closure[x].forEachSetBit([this, x](std::size_t y) {
-      settle(SettledKind::kSubsumption, static_cast<ConceptId>(x),
-             static_cast<ConceptId>(y));
-    });
-  });
-}
-
 void ParallelClassifier::routeElFragment(Executor& exec,
                                          ClassificationResult& result) {
   // Hybrid EL/tableau routing (DESIGN.md §13). Runs on the classifying
@@ -459,7 +384,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   //    and a saturation-satisfiable pure concept is satisfiable in O.
   // Byte parity with a tableau-only run: seeded K edges are full-closure
   // edges and the taxonomy builder computes direct children by
-  // reachability with transitive reduction, exactly as for told seeding.
+  // reachability with transitive reduction.
   // The resume path never re-routes — a crash mid-seed replays the
   // journaled records and tableau-tests whatever was not yet seeded.
   const std::uint64_t t0 = exec.elapsedNs();
@@ -547,7 +472,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   // non-subsumptions — pure × pure pairs, both satisfiable, not in the
   // closure, so the division phases only ever see pairs with a non-EL
   // side.
-  const SeedClaims claims = settleSeededRows(store_, closureRows, &pureSat);
+  const SeedClaims claims = settleSeededRows(store_, closureRows, pureSat);
   avoided += claims.total;
 
   if (journal) {
@@ -746,11 +671,10 @@ void ParallelClassifier::runGroupRound(Executor& exec, std::size_t roundIndex,
       std::uint64_t cost = 0;
       if (cancel.cancelled()) return cost;
       if (ensureSat(x, cost) != SatResult::kSat) return cost;
-      // Snapshot P_X ∩ [yBegin, yEnd) into a per-worker scratch buffer —
-      // the old vector-returning possibleRowRange() allocated on every
-      // chunk dispatch, which dominated small-group rounds.
+      // Snapshot P_X ∩ [yBegin, yEnd) into a per-worker scratch buffer, so
+      // a chunk dispatch allocates nothing in steady state.
       thread_local std::vector<ConceptId> ybuf;
-      store_.possibleRowRangeInto(x, yBegin, yEnd, ybuf);
+      store_.possibleInRange(x, yBegin, yEnd, ybuf);
       for (ConceptId y : ybuf) {
         if (cancel.cancelled()) break;  // cooperative: stop picking pairs
         if (config_.symmetricTests)
@@ -944,7 +868,6 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     // resume path below never re-seeds; unseeded pairs are simply tested,
     // yielding the identical taxonomy).
     notifyBarrier(0, 0);
-    if (config_.toldSeeding) seedTold();
   } else {
     store_.restoreImage(from->store);
     epoch_.store(from->progress.epoch, std::memory_order_relaxed);
@@ -966,11 +889,11 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   const bool freshRows = from == nullptr || config_.routeElOnResume;
   if (config_.routeEl != ElRouting::kOff && freshRows)
     routeElFragment(exec, result);
-  // Publication point (DESIGN.md §13): seeding and routing wrote the store
-  // with plain word loops while no query or worker could see it. Queries
-  // answer kUnknown until here; the release store orders every seeded word
-  // before the first verdict a query reads, and the dispatches below
-  // publish them to the workers. A cancelled routing publishes too.
+  // Publication point (DESIGN.md §13): initialisation and routing wrote the
+  // store with plain word loops while no query or worker could see it.
+  // Queries answer kUnknown until here; the release store orders every
+  // seeded word before the first verdict a query reads, and the dispatches
+  // below publish them to the workers. A cancelled routing publishes too.
   started_.store(true, std::memory_order_release);
   signalProgress();
 
@@ -1087,7 +1010,6 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   result.satTests = satTests_.value();
   result.subsumptionTests = subsTests_.value();
   result.prunedWithoutTest = pruned_.value();
-  result.seededWithoutTest = seeded_;
   result.routedConcepts = routedConcepts_;
   result.saturationSeeded = routeSeeded_;
   result.testsAvoidedByRouting = routeAvoided_;

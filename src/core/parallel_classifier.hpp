@@ -70,12 +70,6 @@ struct ClassifierConfig {
   /// one claim. When false, Algorithms 2/3 run verbatim (one direction per
   /// claim, no pruning).
   bool symmetricTests = true;
-  /// Extension (ablation): seed K with the *transitive closure* of the
-  /// told atomic subclass/equivalence axioms before phase 1 — one
-  /// word-level Algorithm-5-style sweep marks every structurally entailed
-  /// ordered pair tested, so those pairs never reach the division test
-  /// loops. Sound: every seeded edge is told-entailed (DESIGN.md §10).
-  bool toldSeeding = false;
   /// Extension (ROADMAP item 3): hybrid EL/tableau routing. Before phase
   /// 1, the maximal EL sub-ontology (owl/el_fragment.hpp) is saturated by
   /// the EL reasoner on the classifying thread; the derived
@@ -98,8 +92,8 @@ struct ClassifierConfig {
   /// paper's round-robin (Section III-A2) and the other disciplines remain
   /// available for the scheduling ablation.
   SchedulingPolicy scheduling = SchedulingPolicy::kSteal;
-  /// Compute backend for the P/K bit-matrix kernels and the seeding/
-  /// routing mask fixpoints (parallel/bit_kernels.hpp). Null binds the
+  /// Compute backend for the P/K bit-matrix kernels and the routing and
+  /// merge-sweep mask passes (parallel/bit_kernels.hpp). Null binds the
   /// process-wide activeBitKernels() — the --bit-backend selection; the
   /// differential suites pin explicit backends to compare taxonomies.
   const BitKernels* bitKernels = nullptr;
@@ -162,7 +156,6 @@ struct ClassificationResult {
   std::uint64_t satTests = 0;
   std::uint64_t subsumptionTests = 0;
   std::uint64_t prunedWithoutTest = 0;  // pairs resolved by Algorithm 5
-  std::uint64_t seededWithoutTest = 0;  // pairs resolved by told seeding
 
   // --- hybrid EL/tableau routing report (DESIGN.md §13) ----------------------
   /// Pure-EL concepts the router owns outright (⊥-module all-EL); 0 when
@@ -182,10 +175,9 @@ struct ClassificationResult {
   /// Reasoner calls actually performed this run.
   std::uint64_t testsPerformed() const { return satTests + subsumptionTests; }
   /// Tests resolved without a reasoner call (Algorithm 5 pruning,
-  /// told-subsumption seeding, EL-fragment routing, the merge sweep).
+  /// EL-fragment routing, the merge sweep).
   std::uint64_t testsAvoided() const {
-    return prunedWithoutTest + seededWithoutTest + testsAvoidedByRouting +
-           sweepRefuted;
+    return prunedWithoutTest + testsAvoidedByRouting + sweepRefuted;
   }
 
   // --- reasoner-engine report (plug-ins exposing engine internals) -----------
@@ -284,11 +276,11 @@ class ParallelClassifier {
   bool waitForCompletion(std::chrono::steady_clock::time_point deadline) const;
 
   /// True once classify()/resumeClassify() has published the store: after
-  /// initialisation, told seeding and EL routing (a cancelled routing
-  /// publishes too), before phase 1. Those steps write the store with
-  /// plain word loops on the classifying thread, so queries before this
-  /// point answer kUnknown without reading it (DESIGN.md §13, "Quiescent
-  /// seeding and the publication point").
+  /// initialisation and EL routing (a cancelled routing publishes too),
+  /// before phase 1. Those steps write the store with plain word loops on
+  /// the classifying thread, so queries before this point answer kUnknown
+  /// without reading it (DESIGN.md §13, "Quiescent seeding and the
+  /// publication point").
   bool started() const { return started_.load(std::memory_order_acquire); }
   /// True once the run() call has returned (completed, cancelled or paused).
   bool finished() const { return finished_.load(std::memory_order_acquire); }
@@ -341,7 +333,6 @@ class ParallelClassifier {
   void giveUpOnConcept(ConceptId c);
   void drainPossibleToUnresolved();
 
-  void seedTold();
   void routeElFragment(Executor& exec, ClassificationResult& result);
   /// Batched merge sweep before phase 1; false when it did not run.
   bool sweepMergeRefutable(Executor& exec);
@@ -365,9 +356,6 @@ class ParallelClassifier {
   ShardedCounter pruned_;
   ShardedCounter failedTests_;
   ShardedCounter retriedTests_;
-  /// Ordered pairs resolved by told seeding. Written once, on the
-  /// classifying thread before the store is published — no sharding.
-  std::uint64_t seeded_ = 0;
   /// Routing-phase report (written on the classifying thread before the
   /// store is published): pure-EL concept count, K claims won by the
   /// closure pass, and total reasoner calls made unnecessary.

@@ -32,6 +32,7 @@
 
 #include "owl/ids.hpp"
 #include "parallel/atomic_bitmatrix.hpp"
+#include "util/bitset.hpp"
 
 namespace owlcl {
 
@@ -149,21 +150,10 @@ class PkStore {
     return claimed;
   }
 
-  /// Bulk recordSubsumption: claims tested(x, y), inserts y into K_x and
-  /// deletes y from P_x for every y in `mask`, three word RMWs per word.
-  /// Returns the number of claims won.
-  std::size_t seedKnownRow(ConceptId x, const std::uint64_t* mask,
-                           std::size_t nWords) {
-    const std::size_t claimed = tested_.orRow(x, mask, nWords);
-    k_.orRow(x, mask, nWords);
-    p_.andNotRow(x, mask, nWords);
-    return claimed;
-  }
-
   /// Bulk recordNonSubsumption: claims tested(x, y) and deletes y from
-  /// P_x for every y in `mask` — the negative twin of seedKnownRow. The
-  /// merge sweep's concurrent row tasks settle refuted rows with it
-  /// (DESIGN.md §11). Returns the number of claims won (tests avoided).
+  /// P_x for every y in `mask`. The merge sweep's concurrent row tasks
+  /// settle refuted rows with it (DESIGN.md §11). Returns the number of
+  /// claims won (tests avoided).
   std::size_t seedNonSubRow(ConceptId x, const std::uint64_t* mask,
                             std::size_t nWords) {
     const std::size_t claimed = tested_.orRow(x, mask, nWords);
@@ -175,12 +165,11 @@ class PkStore {
   bool possible(ConceptId x, ConceptId y) const { return p_.test(x, y); }
   bool known(ConceptId x, ConceptId y) const { return k_.test(x, y); }
 
-  // P is constructed in counted mode, so these three are O(1) / O(shards):
+  // P is constructed in counted mode, so these two are O(1) / O(shards):
   // the maintained per-row and sharded global set-bit counters answer
   // without scanning matrix words (exact at executor barriers, which is
   // where the classifier reads them — see AtomicBitMatrix).
   std::size_t possibleCount(ConceptId x) const { return p_.countRow(x); }
-  bool possibleEmpty(ConceptId x) const { return p_.rowEmpty(x); }
 
   /// |R_O| = Σ_X |P_X| (Definition 1; snapshot).
   std::size_t remainingPossible() const { return p_.countAll(); }
@@ -190,25 +179,13 @@ class PkStore {
   /// concept found dead stays dead; read it at a barrier.
   DynamicBitset liveConcepts() const;
 
-  /// Snapshot of P_X / K_X as index lists.
-  std::vector<ConceptId> possibleRow(ConceptId x) const { return p_.rowIndices(x); }
-  /// P_X restricted to candidate subsumees in [yBegin, yEnd) — the chunked
-  /// group-round dispatch reads only its own slice of the row.
-  std::vector<ConceptId> possibleRowRange(ConceptId x, std::size_t yBegin,
-                                          std::size_t yEnd) const {
-    return p_.rowIndicesRange(x, yBegin, yEnd);
-  }
-  /// possibleRowRange into a reusable caller buffer (cleared first) — the
-  /// hot dispatch loops pass a thread-local scratch vector so reading a
-  /// group slice allocates nothing in steady state.
-  void possibleRowRangeInto(ConceptId x, std::size_t yBegin, std::size_t yEnd,
-                            std::vector<ConceptId>& out) const {
+  /// P_X restricted to candidate subsumees in [yBegin, yEnd), into a
+  /// reusable caller buffer (cleared first). The chunked group-round
+  /// dispatch reads only its own slice of the row, into a thread-local
+  /// scratch vector, so it allocates nothing in steady state.
+  void possibleInRange(ConceptId x, std::size_t yBegin, std::size_t yEnd,
+                       std::vector<ConceptId>& out) const {
     p_.rowIndicesInto(x, yBegin, yEnd, out);
-  }
-  /// All X with y ∈ P_X — a column pass: one word probe per row, skipping
-  /// rows whose O(1) counter is already zero.
-  std::vector<ConceptId> possibleColumn(ConceptId y) const {
-    return p_.colIndices(y);
   }
   /// Allocation-free iteration over P_X (per-word snapshot: `fn` may
   /// withdraw the very pairs being visited).
@@ -230,8 +207,6 @@ class PkStore {
     k_.forEachSetBitInCol(y,
                           [&fn](std::size_t x) { fn(static_cast<ConceptId>(x)); });
   }
-  std::vector<ConceptId> knownRow(ConceptId x) const { return k_.rowIndices(x); }
-  DynamicBitset knownRowBits(ConceptId x) const { return k_.rowSnapshot(x); }
   /// Word-atomic snapshot of K_X into a reusable buffer — the raw material
   /// for the word-level Algorithm 5 mask (pruneAfterStrict builds its
   /// 2.3.1 mask from this without allocating).

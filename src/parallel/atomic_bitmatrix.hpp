@@ -15,7 +15,7 @@
 // Memory ordering: testAndSet/clear use acq_rel so that a worker that
 // *observes* a bit (e.g. tested[X][Y]) also observes the P/K updates the
 // claiming worker published before setting it. Plain reads use acquire;
-// counting/scans are snapshots (see rowSnapshot()) and are only used in
+// counting/scans are snapshots (see rowWordsInto()) and are only used in
 // single-threaded phase boundaries or for monitoring.
 //
 // Counted mode (reset(rows, cols, /*counted=*/true)) maintains O(1)
@@ -47,7 +47,6 @@
 
 #include "parallel/bit_kernels.hpp"
 #include "util/assert.hpp"
-#include "util/bitset.hpp"
 
 namespace owlcl {
 
@@ -193,8 +192,7 @@ class AtomicBitMatrix {
   }
 
   /// Word-atomic snapshot of row r into a caller-owned buffer (resized to
-  /// wordsPerRow()). The allocation-free sibling of rowSnapshot(): hot
-  /// loops reuse a thread-local buffer across calls.
+  /// wordsPerRow()). Hot loops reuse a thread-local buffer across calls.
   void rowWordsInto(std::size_t r, std::vector<Word>& out) const {
     OWLCL_DEBUG_ASSERT(r < rows_);
     out.resize(wordsPerRow_);
@@ -214,18 +212,6 @@ class AtomicBitMatrix {
       removed += std::popcount(old);
     }
     if (counted_ && removed != 0) bump(r, -removed);
-  }
-
-  /// Fills row r with 1s for columns [0, cols), optionally skipping `skip`.
-  void fillRow(std::size_t r, std::size_t skip = static_cast<std::size_t>(-1)) {
-    std::int64_t delta = 0;
-    for (std::size_t w = 0; w < wordsPerRow_; ++w) {
-      Word v = validMaskForWord(w);
-      if (skip / kWordBits == w) v &= ~(Word{1} << (skip % kWordBits));
-      const Word old = rowPtr(r)[w].exchange(v, std::memory_order_acq_rel);
-      delta += std::popcount(v) - std::popcount(old);
-    }
-    if (counted_ && delta != 0) bump(r, delta);
   }
 
   /// Set-bit count of row r. O(1) in counted mode, otherwise a word scan.
@@ -266,16 +252,6 @@ class AtomicBitMatrix {
   /// Always scans every word (ground truth for countAll()).
   std::size_t recountAll() const {
     return static_cast<std::size_t>(kernels_->recountWords(words_, wordCount_));
-  }
-
-  /// Copies row r into a sequential bitset (word-atomic snapshot). Whole
-  /// 64-bit words are copied — no per-bit probing.
-  DynamicBitset rowSnapshot(std::size_t r) const {
-    std::vector<DynamicBitset::Word> raw(wordsPerRow_);
-    kernels_->snapshotRow(rowPtr(r), raw.data(), wordsPerRow_);
-    DynamicBitset bs(cols_);
-    bs.assignWords(raw.data(), raw.size());
-    return bs;
   }
 
   /// Column indices of set bits in row r (snapshot).

@@ -156,7 +156,7 @@ class PortableBitKernels final : public BitKernels {
 // 256-bit loads + _mm256_or/andnot + pshufb-LUT popcount. The RMW on every
 // word that actually changes stays a scalar fetch_or/fetch_and (the counted
 // -mode invariant needs the per-word pre-image); the vector win is skipping
-// the words that need no RMW at all — in the seeding/routing/prune phases
+// the words that need no RMW at all — in the routing/prune phases
 // most mask applications are partly or wholly idempotent — plus vectorized
 // popcounts, quiescent copies, and the private-buffer mask kernels.
 

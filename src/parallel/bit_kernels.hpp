@@ -2,8 +2,8 @@
 //
 // Every bulk word-parallel operation the classifier issues against the
 // shared AtomicBitMatrix (orRow/andNotRow, set-bit scans, row snapshots,
-// popcount recounts) and every sequential mask kernel the seeding/routing/
-// prune/verify phases run on private DynamicBitset buffers funnels through
+// popcount recounts) and every sequential mask kernel the routing/prune/
+// verify phases run on private DynamicBitset buffers funnels through
 // this narrow interface (ROADMAP item 4, the Etaler-style backend split).
 // The portable implementation reproduces the original hand-written loops
 // bit for bit; vectorized backends (AVX2 today, AVX-512/GPU/sharded later)
@@ -111,8 +111,8 @@ class BitKernels {
   /// Popcount over a plain buffer.
   virtual std::uint64_t popcountWords(const Word* words, std::size_t n) const;
 
-  /// dst |= src; returns true iff any bit was added (the fixpoint drivers:
-  /// told-closure seeding, verify's descendants fixpoint).
+  /// dst |= src; returns true iff any bit was added (the fixpoint drivers,
+  /// e.g. verify's descendants fixpoint).
   virtual bool orInto(Word* dst, const Word* src, std::size_t n) const;
 
   /// dst = a & ~b (the merge-refutation and snapshot mask builder).

@@ -1,7 +1,8 @@
 // Property sweep: the classifier must produce the exact ground-truth
 // taxonomy under EVERY configuration combination — worker counts, cycle
-// counts, pruning, symmetric vs ordered testing, told seeding and all
-// scheduling disciplines, on both executors.
+// counts, pruning, symmetric vs ordered testing, EL routing (a store
+// pre-seeded before phase 1) and all scheduling disciplines, on both
+// executors.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -20,7 +21,7 @@ struct Param {
   std::size_t randomCycles;
   bool pruning;
   bool symmetric;
-  bool seeding;
+  ElRouting routeEl;
   SchedulingPolicy scheduling;
   bool realThreads;
 };
@@ -46,7 +47,7 @@ TEST_P(ClassifierMatrix, MatchesGroundTruth) {
   config.randomCycles = p.randomCycles;
   config.enablePruning = p.pruning;
   config.symmetricTests = p.symmetric;
-  config.toldSeeding = p.seeding;
+  config.routeEl = p.routeEl;
   config.scheduling = p.scheduling;
 
   ParallelClassifier classifier(*g.tbox, mock, config);
@@ -67,7 +68,8 @@ TEST_P(ClassifierMatrix, MatchesGroundTruth) {
           << g.tbox->conceptName(y) << " ⊑ " << g.tbox->conceptName(x)
           << " [w=" << p.workers << " cycles=" << p.randomCycles
           << " prune=" << p.pruning << " sym=" << p.symmetric
-          << " seed=" << p.seeding << " real=" << p.realThreads << "]";
+          << " route=" << (p.routeEl == ElRouting::kOn)
+          << " real=" << p.realThreads << "]";
 }
 
 std::vector<Param> buildMatrix() {
@@ -78,8 +80,8 @@ std::vector<Param> buildMatrix() {
     for (std::size_t cycles : {0u, 3u}) {
       for (bool pruning : {false, true}) {
         for (bool symmetric : {false, true}) {
-          for (bool seeding : {false, true}) {
-            params.push_back({w, cycles, pruning, symmetric, seeding,
+          for (ElRouting routeEl : {ElRouting::kOff, ElRouting::kOn}) {
+            params.push_back({w, cycles, pruning, symmetric, routeEl,
                               SchedulingPolicy::kRoundRobin, false});
           }
         }
@@ -87,13 +89,14 @@ std::vector<Param> buildMatrix() {
     }
   }
   // Scheduling disciplines (virtual).
-  params.push_back({4, 2, true, true, false, SchedulingPolicy::kLeastLoaded,
-                    false});
+  params.push_back({4, 2, true, true, ElRouting::kOff,
+                    SchedulingPolicy::kLeastLoaded, false});
   // Real threads: the racy cases (pruning × symmetric), several workers.
   for (std::size_t w : {2u, 4u, 8u}) {
-    params.push_back({w, 2, true, true, false, SchedulingPolicy::kRoundRobin,
-                      true});
-    params.push_back({w, 2, true, true, true, SchedulingPolicy::kSteal, true});
+    params.push_back({w, 2, true, true, ElRouting::kOff,
+                      SchedulingPolicy::kRoundRobin, true});
+    params.push_back({w, 2, true, true, ElRouting::kOn,
+                      SchedulingPolicy::kSteal, true});
   }
   return params;
 }

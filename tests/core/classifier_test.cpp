@@ -167,87 +167,44 @@ TEST(ParallelClassifier, OrderedModeMatchesSymmetricMode) {
           << sup << " vs " << sub;
 }
 
-TEST(ParallelClassifier, ToldSeedingReducesTests) {
-  ClassifierConfig seeded;
-  seeded.toldSeeding = true;
-  Fixture f1(kPaperExample);
-  const auto r1 = f1.classify(2, seeded);
-  Fixture f2(kPaperExample);
-  const auto r2 = f2.classify(2);
-  EXPECT_LE(r1.subsumptionTests, r2.subsumptionTests);
-  EXPECT_TRUE(r1.taxonomy.subsumes(f1.id("A"), f1.id("E")));
-}
-
-// Seeding computes the *transitive closure* of the told edges: E ⊑ B ⊑ A
-// makes (A, E) told-entailed even though no axiom states it, so the
-// seeded counter covers the composed pair and the seeded run performs
-// strictly fewer subsumption tests than the direct-edge count alone
-// would explain. The taxonomy must be identical either way.
-TEST(ParallelClassifier, ToldSeedingCoversTransitiveClosure) {
-  ClassifierConfig seeded;
-  seeded.toldSeeding = true;
-  Fixture f1(kPaperExample);
-  const auto r1 = f1.classify(3, seeded);
-  Fixture f2(kPaperExample);
-  const auto r2 = f2.classify(3);
-
-  // 5 told edges + 3 composed pairs (A,E), (A,D), (A,F) = 8 seeded.
-  EXPECT_EQ(r1.seededWithoutTest, 8u);
-  EXPECT_EQ(r2.seededWithoutTest, 0u);
-  EXPECT_EQ(r1.testsAvoided(), r1.seededWithoutTest + r1.prunedWithoutTest);
-  EXPECT_LT(r1.testsPerformed(), r2.testsPerformed());
-
-  const std::size_t n = f1.tbox.conceptCount();
-  for (ConceptId x = 0; x < n; ++x)
-    for (ConceptId y = 0; y < n; ++y)
-      EXPECT_EQ(r1.taxonomy.subsumes(x, y), r2.taxonomy.subsumes(x, y))
-          << f1.tbox.conceptName(x) << " vs " << f1.tbox.conceptName(y);
-}
-
-// Told equivalence rings (A ⊑ B, B ⊑ A after freeze() expansion) put each
-// member into the other's closure and each member into its own — the
-// sweep must seed both directions, never the diagonal, and the final
-// taxonomy must merge the ring into one node.
-TEST(ParallelClassifier, ToldSeedingHandlesEquivalenceCycles) {
+// Told equivalence rings (P ⊑ Q, Q ⊑ P, ... after freeze() expansion) put
+// each member into the others' EL closure. Routing must seed every
+// direction of the ring but never the diagonal, and the taxonomy must
+// merge the ring into one node exactly as the unrouted run does.
+TEST(ParallelClassifier, RoutingHandlesEquivalenceCycles) {
   const char* doc = R"(
     Ontology(
       EquivalentClasses(P Q R)
       SubClassOf(S P)
       SubClassOf(P T)
     ))";
-  ClassifierConfig seeded;
-  seeded.toldSeeding = true;
+  ClassifierConfig routed;
+  routed.routeEl = ElRouting::kOn;
   Fixture f1(doc);
-  const auto r1 = f1.classify(2, seeded);
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(f1.tbox, *f1.reasoner, routed);
+  const ClassificationResult r1 = classifier.classify(exec);
   Fixture f2(doc);
   const auto r2 = f2.classify(2);
 
-  EXPECT_GT(r1.seededWithoutTest, 0u);
+  EXPECT_GT(r1.saturationSeeded, 0u);
+  EXPECT_TRUE(classifier.countersConsistent());
+  const PkStoreImage img = classifier.captureCheckpoint().store;
+  const std::size_t n = f1.tbox.conceptCount();
+  const std::size_t words = (n + 63) / 64;
+  for (ConceptId x = 0; x < n; ++x)
+    EXPECT_EQ((img.kWords[x * words + x / 64] >> (x % 64)) & 1u, 0u)
+        << "diagonal seeded for " << f1.tbox.conceptName(x);
   EXPECT_TRUE(r1.taxonomy.equivalent(f1.id("P"), f1.id("Q")));
   EXPECT_TRUE(r1.taxonomy.equivalent(f1.id("P"), f1.id("R")));
   // Closure through the ring: S ⊑ P ≡ Q and P ⊑ T transitively.
   EXPECT_TRUE(r1.taxonomy.subsumes(f1.id("Q"), f1.id("S")));
   EXPECT_TRUE(r1.taxonomy.subsumes(f1.id("T"), f1.id("S")));
-  const std::size_t n = f1.tbox.conceptCount();
   for (ConceptId x = 0; x < n; ++x)
     for (ConceptId y = 0; y < n; ++y)
       EXPECT_EQ(r1.taxonomy.subsumes(x, y), r2.taxonomy.subsumes(x, y))
           << f1.tbox.conceptName(x) << " vs " << f1.tbox.conceptName(y);
-}
-
-// Seeded runs keep the possible-set counters coherent with a recount —
-// the seeding sweep goes through the same counted bulk kernels as
-// pruning, so any missed counter delta shows up here.
-TEST(ParallelClassifier, ToldSeedingKeepsCountersConsistent) {
-  ClassifierConfig seeded;
-  seeded.toldSeeding = true;
-  Fixture f(kPaperExample);
-  ThreadPool pool(3);
-  RealExecutor exec(pool);
-  ParallelClassifier classifier(f.tbox, *f.reasoner, seeded);
-  const ClassificationResult r = classifier.classify(exec);
-  EXPECT_TRUE(classifier.countersConsistent());
-  EXPECT_TRUE(r.complete());
 }
 
 // --- Section IV counter-examples -------------------------------------------

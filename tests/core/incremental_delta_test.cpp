@@ -467,10 +467,11 @@ TEST(DeltaReclassify, FactoryFaultRollsBackToPreDeltaGeneration) {
 
 TEST(DeltaReclassify, RetractOfToldSeededAxiomMatchesFromScratch) {
   ClassifierConfig cfg;
-  cfg.toldSeeding = true;  // the retracted edge was seeded into K
+  cfg.routeEl = ElRouting::kOn;  // the retracted edge is seeded into K
   Rig rig(2, cfg);
   parseFunctionalSyntax(kSmallOntology, rig.tbox);
   rig.classifyBase();
+  EXPECT_GT(rig.result.saturationSeeded, 0u);
   auto delta = rig.makeDelta();
 
   std::string err;

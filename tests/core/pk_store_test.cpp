@@ -59,8 +59,10 @@ TEST(PkStore, EraseUnsatConceptClearsEverything) {
   s.recordSubsumption(1, 2);  // some prior state
   s.recordSubsumption(0, 2);  // 2 ⊑ 0 recorded before 2 found unsat
   s.eraseUnsatConcept(2);
-  EXPECT_TRUE(s.possibleEmpty(2));
-  EXPECT_TRUE(s.knownRow(2).empty());
+  EXPECT_EQ(s.possibleCount(2), 0u);
+  std::vector<std::uint64_t> k2;
+  s.knownRowWordsInto(2, k2);
+  for (const std::uint64_t w : k2) EXPECT_EQ(w, 0u);
   for (ConceptId x = 0; x < 4; ++x) {
     if (x == 2) continue;
     EXPECT_FALSE(s.possible(x, 2));
@@ -87,16 +89,31 @@ TEST(PkStore, RowSnapshotsMatchState) {
   s.recordSubsumption(0, 1);
   s.recordSubsumption(0, 3);
   s.recordNonSubsumption(0, 2);
-  const auto possible = s.possibleRow(0);
-  const auto known = s.knownRow(0);
-  EXPECT_EQ(known, (std::vector<ConceptId>{1, 3}));
+  std::vector<ConceptId> possible;
+  s.forEachPossible(0, [&possible](ConceptId y) { possible.push_back(y); });
   EXPECT_EQ(possible, (std::vector<ConceptId>{4}));
   EXPECT_EQ(s.possibleCount(0), 1u);
-  EXPECT_FALSE(s.possibleEmpty(0));
-  const DynamicBitset kb = s.knownRowBits(0);
-  EXPECT_TRUE(kb.test(1));
-  EXPECT_TRUE(kb.test(3));
-  EXPECT_FALSE(kb.test(2));
+  std::vector<std::uint64_t> known;
+  s.knownRowWordsInto(0, known);
+  EXPECT_EQ(known[0], (std::uint64_t{1} << 1) | (std::uint64_t{1} << 3));
+  const PkStore::RowWords row = s.quiescentRow(0);
+  EXPECT_EQ(row.k[0], known[0]);
+  EXPECT_EQ(row.p[0], std::uint64_t{1} << 4);
+}
+
+TEST(PkStore, PossibleInRangeReadsOnlyItsSlice) {
+  PkStore s(130);  // three words per row, the last one partial
+  s.initPossibleAll();
+  for (ConceptId y : {1u, 64u, 100u}) s.recordNonSubsumption(5, y);
+  std::vector<ConceptId> slice{999};  // stale content is cleared
+  s.possibleInRange(5, 60, 70, slice);
+  EXPECT_EQ(slice, (std::vector<ConceptId>{60, 61, 62, 63, 65, 66, 67, 68, 69}));
+  s.possibleInRange(5, 0, 7, slice);
+  EXPECT_EQ(slice, (std::vector<ConceptId>{0, 2, 3, 4, 6}));  // 5 is diagonal
+  s.possibleInRange(5, 128, 130, slice);
+  EXPECT_EQ(slice, (std::vector<ConceptId>{128, 129}));
+  s.possibleInRange(5, 70, 70, slice);
+  EXPECT_TRUE(slice.empty());
 }
 
 // --- retry ledger ------------------------------------------------------------
@@ -283,27 +300,30 @@ TEST(PkStore, PruneIndirectRowMatchesScalarSequence) {
   }
 }
 
-TEST(PkStore, SeedKnownRowMatchesScalarSequence) {
+TEST(PkStore, SeedNonSubRowMatchesScalarSequence) {
   const std::size_t n = 70;
   PkStore bulk(n), scalar(n);
   bulk.initPossibleAll();
   scalar.initPossibleAll();
-  // One pair already tested: the seed must not claim (or count) it again.
+  // One pair already settled: the bulk call must not claim (or count) it
+  // again.
   bulk.claimTest(7, 12);
-  bulk.recordNonSubsumption(7, 12);
+  bulk.recordSubsumption(7, 12);
   scalar.claimTest(7, 12);
-  scalar.recordNonSubsumption(7, 12);
+  scalar.recordSubsumption(7, 12);
   std::vector<std::uint64_t> mask((n + 63) / 64, 0);
   std::size_t scalarClaims = 0;
   for (ConceptId y : {1u, 12u, 63u, 64u, 69u}) {
     mask[y / 64] |= std::uint64_t{1} << (y % 64);
     if (scalar.claimTest(7, y)) ++scalarClaims;
-    scalar.recordSubsumption(7, y);
+    scalar.recordNonSubsumption(7, y);
   }
-  const std::size_t bulkClaims = bulk.seedKnownRow(7, mask.data(), mask.size());
+  const std::size_t bulkClaims =
+      bulk.seedNonSubRow(7, mask.data(), mask.size());
   EXPECT_EQ(bulkClaims, scalarClaims);
   EXPECT_EQ(bulkClaims, 4u);  // (7,12) was already claimed
   EXPECT_TRUE(bulk.countersConsistent());
+  EXPECT_TRUE(bulk.known(7, 12)) << "a non-subsumption mask never clears K";
   for (ConceptId y = 0; y < n; ++y) {
     ASSERT_EQ(bulk.possible(7, y), scalar.possible(7, y)) << y;
     ASSERT_EQ(bulk.known(7, y), scalar.known(7, y)) << y;

@@ -31,13 +31,12 @@ struct ClassifyRun {
   bool countersOk = false;
 };
 
-ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl, bool seedTold,
-                 std::size_t workers = 4, std::size_t randomCycles = 1) {
+ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl,
+                        std::size_t workers = 4, std::size_t randomCycles = 1) {
   TableauReasoner reasoner(tbox);
   ClassifierConfig cfg;
   cfg.randomCycles = randomCycles;
   cfg.routeEl = routeEl;
-  cfg.toldSeeding = seedTold;
   ThreadPool pool(workers);
   RealExecutor exec(pool);
   ParallelClassifier classifier(tbox, reasoner, cfg);
@@ -50,20 +49,16 @@ ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl, bool seedTold,
   return run;
 }
 
-/// off vs on vs on+seed-told over one generated ontology: byte-identical
-/// taxonomies, consistent P/K counters in every mode.
+/// off vs on over one generated ontology: byte-identical taxonomies,
+/// consistent P/K counters in both modes.
 void expectParity(const GenConfig& cfg) {
   const GeneratedOntology g = generateOntology(cfg);
-  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff, false);
-  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, false);
-  const ClassifyRun onTold = classifyOnce(*g.tbox, ElRouting::kOn, true);
+  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff);
+  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn);
   ASSERT_EQ(off.taxonomy, on.taxonomy)
       << cfg.name << ": --route-el=on changed the taxonomy";
-  ASSERT_EQ(off.taxonomy, onTold.taxonomy)
-      << cfg.name << ": --route-el=on --seed-told changed the taxonomy";
   EXPECT_TRUE(off.countersOk);
   EXPECT_TRUE(on.countersOk);
-  EXPECT_TRUE(onTold.countersOk);
 }
 
 GenConfig elHeavy() {
@@ -91,8 +86,8 @@ GenConfig elHeavy() {
 TEST(RoutingDifferential, ElHeavyParityAndTenfoldTestReduction) {
   const GenConfig cfg = elHeavy();
   const GeneratedOntology g = generateOntology(cfg);
-  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff, false);
-  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, false);
+  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff);
+  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn);
   ASSERT_EQ(off.taxonomy, on.taxonomy);
   EXPECT_TRUE(on.countersOk);
 
@@ -141,7 +136,7 @@ TEST(RoutingDifferential, FullyElOntology) {
     ASSERT_TRUE(isElTBox(*g.tbox));
     // Everything is pure: routing settles every pair and the tableau
     // performs almost nothing (only the hierarchy phase runs).
-    const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, false);
+    const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn);
     const ElPartition part = partitionElFragment(*g.tbox);
     EXPECT_EQ(part.nonElAxioms, 0u);
     EXPECT_EQ(on.result.routedConcepts, g.tbox->conceptCount());
@@ -169,8 +164,8 @@ TEST(RoutingDifferential, GloballyTaintedFallsBackToPositiveOnly) {
   tbox.freeze();
   const ElPartition part = partitionElFragment(tbox);
   ASSERT_TRUE(part.globallyTainted);
-  const ClassifyRun off = classifyOnce(tbox, ElRouting::kOff, false);
-  const ClassifyRun on = classifyOnce(tbox, ElRouting::kOn, false);
+  const ClassifyRun off = classifyOnce(tbox, ElRouting::kOff);
+  const ClassifyRun on = classifyOnce(tbox, ElRouting::kOn);
   ASSERT_EQ(off.taxonomy, on.taxonomy);
   EXPECT_EQ(on.result.routedConcepts, 0u);
   EXPECT_TRUE(on.countersOk);
@@ -179,7 +174,7 @@ TEST(RoutingDifferential, GloballyTaintedFallsBackToPositiveOnly) {
 TEST(RoutingDifferential, AutoRoutesOnlyMajorityElInputs) {
   // auto == on for an EL-heavy ontology, == off when the residual wins.
   const GeneratedOntology heavy = generateOntology(elHeavy());
-  const ClassifyRun heavyAuto = classifyOnce(*heavy.tbox, ElRouting::kAuto, false);
+  const ClassifyRun heavyAuto = classifyOnce(*heavy.tbox, ElRouting::kAuto);
   EXPECT_GT(heavyAuto.result.routedConcepts, 0u);
 
   TBox lop;
@@ -191,7 +186,7 @@ TEST(RoutingDifferential, AutoRoutesOnlyMajorityElInputs) {
     ))",
                         lop);
   lop.freeze();
-  const ClassifyRun lopAuto = classifyOnce(lop, ElRouting::kAuto, false);
+  const ClassifyRun lopAuto = classifyOnce(lop, ElRouting::kAuto);
   EXPECT_EQ(lopAuto.result.routedConcepts, 0u);
   EXPECT_EQ(lopAuto.result.saturationSeeded, 0u);
 }
@@ -201,9 +196,9 @@ TEST(RoutingDifferential, WorkerCountSweepKeepsParity) {
   // parity must hold at every worker count (and under TSan this sweeps
   // the racy interleavings).
   const GeneratedOntology g = generateOntology(elHeavy());
-  const ClassifyRun base = classifyOnce(*g.tbox, ElRouting::kOff, false, 1);
+  const ClassifyRun base = classifyOnce(*g.tbox, ElRouting::kOff, 1);
   for (std::size_t workers : {1u, 2u, 8u}) {
-    const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, true, workers);
+    const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, workers);
     ASSERT_EQ(base.taxonomy, on.taxonomy) << "workers=" << workers;
   }
 }
@@ -219,10 +214,10 @@ TEST(RoutingDifferential, LeafResidualParityAcrossWorkerCounts) {
   cfg.universalAxioms = 6;
   cfg.seed = 41;
   const GeneratedOntology g = generateOntology(cfg);
-  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff, false, 1, 2);
+  const ClassifyRun off = classifyOnce(*g.tbox, ElRouting::kOff, 1, 2);
   for (std::size_t workers : {1u, 2u, 4u}) {
     const ClassifyRun on =
-        classifyOnce(*g.tbox, ElRouting::kOn, false, workers, 2);
+        classifyOnce(*g.tbox, ElRouting::kOn, workers, 2);
     ASSERT_EQ(off.taxonomy, on.taxonomy) << "workers=" << workers;
     EXPECT_GT(on.result.routedConcepts, 0u);
     EXPECT_TRUE(on.countersOk);
@@ -316,7 +311,7 @@ TEST_P(RoutedEhdaa2, CompletesWithoutTableauTests) {
   ASSERT_TRUE(isElTBox(*g.tbox));
 
   const ClassifyRun on =
-      classifyOnce(*g.tbox, ElRouting::kOn, false, workers, 2);
+      classifyOnce(*g.tbox, ElRouting::kOn, workers, 2);
   ASSERT_TRUE(on.result.complete()) << "seed=" << seed;
   EXPECT_EQ(on.result.testsPerformed(), 0u);
   EXPECT_EQ(on.result.routedConcepts, g.tbox->conceptCount());
@@ -355,7 +350,7 @@ TEST_P(RoutedElSweep, MatchesGroundTruthOnGenerated) {
   const GeneratedOntology g = generateOntology(cfg);
   ASSERT_TRUE(isElTBox(*g.tbox));
 
-  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, false, workers);
+  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, workers);
   EXPECT_EQ(on.result.routedConcepts, g.tbox->conceptCount());
   EXPECT_TRUE(on.countersOk);
   const TaxonomyIssues structure = verifyStructure(on.result.taxonomy);

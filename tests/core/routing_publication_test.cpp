@@ -193,48 +193,28 @@ struct RoutingCounters {
   std::uint64_t routedConcepts = 0;
   std::uint64_t saturationSeeded = 0;
   std::uint64_t testsAvoided = 0;
+  /// closure[sup] = the satisfiable subsumees routing seeds into K_sup.
+  std::vector<DynamicBitset> closure;
 };
 
 /// The routing counters of a fresh run, derived pair by pair from the
 /// saturation closure and the pure set instead of from the store:
-///  * seeded: closure pairs with a satisfiable subsumee that told seeding
-///    has not already claimed;
+///  * seeded: closure pairs with a satisfiable subsumee;
 ///  * avoided: seeded, plus one per EL-unsatisfiable concept, one per
 ///    pure satisfiable concept except the tableau's guard, and one per
 ///    ordered pure × pure pair of satisfiable concepts outside the closure.
 /// Assumes the guard's tableau test confirms the saturation, as it must.
-RoutingCounters expectedCounters(const TBox& tbox, bool toldSeeding) {
+RoutingCounters expectedCounters(const TBox& tbox) {
   const std::size_t n = tbox.conceptCount();
   const ElPartition part = partitionElFragment(tbox);
   ElReasoner el(tbox, part.axiomEl);
   EXPECT_TRUE(el.classify());
 
-  std::vector<DynamicBitset> closure(n, DynamicBitset(n));
+  RoutingCounters out;
+  out.closure.assign(n, DynamicBitset(n));
   el.forEachSubsumption([&](ConceptId sup, ConceptId sub) {
-    if (el.isSatisfiable(sub)) closure[sup].set(sub);
+    if (el.isSatisfiable(sub)) out.closure[sup].set(sub);
   });
-
-  // Told closure: the pairs told seeding claims before routing runs.
-  std::vector<DynamicBitset> told(n, DynamicBitset(n));
-  if (toldSeeding) {
-    const ExprFactory& f = tbox.exprs();
-    std::vector<std::vector<ConceptId>> subsOf(n);
-    for (const SubClassAxiom& ax : tbox.inclusions())
-      if (f.kind(ax.lhs) == ExprKind::kAtom &&
-          f.kind(ax.rhs) == ExprKind::kAtom)
-        subsOf[f.node(ax.rhs).atom].push_back(f.node(ax.lhs).atom);
-    for (ConceptId x = 0; x < n; ++x) {
-      std::vector<ConceptId> stack = subsOf[x];
-      while (!stack.empty()) {
-        const ConceptId y = stack.back();
-        stack.pop_back();
-        if (told[x].test(y)) continue;
-        told[x].set(y);
-        for (ConceptId z : subsOf[y]) stack.push_back(z);
-      }
-      told[x].reset(x);
-    }
-  }
 
   DynamicBitset pureSat(n);
   std::uint64_t unsat = 0;
@@ -245,17 +225,14 @@ RoutingCounters expectedCounters(const TBox& tbox, bool toldSeeding) {
       pureSat.set(c);
   }
 
-  RoutingCounters out;
   out.routedConcepts = part.pureCount;
   for (ConceptId sup = 0; sup < n; ++sup)
-    closure[sup].forEachSetBit([&](std::size_t sub) {
-      if (!told[sup].test(sub)) ++out.saturationSeeded;
-    });
+    out.saturationSeeded += out.closure[sup].count();
   const bool guard = part.nonElAxioms > 0 && !pureSat.none();
   std::uint64_t negatives = 0;
   pureSat.forEachSetBit([&](std::size_t x) {
     pureSat.forEachSetBit([&](std::size_t y) {
-      if (y != x && !closure[x].test(y) && !told[x].test(y)) ++negatives;
+      if (y != x && !out.closure[x].test(y)) ++negatives;
     });
   });
   out.testsAvoided = unsat + out.saturationSeeded + pureSat.count() -
@@ -263,30 +240,66 @@ RoutingCounters expectedCounters(const TBox& tbox, bool toldSeeding) {
   return out;
 }
 
+/// Transitive closure of the told atomic subclass axioms (equivalences
+/// arrive expanded into inclusion rings by TBox::freeze()), without the
+/// diagonal: told[sup] = every concept told to be under sup.
+std::vector<DynamicBitset> toldClosure(const TBox& tbox) {
+  const std::size_t n = tbox.conceptCount();
+  const ExprFactory& f = tbox.exprs();
+  std::vector<std::vector<ConceptId>> subsOf(n);
+  for (const SubClassAxiom& ax : tbox.inclusions())
+    if (f.kind(ax.lhs) == ExprKind::kAtom && f.kind(ax.rhs) == ExprKind::kAtom)
+      subsOf[f.node(ax.rhs).atom].push_back(f.node(ax.lhs).atom);
+  std::vector<DynamicBitset> told(n, DynamicBitset(n));
+  for (ConceptId x = 0; x < n; ++x) {
+    std::vector<ConceptId> stack = subsOf[x];
+    while (!stack.empty()) {
+      const ConceptId y = stack.back();
+      stack.pop_back();
+      if (told[x].test(y)) continue;
+      told[x].set(y);
+      for (ConceptId z : subsOf[y]) stack.push_back(z);
+    }
+    told[x].reset(x);
+  }
+  return told;
+}
+
 TEST(RoutingPublication, FusedSeedingPassReportsPairByPairCounters) {
   for (const GenConfig& cfg : {fullyRouted(), mixedLeaves()}) {
     const GeneratedOntology g = generateOntology(cfg);
-    for (bool told : {false, true}) {
-      const RoutingCounters want = expectedCounters(*g.tbox, told);
-      TableauReasoner reasoner(*g.tbox);
-      ClassifierConfig config;
-      config.routeEl = ElRouting::kOn;
-      config.toldSeeding = told;
-      ThreadPool pool(2);
-      RealExecutor exec(pool);
-      ParallelClassifier classifier(*g.tbox, reasoner, config);
-      const ClassificationResult r = classifier.classify(exec);
-      const std::string where = cfg.name + (told ? " +told" : "");
-      ASSERT_TRUE(r.complete()) << where;
-      EXPECT_GT(want.routedConcepts, 0u) << where;
-      EXPECT_EQ(r.routedConcepts, want.routedConcepts) << where;
-      EXPECT_EQ(r.saturationSeeded, want.saturationSeeded) << where;
-      EXPECT_EQ(r.testsAvoidedByRouting, want.testsAvoided) << where;
-      EXPECT_TRUE(classifier.countersConsistent()) << where;
-      if (told) {
-        EXPECT_GT(r.seededWithoutTest, 0u) << where;
-      }
-    }
+    const RoutingCounters want = expectedCounters(*g.tbox);
+    TableauReasoner reasoner(*g.tbox);
+    ClassifierConfig config;
+    config.routeEl = ElRouting::kOn;
+    ThreadPool pool(2);
+    RealExecutor exec(pool);
+    ParallelClassifier classifier(*g.tbox, reasoner, config);
+    const ClassificationResult r = classifier.classify(exec);
+    ASSERT_TRUE(r.complete()) << cfg.name;
+    EXPECT_GT(want.routedConcepts, 0u) << cfg.name;
+    EXPECT_EQ(r.routedConcepts, want.routedConcepts) << cfg.name;
+    EXPECT_EQ(r.saturationSeeded, want.saturationSeeded) << cfg.name;
+    EXPECT_EQ(r.testsAvoidedByRouting, want.testsAvoided) << cfg.name;
+    EXPECT_TRUE(classifier.countersConsistent()) << cfg.name;
+
+    // Routing covers the told closure: every told pair is in the
+    // taxonomy, and routing settled it before phase 1 — seeded into K
+    // from the saturation closure, or its subsumee was found unsat.
+    const std::vector<DynamicBitset> told = toldClosure(*g.tbox);
+    std::size_t toldPairs = 0;
+    for (ConceptId sup = 0; sup < told.size(); ++sup)
+      told[sup].forEachSetBit([&](std::size_t y) {
+        const auto sub = static_cast<ConceptId>(y);
+        ++toldPairs;
+        EXPECT_TRUE(r.taxonomy.subsumes(sup, sub))
+            << cfg.name << ": " << g.tbox->conceptName(sub) << " ⊑ "
+            << g.tbox->conceptName(sup);
+        EXPECT_TRUE(want.closure[sup].test(sub) || !g.truth.satisfiable(sub))
+            << cfg.name << ": told " << g.tbox->conceptName(sub) << " ⊑ "
+            << g.tbox->conceptName(sup) << " not seeded by routing";
+      });
+    EXPECT_GT(toldPairs, 0u) << cfg.name;
   }
 }
 

@@ -1,9 +1,8 @@
 // End-to-end byte-parity across BitKernels backends: classifying the
 // shipped example ontologies with every runnable vectorized backend must
 // render exactly the taxonomy the portable scalar backend renders — under
-// the plain configuration and under the configurations that exercise the
-// mask kernels hardest (told-closure seeding, EL routing). This is the
-// ISSUE acceptance gate for the pluggable-backend PR.
+// the plain configuration and under EL routing, which drives the seeding
+// pass's popcount kernels.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -77,21 +76,19 @@ TEST(BitBackendParity, AnatomyOboPlain) {
   expectBackendParity(anatomyObo(), {}, "anatomy plain");
 }
 
-// Told seeding drives the orInto closure fixpoint; routing drives the
-// andNotInto negative-mask sweep plus the bulk K seeding. Both must stay
-// byte-identical per backend too.
-TEST(BitBackendParity, UniversityOfnSeededAndRouted) {
+// Routing seeds K and settles the seeded rows before phase 1, counting
+// its claims with the backend's popcount kernel; the taxonomy must stay
+// byte-identical per backend.
+TEST(BitBackendParity, UniversityOfnRouted) {
   ClassifierConfig config;
-  config.toldSeeding = true;
   config.routeEl = ElRouting::kAuto;
-  expectBackendParity(universityOfn(), config, "university seeded+routed");
+  expectBackendParity(universityOfn(), config, "university routed");
 }
 
-TEST(BitBackendParity, AnatomyOboSeededAndRouted) {
+TEST(BitBackendParity, AnatomyOboRouted) {
   ClassifierConfig config;
-  config.toldSeeding = true;
   config.routeEl = ElRouting::kOn;  // anatomy is pure EL — routing owns it
-  expectBackendParity(anatomyObo(), config, "anatomy seeded+routed");
+  expectBackendParity(anatomyObo(), config, "anatomy routed");
 }
 
 }  // namespace

@@ -3,12 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace owlcl {
 namespace {
+
+using Word = AtomicBitMatrix::Word;
+
+/// Sets every column of row r except `skip` with one bulk orRow.
+std::size_t setAll(AtomicBitMatrix& m, std::size_t r,
+                   std::size_t skip = static_cast<std::size_t>(-1)) {
+  std::vector<Word> mask(m.usedWordsPerRow(), ~Word{0});
+  if (m.cols() % 64 != 0) mask.back() = (Word{1} << (m.cols() % 64)) - 1;
+  if (skip < m.cols()) mask[skip / 64] &= ~(Word{1} << (skip % 64));
+  return m.orRow(r, mask.data(), mask.size());
+}
 
 TEST(AtomicBitMatrix, StartsZeroed) {
   AtomicBitMatrix m(10, 70);
@@ -34,17 +46,17 @@ TEST(AtomicBitMatrix, TestAndClear) {
   EXPECT_FALSE(m.test(0, 63));
 }
 
-TEST(AtomicBitMatrix, FillRowSetsExactlyValidColumns) {
+TEST(AtomicBitMatrix, OrRowSetsExactlyValidColumns) {
   AtomicBitMatrix m(3, 70);
-  m.fillRow(1);
+  EXPECT_EQ(setAll(m, 1), 70u);
   EXPECT_EQ(m.countRow(1), 70u);
   EXPECT_EQ(m.countRow(0), 0u);
   EXPECT_EQ(m.countAll(), 70u);
 }
 
-TEST(AtomicBitMatrix, FillRowWithSkip) {
+TEST(AtomicBitMatrix, OrRowLeavesUnmaskedColumns) {
   AtomicBitMatrix m(1, 100);
-  m.fillRow(0, 42);
+  EXPECT_EQ(setAll(m, 0, 42), 99u);
   EXPECT_EQ(m.countRow(0), 99u);
   EXPECT_FALSE(m.test(0, 42));
   EXPECT_TRUE(m.test(0, 41));
@@ -52,25 +64,28 @@ TEST(AtomicBitMatrix, FillRowWithSkip) {
 
 TEST(AtomicBitMatrix, ClearRow) {
   AtomicBitMatrix m(2, 100);
-  m.fillRow(0);
-  m.fillRow(1);
+  setAll(m, 0);
+  setAll(m, 1);
   m.clearRow(0);
   EXPECT_TRUE(m.rowEmpty(0));
   EXPECT_EQ(m.countRow(1), 100u);
 }
 
-TEST(AtomicBitMatrix, RowIndicesMatchesSnapshot) {
+TEST(AtomicBitMatrix, RowIndicesMatchesRowWords) {
   AtomicBitMatrix m(1, 200);
   for (std::size_t c = 0; c < 200; c += 13) m.testAndSet(0, c);
   const auto idx = m.rowIndices(0);
-  const DynamicBitset snap = m.rowSnapshot(0);
-  ASSERT_EQ(idx.size(), snap.count());
-  for (std::uint32_t c : idx) EXPECT_TRUE(snap.test(c));
+  std::vector<Word> words;
+  m.rowWordsInto(0, words);
+  std::size_t set = 0;
+  for (const Word w : words) set += static_cast<std::size_t>(std::popcount(w));
+  ASSERT_EQ(idx.size(), set);
+  for (std::uint32_t c : idx) EXPECT_TRUE((words[c / 64] >> (c % 64)) & 1u);
 }
 
 TEST(AtomicBitMatrix, ResetRedimensions) {
   AtomicBitMatrix m(2, 64);
-  m.fillRow(0);
+  setAll(m, 0);
   m.reset(4, 32);
   EXPECT_EQ(m.rows(), 4u);
   EXPECT_EQ(m.cols(), 32u);
@@ -99,22 +114,24 @@ TEST(AtomicBitMatrix, ConcurrentClaimsAreExclusive) {
   EXPECT_EQ(m.countRow(0), cols);
 }
 
-TEST(AtomicBitMatrix, RowSnapshotCopiesTailWordsExactly) {
-  // 70 columns: the second word is partial — bits past cols() must be
-  // trimmed even though the word-copy path reads whole words.
+TEST(AtomicBitMatrix, RowWordsIntoCopiesTailWordsExactly) {
+  // 70 columns: the second word is partial, and the row is padded to a
+  // whole storage block — the copy carries no bit past cols().
   AtomicBitMatrix m(2, 70);
-  m.fillRow(0);
-  const DynamicBitset snap = m.rowSnapshot(0);
-  EXPECT_EQ(snap.size(), 70u);
-  EXPECT_EQ(snap.count(), 70u);
-  for (std::size_t c = 0; c < 70; ++c) EXPECT_TRUE(snap.test(c));
+  setAll(m, 0);
+  std::vector<Word> words;
+  m.rowWordsInto(0, words);
+  ASSERT_EQ(words.size(), m.wordsPerRow());
+  EXPECT_EQ(words[0], ~Word{0});
+  EXPECT_EQ(words[1], Word{0x3F});  // columns 64..69
+  for (std::size_t w = 2; w < words.size(); ++w) EXPECT_EQ(words[w], 0u);
 
   AtomicBitMatrix s(1, 130);
   for (std::size_t c : {0u, 63u, 64u, 65u, 127u, 128u, 129u}) s.testAndSet(0, c);
-  const DynamicBitset snap2 = s.rowSnapshot(0);
-  EXPECT_EQ(snap2.count(), 7u);
-  EXPECT_TRUE(snap2.test(129));
-  EXPECT_FALSE(snap2.test(1));
+  s.rowWordsInto(0, words);
+  EXPECT_EQ(words[0], (Word{1} << 63) | 1u);
+  EXPECT_EQ(words[1], (Word{1} << 63) | 3u);
+  EXPECT_EQ(words[2], Word{3});  // columns 128, 129
 }
 
 TEST(AtomicBitMatrix, RowIndicesRangeRestrictsToColumns) {
@@ -167,9 +184,12 @@ TEST(AtomicBitMatrix, CountedModeTracksSingleThreadedMutations) {
   m.testAndClear(0, 5);
   m.testAndClear(0, 5);  // already clear: no double decrement
   EXPECT_EQ(m.countRow(0), 1u);
-  m.fillRow(1);
+  setAll(m, 1);
   EXPECT_EQ(m.countRow(1), 130u);
-  m.fillRow(1, /*skip=*/7);  // refill over existing bits: delta, not sum
+  EXPECT_EQ(setAll(m, 1), 0u);  // refill over existing bits: delta, not sum
+  EXPECT_EQ(m.countRow(1), 130u);
+  const Word bit7 = Word{1} << 7;
+  EXPECT_EQ(m.andNotRow(1, &bit7, 1), 1u);
   EXPECT_EQ(m.countRow(1), 129u);
   m.clearRow(1);
   EXPECT_EQ(m.countRow(1), 0u);
@@ -217,8 +237,8 @@ TEST(AtomicBitMatrix, CountersMatchRecountAfterConcurrentStorm) {
   EXPECT_EQ(m.countAll(), m.recountAll());
 }
 
-// Storm variant with bulk row ops mixed in: fillRow/clearRow maintain the
-// counters by exchange-delta and must agree with a recount too. Each
+// Storm variant with bulk row ops mixed in: orRow/clearRow maintain the
+// counters by popcount/exchange deltas and must agree with a recount too. Each
 // thread owns a disjoint row stripe (bulk ops are row-owner operations in
 // the classifier), while single-bit ops still collide within the stripe.
 TEST(AtomicBitMatrix, CountersMatchRecountAfterBulkOpStorm) {
@@ -238,7 +258,7 @@ TEST(AtomicBitMatrix, CountersMatchRecountAfterBulkOpStorm) {
         switch ((s >> 7) & 3) {
           case 0: m.testAndSet(r, c); break;
           case 1: m.testAndClear(r, c); break;
-          case 2: m.fillRow(r, c); break;
+          case 2: setAll(m, r, c); break;
           default: m.clearRow(r); break;
         }
       }
@@ -303,7 +323,7 @@ TEST(AtomicBitMatrix, ResetOfDirtyMatrixReadsAllZero) {
   // no word or counter of the old content may survive it, at the old size
   // or a different one.
   AtomicBitMatrix m(9, 130, /*counted=*/true);
-  for (std::size_t r = 0; r < 9; ++r) m.fillRow(r, r);
+  for (std::size_t r = 0; r < 9; ++r) setAll(m, r, r);
   ASSERT_GT(m.countAll(), 0u);
   for (const auto& [rows, cols] :
        {std::pair<std::size_t, std::size_t>{9, 130}, {4, 70}, {12, 200}}) {
@@ -317,7 +337,7 @@ TEST(AtomicBitMatrix, ResetOfDirtyMatrixReadsAllZero) {
       for (std::size_t w = 0; w < m.wordsPerRow(); ++w)
         ASSERT_EQ(words[w], 0u) << rows << "x" << cols << " row " << r;
     }
-    m.fillRow(rows - 1);  // dirty it again for the next reset
+    setAll(m, rows - 1);  // dirty it again for the next reset
   }
 }
 

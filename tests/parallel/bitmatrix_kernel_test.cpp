@@ -35,6 +35,13 @@ std::uint64_t nextRand(std::uint64_t& s) {
   return s;
 }
 
+/// Mask with every one of `cols` columns set (dead tail bits zero).
+std::vector<Word> allColumns(std::size_t cols) {
+  std::vector<Word> mask((cols + 63) / 64, ~Word{0});
+  if (cols % 64 != 0) mask.back() = (Word{1} << (cols % 64)) - 1;
+  return mask;
+}
+
 /// Random mask over `cols` columns with dead tail bits kept zero.
 std::vector<Word> randomMask(std::uint64_t& s, std::size_t cols,
                              std::size_t density256) {
@@ -112,7 +119,8 @@ TEST(BitMatrixKernels, OrRowReportsOnlyNewBits) {
 
 TEST(BitMatrixKernels, AndNotRowReportsOnlyClearedBits) {
   AtomicBitMatrix m(1, 100, /*counted=*/true);
-  m.fillRow(0);
+  const std::vector<Word> all = allColumns(100);
+  m.orRow(0, all.data(), all.size());
   std::vector<Word> mask((100 + 63) / 64, 0);
   mask[0] = 0xF0F0;
   EXPECT_EQ(m.andNotRow(0, mask.data(), mask.size()), 8u);
@@ -124,7 +132,8 @@ TEST(BitMatrixKernels, AndNotRowReportsOnlyClearedBits) {
 TEST(BitMatrixKernels, ShortMaskTouchesOnlyCoveredWords) {
   // nWords shorter than the row: missing words are treated as zero.
   AtomicBitMatrix m(1, 256, /*counted=*/true);
-  m.fillRow(0);
+  const std::vector<Word> all = allColumns(256);
+  m.orRow(0, all.data(), all.size());
   std::vector<Word> mask(1, ~Word{0});
   EXPECT_EQ(m.andNotRow(0, mask.data(), mask.size()), 64u);
   EXPECT_EQ(m.countRow(0), 192u);

@@ -122,36 +122,6 @@ TEST_F(KillResumeTest, CrashAtBarrier) {
   drill("at-barrier", "point=at-barrier,after=2");
 }
 
-// Seeded drill: --seed-told journals thousands of seed records right
-// after the genesis snapshot; a crash mid-run must replay them (and the
-// later verdicts) on top of the epoch-0 image. Both the uninterrupted
-// seeded run and the crash+resume run must be byte-identical to the
-// unseeded golden — seeding changes which pairs are *tested*, never the
-// resulting taxonomy.
-TEST_F(KillResumeTest, SeededRunMatchesGoldenAndSurvivesCrash) {
-  // Uninterrupted seeded run == unseeded golden.
-  const std::string seededOut = base_ + "/seeded.txt";
-  ASSERT_EQ(run(classifyCmd(base_ + "/ckpt-seeded", "--seed-told") + " > " +
-                seededOut + " 2>/dev/null"),
-            0);
-  EXPECT_EQ(slurp(golden_), slurp(seededOut))
-      << "told seeding changed the taxonomy";
-
-  // Crash early — while the journal is dominated by seed records — and
-  // resume. The resume path never re-seeds; replay carries the seeds.
-  const std::string dir = base_ + "/ckpt-seeded-crash";
-  const std::string out = base_ + "/seeded-crash.txt";
-  const int crashRc =
-      run(classifyCmd(dir, "--seed-told --inject-crash=point=after-journal,after=50") +
-          " > /dev/null 2>&1");
-  ASSERT_EQ(crashRc, 137) << "crash point never fired";
-  ASSERT_EQ(run(classifyCmd(dir, "--seed-told --resume") + " > " + out +
-                " 2>/dev/null"),
-            0);
-  EXPECT_EQ(slurp(golden_), slurp(out))
-      << "seeded resume differs from the uninterrupted run";
-}
-
 // Routed drill: the drill ontology is fully EL, so --route-el=on settles
 // every pair from the saturation closure, journaling the routed verdicts
 // right after the genesis snapshot (DESIGN.md §13). A crash mid-seed must
@@ -205,6 +175,44 @@ TEST_F(KillResumeTest, SchedulingPoliciesAgreeAndUnknownIsRejected) {
   EXPECT_EQ(run(std::string(OWLCL_CLI_PATH) + " classify " + onto_ +
                 " --scheduling=sq > /dev/null 2>&1"),
             2);
+}
+
+// Options the CLI does not know and malformed values exit 2 before any
+// work starts, instead of running with a silently substituted value.
+TEST_F(KillResumeTest, UnknownOptionsAndMalformedValuesAreRejected) {
+  for (const char* bad :
+       {"--seed-told", "--output=xml", "--inject-faults=fail-first=-3",
+        "--inject-faults=error=abc", "--inject-faults=error=1.5"}) {
+    EXPECT_EQ(run(std::string(OWLCL_CLI_PATH) + " classify " + onto_ + " " +
+                  bad + " > /dev/null 2>&1"),
+              2)
+        << bad;
+  }
+}
+
+// The three --output values the CLI accepts: tree is the golden, dot
+// renders a graph, none prints nothing.
+TEST_F(KillResumeTest, OutputModesRenderOrStaySilent) {
+  const std::string cli = std::string(OWLCL_CLI_PATH) + " classify " + onto_;
+  const std::string dot = base_ + "/out.dot";
+  const std::string none = base_ + "/out.none";
+  ASSERT_EQ(run(cli + " --output=dot > " + dot + " 2>/dev/null"), 0);
+  EXPECT_EQ(slurp(dot).rfind("digraph", 0), 0u);
+  ASSERT_EQ(run(cli + " --output=none > " + none + " 2>/dev/null"), 0);
+  EXPECT_TRUE(slurp(none).empty());
+}
+
+// The strict --inject-faults parser still takes every key in range; the
+// faults are retried away and the run matches the golden.
+TEST_F(KillResumeTest, WellFormedFaultSpecIsAcceptedAndRecovers) {
+  const std::string out = base_ + "/faults.txt";
+  ASSERT_EQ(run(classifyCmd(base_ + "/ckpt-faults",
+                            "--max-retries=8 --inject-faults=seed=7,"
+                            "error=0.05,resource=0.05,timeout=0.05,"
+                            "delay-ms=1,sleep-ms=0,target=0.1,fail-first=2") +
+                " > " + out + " 2>/dev/null"),
+            0);
+  EXPECT_EQ(slurp(golden_), slurp(out));
 }
 
 TEST_F(KillResumeTest, ResumeWithoutCheckpointDirFailsCleanly) {

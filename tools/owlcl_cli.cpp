@@ -10,7 +10,6 @@
 //   --cycles=N           random-division cycles (default 2)
 //   --no-pruning         disable Algorithm 5 pruning
 //   --ordered            ordered (non-symmetric) pair tests
-//   --seed-told          seed K with told atomic subsumptions
 //   --route-el=off|auto|on  hybrid EL/tableau routing (DESIGN.md §13):
 //                        saturate the EL sub-ontology first and seed the
 //                        P/K store from it; auto routes only when the
@@ -37,9 +36,11 @@
 //                        SPEC is comma-separated key=value pairs:
 //                          seed=N error=R resource=R timeout=R delay-ms=N
 //                          sleep-ms=N target=R fail-first=N
-//                        delay-ms inflates the *reported* (virtual) cost of a
-//                        timeout fault; sleep-ms adds a real wall-clock sleep
-//                        (use it to exercise --budget-ms).
+//                        (N a non-negative integer, R a rate in [0, 1];
+//                        anything else exits 2). delay-ms inflates the
+//                        *reported* (virtual) cost of a timeout fault;
+//                        sleep-ms adds a real wall-clock sleep (use it to
+//                        exercise --budget-ms).
 //                        e.g. --inject-faults=seed=7,error=0.1,target=0.05,fail-first=9
 //
 // classify checkpoint options (crash-safe long runs, DESIGN.md §9):
@@ -192,7 +193,6 @@ struct Options {
   std::size_t cycles = 2;
   bool pruning = true;
   bool symmetric = true;
-  bool seedTold = false;
   ElRouting routeEl = ElRouting::kOff;
   bool verify = false;
   bool sharedCache = false;
@@ -248,6 +248,21 @@ std::size_t parseCount(const char* flag, const char* v) {
   return static_cast<std::size_t>(n);
 }
 
+/// Strict rate parse for --inject-faults values: the whole token must be a
+/// number in [0, 1].
+double parseRate(const char* flag, const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const double r = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE || !(r >= 0.0 && r <= 1.0)) {
+    std::fprintf(stderr,
+                 "invalid value for %s: '%s' (expected a rate in [0, 1])\n",
+                 flag, v);
+    std::exit(2);
+  }
+  return r;
+}
+
 /// Parses "--inject-faults=seed=7,error=0.1,..." into a FaultPlan.
 FaultPlan parseFaultSpec(const char* spec) {
   FaultPlan plan;
@@ -264,23 +279,24 @@ FaultPlan parseFaultSpec(const char* spec) {
       usage();
     }
     const std::string key = item.substr(0, eq);
-    const double val = std::atof(item.c_str() + eq + 1);
+    const std::string flag = "--inject-faults " + key;
+    const char* val = item.c_str() + eq + 1;
     if (key == "seed")
-      plan.seed = static_cast<std::uint64_t>(val);
+      plan.seed = parseCount(flag.c_str(), val);
     else if (key == "error")
-      plan.errorRate = val;
+      plan.errorRate = parseRate(flag.c_str(), val);
     else if (key == "resource")
-      plan.resourceRate = val;
+      plan.resourceRate = parseRate(flag.c_str(), val);
     else if (key == "timeout")
-      plan.timeoutRate = val;
+      plan.timeoutRate = parseRate(flag.c_str(), val);
     else if (key == "delay-ms")
-      plan.delayNs = static_cast<std::uint64_t>(val * 1e6);
+      plan.delayNs = parseCount(flag.c_str(), val) * 1'000'000;
     else if (key == "sleep-ms")
-      plan.sleepNs = static_cast<std::uint64_t>(val * 1e6);
+      plan.sleepNs = parseCount(flag.c_str(), val) * 1'000'000;
     else if (key == "target")
-      plan.targetPairRate = val;
+      plan.targetPairRate = parseRate(flag.c_str(), val);
     else if (key == "fail-first")
-      plan.failFirstAttempts = static_cast<std::size_t>(val);
+      plan.failFirstAttempts = parseCount(flag.c_str(), val);
     else {
       std::fprintf(stderr, "unknown --inject-faults key: %s\n", key.c_str());
       usage();
@@ -376,8 +392,6 @@ Options parseOptions(int argc, char** argv, int first) {
       o.pruning = false;
     } else if (a == "--ordered") {
       o.symmetric = false;
-    } else if (a == "--seed-told") {
-      o.seedTold = true;
     } else if (const char* vr = value("--route-el=")) {
       const std::string s = vr;
       if (s == "off")
@@ -423,6 +437,10 @@ Options parseOptions(int argc, char** argv, int first) {
       o.backend = v4;
     } else if (const char* v5 = value("--output=")) {
       o.output = v5;
+      if (o.output != "tree" && o.output != "dot" && o.output != "none") {
+        std::fprintf(stderr, "unknown --output: %s\n", v5);
+        usage();
+      }
     } else if (const char* v6 = value("--max-workers=")) {
       o.maxWorkers = parseCount("--max-workers", v6);
     } else if (const char* v7 = value("--deadline-ms=")) {
@@ -812,7 +830,6 @@ ClassifierConfig buildClassifierConfig(const Options& o) {
   config.randomCycles = o.cycles;
   config.enablePruning = o.pruning;
   config.symmetricTests = o.symmetric;
-  config.toldSeeding = o.seedTold;
   config.routeEl = o.routeEl;
   config.scheduling = o.scheduling;
   config.maxRetries = o.maxRetries;
@@ -865,13 +882,12 @@ int cmdClassify(const std::string& path, const Options& o) {
 
   std::fprintf(stderr,
                "classified %zu concepts in %.1f ms (%zu workers, backend %s)\n"
-               "  %llu sat + %llu subsumption tests, %llu pruned, %llu seeded, "
+               "  %llu sat + %llu subsumption tests, %llu pruned, "
                "%zu taxonomy nodes, depth %zu\n",
                tbox.conceptCount(), sw.elapsedMs(), o.workers,
                o.backend.c_str(), static_cast<unsigned long long>(r.satTests),
                static_cast<unsigned long long>(r.subsumptionTests),
                static_cast<unsigned long long>(r.prunedWithoutTest),
-               static_cast<unsigned long long>(r.seededWithoutTest),
                r.taxonomy.nodeCount(), r.taxonomy.depth());
   if (r.crossCacheHits > 0 || r.mergeRefuted > 0)
     std::fprintf(stderr,
