@@ -10,8 +10,10 @@
 // skew.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,24 @@ RepeatStats repeatWall(int warmups, int repeats, Fn&& fn) {
   }
   if (repeats > 0) st.wallNsMean = sum / static_cast<std::uint64_t>(repeats);
   return st;
+}
+
+/// Strict value of a figure bench's "--flag=N" argument: the whole token
+/// must be a decimal integer >= min. Anything else ("abc", "-1", "",
+/// trailing junk, overflow) prints `usage` and exits 2 before any sweep
+/// starts.
+inline std::size_t parseCountArg(const char* flag, const char* value,
+                                 std::size_t min, const char* usage) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (*value < '0' || *value > '9' || *end != '\0' || errno == ERANGE ||
+      n < min) {
+    std::fprintf(stderr, "%s: expected an integer >= %zu, got '%s'\n%s\n",
+                 flag, min, value, usage);
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(n);
 }
 
 inline void printHeader(const char* title) {

@@ -19,12 +19,22 @@ int main(int argc, char** argv) {
   using namespace owlcl;
   using namespace owlcl::bench;
 
-  std::string group;
+  const char* usage = "usage: bench_fig10 [--group=a|b] [--max-workers=N]";
+  std::string group;  // empty = all
   std::size_t maxWorkers = 80;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--group=", 8) == 0) group = argv[i] + 8;
-    if (std::strncmp(argv[i], "--max-workers=", 14) == 0)
-      maxWorkers = static_cast<std::size_t>(std::atol(argv[i] + 14));
+    if (std::strncmp(argv[i], "--group=", 8) == 0) {
+      group = argv[i] + 8;
+      if (group != "a" && group != "b") {
+        std::fprintf(stderr, "unknown group: %s\n%s\n", group.c_str(), usage);
+        return 2;
+      }
+    } else if (std::strncmp(argv[i], "--max-workers=", 14) == 0) {
+      maxWorkers = parseCountArg("--max-workers", argv[i] + 14, 1, usage);
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n%s\n", argv[i], usage);
+      return 2;
+    }
   }
 
   const std::vector<std::size_t> workerCounts = figureWorkerCounts(maxWorkers);

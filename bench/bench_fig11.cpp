@@ -21,13 +21,18 @@ int main(int argc, char** argv) {
   using namespace owlcl;
   using namespace owlcl::bench;
 
+  const char* usage = "usage: bench_fig11 [--cycles=N] [--workers=N]";
   std::size_t cycles = 10;
   std::size_t workers = 10;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--cycles=", 9) == 0)
-      cycles = static_cast<std::size_t>(std::atol(argv[i] + 9));
-    if (std::strncmp(argv[i], "--workers=", 10) == 0)
-      workers = static_cast<std::size_t>(std::atol(argv[i] + 10));
+    if (std::strncmp(argv[i], "--cycles=", 9) == 0) {
+      cycles = parseCountArg("--cycles", argv[i] + 9, 0, usage);
+    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
+      workers = parseCountArg("--workers", argv[i] + 10, 1, usage);
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n%s\n", argv[i], usage);
+      return 2;
+    }
   }
 
   const PaperOntologyRow row = oreQcr2014Suite()[0];  // ncitations_functional

@@ -7,8 +7,10 @@
 // which is what regenerates the paper's speedup figures (DESIGN.md §2,
 // hardware substitution).
 //
-// Contract: dispatch() hands one task to a worker slot; the task returns
-// its own cost in (virtual or measured) nanoseconds. barrier() waits for
+// Contract: dispatch() hands one task to the executor, which places it —
+// work-stealing on real threads, the earliest-free simulated worker in
+// virtual time; the task returns its own cost in (virtual or measured)
+// nanoseconds. barrier() waits for
 // all dispatched tasks — the synchronisation point between classification
 // cycles. busyNs() is the paper's "runtime" (sum of runtimes of all
 // threads); elapsedNs() is the paper's "elapsed time"; speedup is their
@@ -22,24 +24,6 @@
 
 namespace owlcl {
 
-/// Scheduling disciplines for picking the worker of the next group task.
-///
-/// Contract: kRoundRobin rotates worker slots; kLeastLoaded returns the
-/// worker with the smallest outstanding load *as observable by the
-/// executor* — per-worker queue depth for RealExecutor, per-worker
-/// virtual clock for VirtualExecutor. Implementations must not silently
-/// degrade kLeastLoaded to another discipline. kSteal leaves placement to
-/// the executor's own balancing machinery: on RealExecutor the task lands
-/// on a worker's Chase–Lev deque and migrates via stealing if that worker
-/// falls behind; on the (deterministic) VirtualExecutor it is placed
-/// least-loaded, the quiescent fixed point a work-stealing pool converges
-/// to.
-enum class SchedulingPolicy : std::uint8_t {
-  kRoundRobin,   // the paper's round-robin scheduling (Section III-A2)
-  kLeastLoaded,  // "getAvailableThread": worker with the least queued work
-  kSteal,        // executor-balanced: work-stealing / simulated equivalent
-};
-
 class Executor {
  public:
   using Task = std::function<std::uint64_t()>;  // returns cost in ns
@@ -48,12 +32,7 @@ class Executor {
 
   virtual std::size_t workers() const = 0;
 
-  /// Picks the worker slot for the next task under `policy`.
-  virtual std::size_t pickWorker(SchedulingPolicy policy) = 0;
-
-  /// `worker` == kAnyWorker leaves placement to the executor (unpinned).
-  static constexpr std::size_t kAnyWorker = static_cast<std::size_t>(-1);
-  virtual void dispatch(std::size_t worker, Task task) = 0;
+  virtual void dispatch(Task task) = 0;
 
   /// Waits until every dispatched task has completed.
   virtual void barrier() = 0;

@@ -12,21 +12,21 @@
 namespace owlcl {
 
 namespace {
-// Under kSteal, large groups are split into chunks of roughly this many
-// pair tests so idle workers can steal partial groups. Small enough to
-// balance, large enough that per-chunk dispatch cost stays noise.
+// Large groups are split into chunks of roughly this many pair tests so
+// idle workers can steal partial groups. Small enough to balance, large
+// enough that per-chunk dispatch cost stays noise.
 constexpr std::size_t kStealChunkPairs = 512;
 // Concepts per task in the merge sweep's and the hierarchy build's
 // parallel steps (one task per concept would cost as much as the work).
 constexpr std::size_t kConceptChunk = 32;
 
-// Dispatches work(begin, end) over [0, count) in unpinned chunks of
-// kConceptChunk, then waits at a barrier. work returns the chunk's cost.
+// Dispatches work(begin, end) over [0, count) in chunks of kConceptChunk,
+// then waits at a barrier. work returns the chunk's cost.
 template <class Work>
 void runChunked(Executor& exec, std::size_t count, const Work& work) {
   for (std::size_t b = 0; b < count; b += kConceptChunk) {
     const std::size_t e = std::min(count, b + kConceptChunk);
-    exec.dispatch(Executor::kAnyWorker, [&work, b, e] { return work(b, e); });
+    exec.dispatch([&work, b, e] { return work(b, e); });
   }
   exec.barrier();
 }
@@ -514,8 +514,8 @@ bool ParallelClassifier::sweepMergeRefutable(Executor& exec) {
   const CancellationToken& cancel = exec.cancellation();
   if (refuter == nullptr || cancel.cancelled()) return false;
 
-  // Both steps run `work` over their concepts in unpinned chunks and end
-  // at a barrier. The token is checked before every concept.
+  // Both steps run `work` over their concepts in chunks and end at a
+  // barrier. The token is checked before every concept.
   std::vector<ConceptId> ids;
   const auto sweepStep = [&exec, &cancel, &ids](const auto& work) {
     runChunked(exec, ids.size(),
@@ -581,7 +581,6 @@ void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
   // concept, and its cycles dispatch nothing.
   const DynamicBitset live = store_.liveConcepts();
   const CancellationToken& cancel = exec.cancellation();
-  const bool steal = config_.scheduling == SchedulingPolicy::kSteal;
   const std::size_t base = n / w;
   const std::size_t extra = n % w;
   std::size_t begin = 0;
@@ -611,15 +610,9 @@ void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
       return cost;
     };
 
-    if (!steal) {
-      // Verbatim Section III-A1: the whole group goes to worker g.
-      exec.dispatch(g % w, [runChunk, size] { return runChunk(0, size); });
-      continue;
-    }
-    // Work-stealing: split the group's triangular pair set into chunks of
-    // ~kStealChunkPairs tests by leading-index range, all unpinned, so an
-    // idle worker can steal part of a heavy group instead of waiting at
-    // the barrier.
+    // Split the group's triangular pair set into chunks of
+    // ~kStealChunkPairs tests by leading-index range, so an idle worker
+    // can steal part of a heavy group instead of waiting at the barrier.
     std::size_t iBegin = 0;
     while (iBegin + 1 < size) {
       std::size_t pairs = 0;
@@ -628,8 +621,8 @@ void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
         pairs += size - 1 - iEnd;  // pairs led by index iEnd
         ++iEnd;
       }
-      exec.dispatch(Executor::kAnyWorker,
-                    [runChunk, iBegin, iEnd] { return runChunk(iBegin, iEnd); });
+      exec.dispatch(
+          [runChunk, iBegin, iEnd] { return runChunk(iBegin, iEnd); });
       iBegin = iEnd;
     }
   }
@@ -648,20 +641,19 @@ void ParallelClassifier::runGroupRound(Executor& exec, std::size_t roundIndex,
   const std::uint64_t testsBefore = satTests_.value() + subsTests_.value();
   const std::uint64_t t0 = exec.elapsedNs();
 
-  // groupDivision: one group G_X per concept with P_X ≠ ∅, dispatched with
-  // the configured discipline. The group content (P_X) is snapshotted when
-  // the task starts, so pruning performed by earlier groups already
-  // shrinks later ones — the paper's "changes performed to P and K before
-  // new divisions are created for an idle thread".
+  // groupDivision: one group G_X per concept with P_X ≠ ∅. The group
+  // content (P_X) is snapshotted when the task starts, so pruning
+  // performed by earlier groups already shrinks later ones — the paper's
+  // "changes performed to P and K before new divisions are created for an
+  // idle thread".
   //
-  // Under kSteal a large G_X is additionally split into *column-range*
-  // chunks (each task snapshots P_X ∩ [yBegin, yEnd) when it runs): a
-  // fixed partition of the candidate space, so every possible pair is
-  // still attempted exactly once per round regardless of how chunks
-  // interleave, while idle workers steal slices of heavy groups. The
-  // chunk count comes from the O(1) per-row counter — no scan.
+  // A large G_X is split into *column-range* chunks (each task snapshots
+  // P_X ∩ [yBegin, yEnd) when it runs): a fixed partition of the
+  // candidate space, so every possible pair is still attempted exactly
+  // once per round regardless of how chunks interleave, while idle
+  // workers steal slices of heavy groups. The chunk count comes from the
+  // O(1) per-row counter — no scan.
   const CancellationToken& cancel = exec.cancellation();
-  const bool steal = config_.scheduling == SchedulingPolicy::kSteal;
   for (ConceptId x = 0; x < n; ++x) {
     const std::size_t cnt = store_.possibleCount(x);
     if (cnt == 0) continue;
@@ -686,19 +678,12 @@ void ParallelClassifier::runGroupRound(Executor& exec, std::size_t roundIndex,
     };
 
     const std::size_t chunks =
-        steal ? std::min((cnt + kStealChunkPairs - 1) / kStealChunkPairs, n)
-              : 1;
-    if (chunks <= 1) {
-      const std::size_t worker = exec.pickWorker(config_.scheduling);
-      exec.dispatch(worker, [runChunk, n] { return runChunk(0, n); });
-      continue;
-    }
+        std::min((cnt + kStealChunkPairs - 1) / kStealChunkPairs, n);
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t yBegin = n * c / chunks;
       const std::size_t yEnd = n * (c + 1) / chunks;
-      exec.dispatch(Executor::kAnyWorker, [runChunk, yBegin, yEnd] {
-        return runChunk(yBegin, yEnd);
-      });
+      exec.dispatch(
+          [runChunk, yBegin, yEnd] { return runChunk(yBegin, yEnd); });
     }
   }
   exec.barrier();
@@ -969,12 +954,11 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
       if (store_.satStatus(x) != SatStatus::kUnknown) continue;
       if (store_.conceptUnresolved(x)) continue;  // degraded: given up
       anyPending = true;
-      exec.dispatch(exec.pickWorker(config_.scheduling),
-                    [this, x]() -> std::uint64_t {
-                      std::uint64_t cost = 0;
-                      ensureSat(x, cost);
-                      return cost;
-                    });
+      exec.dispatch([this, x]() -> std::uint64_t {
+        std::uint64_t cost = 0;
+        ensureSat(x, cost);
+        return cost;
+      });
     }
     if (!anyPending) break;
     exec.barrier();

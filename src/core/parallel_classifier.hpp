@@ -7,8 +7,8 @@
 //            the concept pairs inside its group. Repeated for
 //            config.randomCycles cycles with fresh shuffles.
 //   Phase 2  group division (Algorithms 1+3): for every X with P_X ≠ ∅ a
-//            group G_X = P_X is dispatched (round-robin by default) until
-//            R_O = ∪ P_X is empty.
+//            group G_X = P_X is dispatched until R_O = ∪ P_X is empty.
+//            Every task is unpinned: the executor places it (DESIGN.md §8).
 //   Phase 3  divide-and-conquer taxonomy construction (Algorithm 4):
 //            per-concept partial hierarchies H_X in parallel, merged
 //            top-down into the final Taxonomy.
@@ -87,11 +87,6 @@ struct ClassifierConfig {
   /// this is sound either way; the flag only exists to keep recovery
   /// resumes byte-for-byte on their original journaled path.
   bool routeElOnResume = false;
-  /// Group-division dispatch discipline. kSteal (default) hands tasks to
-  /// the executor unpinned and lets work-stealing balance them; the
-  /// paper's round-robin (Section III-A2) and the other disciplines remain
-  /// available for the scheduling ablation.
-  SchedulingPolicy scheduling = SchedulingPolicy::kSteal;
   /// Compute backend for the P/K bit-matrix kernels and the routing and
   /// merge-sweep mask passes (parallel/bit_kernels.hpp). Null binds the
   /// process-wide activeBitKernels() — the --bit-backend selection; the

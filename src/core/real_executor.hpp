@@ -20,44 +20,10 @@ class RealExecutor : public Executor {
 
   std::size_t workers() const override { return pool_.size(); }
 
-  std::size_t pickWorker(SchedulingPolicy policy) override {
-    switch (policy) {
-      case SchedulingPolicy::kSteal:
-        // Stealing: hand the task to the pool unpinned — it lands on a
-        // deque/inbox and migrates to whichever worker runs dry first.
-        return kAnyWorker;
-      case SchedulingPolicy::kRoundRobin:
-        return rr_++ % pool_.size();
-      case SchedulingPolicy::kLeastLoaded: {
-        // "getAvailableThread": the worker with the fewest queued +
-        // in-flight tasks. The rotating scan start breaks ties away from
-        // worker 0 so an all-idle pool still spreads the groups.
-        const std::size_t w = pool_.size();
-        const std::size_t start = rr_++ % w;
-        std::size_t best = start;
-        std::size_t bestDepth = pool_.queueDepth(start);
-        for (std::size_t off = 1; off < w && bestDepth > 0; ++off) {
-          const std::size_t i = (start + off) % w;
-          const std::size_t depth = pool_.queueDepth(i);
-          if (depth < bestDepth) {
-            best = i;
-            bestDepth = depth;
-          }
-        }
-        return best;
-      }
-    }
-    return kAnyWorker;
-  }
-
-  void dispatch(std::size_t worker, Task task) override {
-    auto wrapped = [this, task = std::move(task)] {
+  void dispatch(Task task) override {
+    pool_.submit([this, task = std::move(task)] {
       busy_.fetch_add(task(), std::memory_order_relaxed);
-    };
-    if (worker == kAnyWorker)
-      pool_.submit(std::move(wrapped));
-    else
-      pool_.submitTo(worker, std::move(wrapped));
+    });
   }
 
   void barrier() override { pool_.waitIdle(); }
@@ -81,7 +47,6 @@ class RealExecutor : public Executor {
   ThreadPool& pool_;
   Stopwatch clock_;
   std::atomic<std::uint64_t> busy_{0};
-  std::size_t rr_ = 0;
   std::unique_ptr<WallClockWatchdog> watchdog_;
 };
 

@@ -63,21 +63,7 @@ void ThreadPool::submit(Task task) {
     w.inbox.push_back(heap);
     w.inboxSize.fetch_add(1, std::memory_order_relaxed);
   }
-  signalWork(/*pinned=*/false);
-}
-
-void ThreadPool::submitTo(std::size_t i, Task task) {
-  OWLCL_ASSERT(i < perWorker_.size());
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  WorkerState& w = *perWorker_[i];
-  {
-    std::lock_guard<std::mutex> lock(w.pinnedMu);
-    w.pinned.push_back(std::move(task));
-    w.pinnedSize.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Only worker i can run a pinned task, and notify_one may wake someone
-  // else — wake everyone and let the eventcount re-park the rest.
-  signalWork(/*pinned=*/true);
+  signalWork();
 }
 
 void ThreadPool::waitIdle() {
@@ -94,14 +80,6 @@ void ThreadPool::waitIdle() {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-std::size_t ThreadPool::queueDepth(std::size_t i) const {
-  OWLCL_ASSERT(i < perWorker_.size());
-  const WorkerState& w = *perWorker_[i];
-  return w.pinnedSize.load(std::memory_order_relaxed) +
-         w.inboxSize.load(std::memory_order_relaxed) + w.deque.sizeApprox() +
-         w.running.load(std::memory_order_relaxed);
-}
-
 std::uint64_t ThreadPool::stealCount() const {
   std::uint64_t total = 0;
   for (const auto& w : perWorker_)
@@ -111,17 +89,17 @@ std::uint64_t ThreadPool::stealCount() const {
 
 // --- task bookkeeping --------------------------------------------------------
 
-void ThreadPool::execute(WorkerState& self, Task& task) {
-  self.running.store(1, std::memory_order_relaxed);
+void ThreadPool::execute(Task* task) {
+  Task local = std::move(*task);
+  delete task;
   // Contain task failures: the worker survives, later tasks still run,
   // and the first exception is surfaced by the next waitIdle().
   std::exception_ptr error;
   try {
-    task();
+    local();
   } catch (...) {
     error = std::current_exception();
   }
-  self.running.store(0, std::memory_order_relaxed);
   if (error != nullptr) {
     std::lock_guard<std::mutex> lock(excMu_);
     if (firstException_ == nullptr) firstException_ = std::move(error);
@@ -136,24 +114,16 @@ void ThreadPool::finishOne() {
   }
 }
 
-void ThreadPool::runHeapTask(WorkerState& self, Task* task) {
-  Task local = std::move(*task);
-  delete task;
-  execute(self, local);
-}
-
 // --- workers -----------------------------------------------------------------
 
-void ThreadPool::signalWork(bool pinned) {
+void ThreadPool::signalWork() {
   // Eventcount publish: bump the epoch first (seq_cst orders it against
-  // the sleeper's registration), then wake only if someone is parked.
+  // the sleeper's registration), then wake one sleeper if someone is
+  // parked — any worker can run any task.
   epoch_.fetch_add(1, std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
   std::lock_guard<std::mutex> lock(sleepMu_);
-  if (pinned)
-    sleepCv_.notify_all();
-  else
-    sleepCv_.notify_one();
+  sleepCv_.notify_one();
 }
 
 void ThreadPool::park(std::uint32_t epochSeen) {
@@ -179,30 +149,12 @@ void ThreadPool::park(std::uint32_t epochSeen) {
 }
 
 bool ThreadPool::runOne(WorkerState& self, std::size_t index) {
-  // 1. Pinned queue — strict affinity, FIFO, owner-only.
-  if (self.pinnedSize.load(std::memory_order_acquire) > 0) {
-    Task task;
-    bool have = false;
-    {
-      std::lock_guard<std::mutex> lock(self.pinnedMu);
-      if (!self.pinned.empty()) {
-        task = std::move(self.pinned.front());
-        self.pinned.pop_front();
-        self.pinnedSize.fetch_sub(1, std::memory_order_relaxed);
-        have = true;
-      }
-    }
-    if (have) {
-      execute(self, task);
-      return true;
-    }
-  }
-  // 2. Own deque — the lock-free Chase–Lev owner pop.
+  // 1. Own deque — the lock-free Chase–Lev owner pop.
   if (Task* t = self.deque.popBottom()) {
-    runHeapTask(self, t);
+    execute(t);
     return true;
   }
-  // 3. Own inbox: transfer everything into the deque so the surplus is
+  // 2. Own inbox: transfer everything into the deque so the surplus is
   //    stealable while we work. Pushed in reverse so popBottom yields
   //    submission order (keeps single-worker pools strictly FIFO); a
   //    thief's top steal takes the newest — order across workers is
@@ -217,18 +169,18 @@ bool ThreadPool::runOne(WorkerState& self, std::size_t index) {
     for (auto it = grabbed.rbegin(); it != grabbed.rend(); ++it)
       self.deque.pushBottom(*it);
     if (Task* t = self.deque.popBottom()) {
-      runHeapTask(self, t);
+      execute(t);
       return true;
     }
   }
-  // 4. Steal: other workers' deques first (lock-free), then their
+  // 3. Steal: other workers' deques first (lock-free), then their
   //    inboxes (try_lock only — never convoy behind a busy producer).
   const std::size_t w = perWorker_.size();
   for (std::size_t off = 1; off < w; ++off) {
     WorkerState& victim = *perWorker_[(index + off) % w];
     if (Task* t = victim.deque.steal()) {
       self.steals.fetch_add(1, std::memory_order_relaxed);
-      runHeapTask(self, t);
+      execute(t);
       return true;
     }
   }
@@ -246,7 +198,7 @@ bool ThreadPool::runOne(WorkerState& self, std::size_t index) {
     }
     if (t != nullptr) {
       self.steals.fetch_add(1, std::memory_order_relaxed);
-      runHeapTask(self, t);
+      execute(t);
       return true;
     }
   }

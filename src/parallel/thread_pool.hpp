@@ -7,14 +7,9 @@
 // workers park on a low-contention eventcount (spin-then-sleep; producers
 // only touch the sleep mutex when a sleeper is registered).
 //
-// Submission API:
-//  * submit(task)        — any worker may run it ("getAvailableThread" of
-//                          Algorithm 1); with stealing it may migrate.
-//  * submitTo(i, task)   — *pinned* to worker i, run in FIFO order. Used
-//                          by the round-robin group scheduling of the
-//                          paper's group-division phase (Section III-A2)
-//                          and by the scheduling ablation. Pinned tasks
-//                          are never stolen.
+// Every task is stealable: submit() from any thread hands it to the pool,
+// and whichever worker runs dry first picks it up ("getAvailableThread"
+// of Algorithm 1). No task is pinned to a worker.
 //
 // waitIdle() blocks until every submitted task has finished — the barrier
 // between classification phases/cycles.
@@ -60,19 +55,10 @@ class ThreadPool {
   /// deque (the Chase–Lev owner path).
   void submit(Task task);
 
-  /// Enqueues on worker i's pinned queue (i < size()): runs on worker i,
-  /// in FIFO order, and is never stolen.
-  void submitTo(std::size_t i, Task task);
-
   /// Blocks until all previously submitted tasks have completed, then
   /// rethrows the first exception any task threw since the last
   /// waitIdle() (clearing it, so the pool remains usable).
   void waitIdle();
-
-  /// Work attributable to worker i: pinned + locally queued/stealable
-  /// tasks plus its in-flight task. Snapshot — exact only while no other
-  /// thread submits, steals or completes work.
-  std::size_t queueDepth(std::size_t i) const;
 
   /// Total number of tasks executed by a worker other than the one they
   /// were queued on. Monotonic; racy snapshot.
@@ -84,21 +70,16 @@ class ThreadPool {
     std::mutex inboxMu;              // guards inbox (externally injected)
     std::deque<Task*> inbox;
     std::atomic<std::size_t> inboxSize{0};
-    std::mutex pinnedMu;             // guards pinned (owner-only consumer)
-    std::deque<Task> pinned;
-    std::atomic<std::size_t> pinnedSize{0};
     std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::size_t> running{0};  // executing a task
   };
 
-  void execute(WorkerState& self, Task& task);
+  void execute(Task* task);
   void finishOne();
 
   void workerLoop(std::size_t index);
   bool runOne(WorkerState& self, std::size_t index);
-  void runHeapTask(WorkerState& self, Task* task);
   void park(std::uint32_t epochSeen);
-  void signalWork(bool pinned);
+  void signalWork();
 
   // Completion / failure state.
   std::atomic<std::size_t> pending_{0};  // queued + running tasks

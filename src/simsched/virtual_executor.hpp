@@ -58,32 +58,16 @@ class VirtualExecutor : public Executor {
 
   std::size_t workers() const override { return clocks_.size(); }
 
-  std::size_t pickWorker(SchedulingPolicy policy) override {
-    switch (policy) {
-      case SchedulingPolicy::kRoundRobin:
-        return rr_++ % clocks_.size();
-      case SchedulingPolicy::kLeastLoaded:
-      case SchedulingPolicy::kSteal: {
-        // An idle (earliest-finishing) worker takes the next group — what
-        // a work-stealing pool converges to in virtual time (stealing's
-        // emergent balance, made deterministic).
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < clocks_.size(); ++i)
-          if (clocks_[i] < clocks_[best]) best = i;
-        return best;
-      }
-    }
-    return 0;
-  }
-
-  void dispatch(std::size_t worker, Task task) override {
+  void dispatch(Task task) override {
     serial_ += model_.dispatchNs;
-    if (worker == kAnyWorker) worker = pickWorker(SchedulingPolicy::kLeastLoaded);
-    OWLCL_ASSERT(worker < clocks_.size());
+    // The earliest-free worker (lowest index on ties) takes the task — the
+    // quiescent fixed point a work-stealing pool converges to, made
+    // deterministic.
+    const auto worker = std::min_element(clocks_.begin(), clocks_.end());
     checkWatchdog();  // a task dispatched past the budget sees a fired token
     const std::uint64_t cost = task();  // runs inline, deterministically
-    const std::uint64_t start = std::max(clocks_[worker], serial_);
-    clocks_[worker] = start + model_.perTaskNs + cost;
+    const std::uint64_t start = std::max(*worker, serial_);
+    *worker = start + model_.perTaskNs + cost;
     busy_ += cost;
     checkWatchdog();
   }
@@ -124,7 +108,6 @@ class VirtualExecutor : public Executor {
   OverheadModel model_;
   std::uint64_t serial_ = 0;
   std::uint64_t busy_ = 0;
-  std::size_t rr_ = 0;
   std::uint64_t watchdogDeadline_ = kNoDeadline;
 };
 

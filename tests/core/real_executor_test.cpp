@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <future>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 
 namespace owlcl {
 namespace {
@@ -14,82 +15,16 @@ TEST(RealExecutor, RunsTasksAndAccumulatesBusy) {
   RealExecutor exec(pool);
   std::atomic<int> ran{0};
   for (int i = 0; i < 10; ++i) {
-    exec.dispatch(exec.pickWorker(SchedulingPolicy::kRoundRobin), [&ran] {
+    exec.dispatch([&ran] {
       ran.fetch_add(1, std::memory_order_relaxed);
       return std::uint64_t{1000};
     });
   }
   exec.barrier();
+  EXPECT_EQ(exec.workers(), 2u);
   EXPECT_EQ(ran.load(), 10);
   EXPECT_EQ(exec.busyNs(), 10'000u);
   EXPECT_GT(exec.elapsedNs(), 0u);
-}
-
-TEST(RealExecutor, StealPolicyUsesAnyWorker) {
-  ThreadPool pool(3);
-  RealExecutor exec(pool);
-  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kSteal), Executor::kAnyWorker);
-  std::atomic<int> ran{0};
-  exec.dispatch(Executor::kAnyWorker, [&ran] {
-    ran.fetch_add(1, std::memory_order_relaxed);
-    return std::uint64_t{5};
-  });
-  exec.barrier();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(RealExecutor, RoundRobinCyclesThroughWorkers) {
-  ThreadPool pool(3);
-  RealExecutor exec(pool);
-  const std::size_t a = exec.pickWorker(SchedulingPolicy::kRoundRobin);
-  const std::size_t b = exec.pickWorker(SchedulingPolicy::kRoundRobin);
-  const std::size_t c = exec.pickWorker(SchedulingPolicy::kRoundRobin);
-  const std::size_t a2 = exec.pickWorker(SchedulingPolicy::kRoundRobin);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  EXPECT_EQ(a, a2);
-  EXPECT_EQ(exec.workers(), 3u);
-}
-
-TEST(RealExecutor, LeastLoadedAvoidsBusyWorkers) {
-  ThreadPool pool(3);
-  RealExecutor exec(pool);
-
-  // Pin workers 0 and 2 on blocking tasks (plus queue extra depth behind
-  // worker 0); only worker 1 is idle, so kLeastLoaded must pick it no
-  // matter where its rotating scan starts.
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::array<std::promise<void>, 2> started;
-  pool.submitTo(0, [gate, &started] {
-    started[0].set_value();
-    gate.wait();
-  });
-  pool.submitTo(2, [gate, &started] {
-    started[1].set_value();
-    gate.wait();
-  });
-  for (auto& s : started) s.get_future().wait();
-  pool.submitTo(0, [gate] { gate.wait(); });
-
-  for (int i = 0; i < 6; ++i)
-    EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kLeastLoaded), 1u);
-
-  release.set_value();
-  pool.waitIdle();
-}
-
-TEST(RealExecutor, LeastLoadedSpreadsOverIdlePool) {
-  // All-idle pool: the rotating tie-break must not send every group to
-  // worker 0 (the silent round-robin degradation this policy had before).
-  ThreadPool pool(4);
-  RealExecutor exec(pool);
-  std::array<int, 4> hits{};
-  for (int i = 0; i < 8; ++i)
-    ++hits[exec.pickWorker(SchedulingPolicy::kLeastLoaded)];
-  int distinct = 0;
-  for (int h : hits) distinct += h > 0 ? 1 : 0;
-  EXPECT_GT(distinct, 1);
 }
 
 TEST(RealExecutor, BarrierIsReusable) {
@@ -98,13 +33,52 @@ TEST(RealExecutor, BarrierIsReusable) {
   std::atomic<int> ran{0};
   for (int wave = 0; wave < 3; ++wave) {
     for (int i = 0; i < 5; ++i)
-      exec.dispatch(Executor::kAnyWorker, [&ran] {
+      exec.dispatch([&ran] {
         ran.fetch_add(1, std::memory_order_relaxed);
         return std::uint64_t{1};
       });
     exec.barrier();
     EXPECT_EQ(ran.load(), (wave + 1) * 5);
   }
+}
+
+// A task blocked on a later one must not hold it back: with placement
+// left to the pool, the idle worker takes the later task. The wait has a
+// deadline so a serialised dispatch fails the test instead of hanging it.
+TEST(RealExecutor, BlockedTaskDoesNotHoldBackLaterTasks) {
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  std::atomic<bool> laterRan{false};
+  std::atomic<bool> sawLater{false};
+  exec.dispatch([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!laterRan.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    sawLater.store(laterRan.load(std::memory_order_acquire));
+    return std::uint64_t{1};
+  });
+  exec.dispatch([&laterRan] {
+    laterRan.store(true, std::memory_order_release);
+    return std::uint64_t{1};
+  });
+  exec.barrier();
+  EXPECT_TRUE(sawLater.load()) << "the later task waited behind the blocked one";
+  EXPECT_EQ(exec.busyNs(), 2u);
+}
+
+TEST(RealExecutor, BarrierRethrowsTaskFailureAndStaysUsable) {
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  exec.dispatch([]() -> std::uint64_t { throw std::runtime_error("task failed"); });
+  for (int i = 0; i < 3; ++i) exec.dispatch([] { return std::uint64_t{5}; });
+  EXPECT_THROW(exec.barrier(), std::runtime_error);
+  // The failed task reported no cost; its siblings all did.
+  EXPECT_EQ(exec.busyNs(), 15u);
+  exec.dispatch([] { return std::uint64_t{5}; });
+  exec.barrier();  // the failure was already surfaced
+  EXPECT_EQ(exec.busyNs(), 20u);
 }
 
 }  // namespace

@@ -228,9 +228,9 @@ TEST(RoutingDifferential, LeafResidualParityAcrossWorkerCounts) {
 class DispatchCountingExecutor : public RealExecutor {
  public:
   using RealExecutor::RealExecutor;
-  void dispatch(std::size_t worker, Task task) override {
+  void dispatch(Task task) override {
     ++pending_;
-    RealExecutor::dispatch(worker, std::move(task));
+    RealExecutor::dispatch(std::move(task));
   }
   void barrier() override {
     RealExecutor::barrier();

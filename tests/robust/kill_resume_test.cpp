@@ -160,33 +160,32 @@ TEST_F(KillResumeTest, ResumeAfterCompletedRunIsIdentityOp) {
   EXPECT_EQ(slurp(golden_), slurp(out));
 }
 
-// Every --scheduling value yields the default run's taxonomy, and a value
-// the CLI does not know (the removed shared-queue "sq") exits 2.
-TEST_F(KillResumeTest, SchedulingPoliciesAgreeAndUnknownIsRejected) {
-  for (const char* policy : {"steal", "rr", "ll"}) {
-    const std::string out = base_ + "/sched-" + policy + ".txt";
-    ASSERT_EQ(run(classifyCmd(base_ + "/ckpt-sched-" + policy,
-                              std::string("--scheduling=") + policy) +
-                  " > " + out + " 2>/dev/null"),
-              0)
-        << policy;
-    EXPECT_EQ(slurp(golden_), slurp(out)) << policy;
-  }
-  EXPECT_EQ(run(std::string(OWLCL_CLI_PATH) + " classify " + onto_ +
-                " --scheduling=sq > /dev/null 2>&1"),
-            2);
-}
-
 // Options the CLI does not know and malformed values exit 2 before any
 // work starts, instead of running with a silently substituted value.
 TEST_F(KillResumeTest, UnknownOptionsAndMalformedValuesAreRejected) {
   for (const char* bad :
-       {"--seed-told", "--output=xml", "--inject-faults=fail-first=-3",
-        "--inject-faults=error=abc", "--inject-faults=error=1.5"}) {
+       {"--seed-told", "--scheduling=steal", "--output=xml",
+        "--inject-faults=fail-first=-3", "--inject-faults=error=abc",
+        "--inject-faults=error=1.5", "--workers=0", "--workers=257",
+        "--query-threads=257"}) {
     EXPECT_EQ(run(std::string(OWLCL_CLI_PATH) + " classify " + onto_ + " " +
                   bad + " > /dev/null 2>&1"),
               2)
         << bad;
+  }
+}
+
+// Worker counts inside the thread ceiling are accepted and agree with the
+// golden run's three workers.
+TEST_F(KillResumeTest, WorkerCountsWithinCeilingAgree) {
+  for (const char* workers : {"1", "8"}) {
+    const std::string out = base_ + "/workers-" + workers + ".txt";
+    ASSERT_EQ(run(classifyCmd(base_ + "/ckpt-workers-" + workers,
+                              std::string("--workers=") + workers) +
+                  " > " + out + " 2>/dev/null"),
+              0)
+        << workers;
+    EXPECT_EQ(slurp(golden_), slurp(out)) << workers;
   }
 }
 

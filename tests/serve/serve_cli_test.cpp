@@ -153,6 +153,23 @@ TEST_F(ServeCliTest, QueryFaultsAreContained) {
   EXPECT_EQ(slurp(golden_), slurp(out2));
 }
 
+// The query pool size is bounded like --workers, and within the bound it
+// does not change a settled answer.
+TEST_F(ServeCliTest, QueryThreadCountIsBoundedAndDoesNotChangeAnswers) {
+  for (const char* bad : {"--query-threads=257", "--query-threads=0",
+                          "--workers=257"}) {
+    EXPECT_EQ(run(serveCmd(base_ + "/ckpt-bad", bad) + " > /dev/null 2>&1"), 2)
+        << bad;
+  }
+  EXPECT_FALSE(fs::exists(base_ + "/ckpt-bad"))
+      << "a rejected thread count must exit before any work starts";
+  const std::string out = base_ + "/one-query-thread.txt";
+  ASSERT_EQ(run(serveCmd(base_ + "/ckpt-one", "--query-threads=1") + " > " +
+                out + " 2>/dev/null"),
+            0);
+  EXPECT_EQ(slurp(golden_), slurp(out));
+}
+
 // Malformed protocol lines answer with parse errors; the process exits 0.
 TEST_F(ServeCliTest, MalformedQueryFileNeverCrashesTheServer) {
   const std::string bad = base_ + "/bad-queries.txt";

@@ -17,7 +17,7 @@ OverheadModel zeroOverhead() {
 
 TEST(VirtualExecutor, SingleWorkerSerialisesCosts) {
   VirtualExecutor exec(1, zeroOverhead());
-  for (int i = 0; i < 4; ++i) exec.dispatch(0, [] { return 100u; });
+  for (int i = 0; i < 4; ++i) exec.dispatch([] { return 100u; });
   exec.barrier();
   EXPECT_EQ(exec.elapsedNs(), 400u);
   EXPECT_EQ(exec.busyNs(), 400u);
@@ -25,8 +25,9 @@ TEST(VirtualExecutor, SingleWorkerSerialisesCosts) {
 
 TEST(VirtualExecutor, PerfectParallelismHalvesElapsed) {
   VirtualExecutor exec(2, zeroOverhead());
-  exec.dispatch(0, [] { return 100u; });
-  exec.dispatch(1, [] { return 100u; });
+  // Tie at 0: the first task takes worker 0, the second the idle worker 1.
+  exec.dispatch([] { return 100u; });
+  exec.dispatch([] { return 100u; });
   exec.barrier();
   EXPECT_EQ(exec.elapsedNs(), 100u);
   EXPECT_EQ(exec.busyNs(), 200u);
@@ -34,8 +35,8 @@ TEST(VirtualExecutor, PerfectParallelismHalvesElapsed) {
 
 TEST(VirtualExecutor, MakespanIsMaxWorkerClock) {
   VirtualExecutor exec(2, zeroOverhead());
-  exec.dispatch(0, [] { return 300u; });
-  exec.dispatch(1, [] { return 100u; });
+  exec.dispatch([] { return 300u; });
+  exec.dispatch([] { return 100u; });  // the idle worker takes it
   exec.barrier();
   EXPECT_EQ(exec.elapsedNs(), 300u);
 }
@@ -44,8 +45,9 @@ TEST(VirtualExecutor, DispatchOverheadIsSerial) {
   OverheadModel m = zeroOverhead();
   m.dispatchNs = 10;
   VirtualExecutor exec(4, m);
-  // 4 groups of cost 100: serial dispatch delays later workers' starts.
-  for (std::size_t w = 0; w < 4; ++w) exec.dispatch(w, [] { return 100u; });
+  // 4 groups of cost 100, one per worker (each next task finds an idle
+  // worker): serial dispatch delays later workers' starts.
+  for (int i = 0; i < 4; ++i) exec.dispatch([] { return 100u; });
   exec.barrier();
   // Worker 3 starts at serial=40 and runs 100 → elapsed 140.
   EXPECT_EQ(exec.elapsedNs(), 140u);
@@ -55,59 +57,83 @@ TEST(VirtualExecutor, BarrierAdvancesAllWorkers) {
   OverheadModel m = zeroOverhead();
   m.barrierNs = 5;
   VirtualExecutor exec(2, m);
-  exec.dispatch(0, [] { return 100u; });
+  exec.dispatch([] { return 100u; });
   exec.barrier();  // now at 105
-  exec.dispatch(1, [] { return 10u; });
+  exec.dispatch([] { return 10u; });
   exec.barrier();  // 105 + 10 + 5
   EXPECT_EQ(exec.elapsedNs(), 120u);
 }
 
-TEST(VirtualExecutor, LeastLoadedPicksEarliestWorker) {
+// Worker indices are not observable through Executor, so placement is
+// checked by its effect on the clocks.
+TEST(VirtualExecutor, TiesGoToLowestIndexSoIdleWorkersFillFirst) {
+  // All clocks tie at 0: each task takes the lowest-index idle worker,
+  // whose clock then moves past the others, so three tasks land on three
+  // distinct workers and the fourth waits for the earliest to finish.
+  VirtualExecutor exec(3, zeroOverhead());
+  for (int i = 0; i < 3; ++i) exec.dispatch([] { return 100u; });
+  EXPECT_EQ(exec.elapsedNs(), 100u) << "tied workers were not all used";
+  exec.dispatch([] { return 100u; });
+  exec.barrier();
+  EXPECT_EQ(exec.elapsedNs(), 200u);
+  EXPECT_EQ(exec.busyNs(), 400u);
+}
+
+TEST(VirtualExecutor, TaskGoesToEarliestFreeWorker) {
   VirtualExecutor exec(2, zeroOverhead());
-  exec.dispatch(0, [] { return 500u; });
-  // kAnyWorker / least-loaded must route to the idle worker 1.
-  exec.dispatch(Executor::kAnyWorker, [] { return 100u; });
+  exec.dispatch([] { return 500u; });
+  // Worker 0 is busy until 500: the next task must go to idle worker 1.
+  exec.dispatch([] { return 100u; });
   exec.barrier();
   EXPECT_EQ(exec.elapsedNs(), 500u) << "second task overlapped with first";
+
+  // A long task keeps every later pick away from its worker: the four
+  // short tasks share the other two workers and finish by 1000.
+  VirtualExecutor skew(3, zeroOverhead());
+  skew.dispatch([] { return 1000u; });
+  for (int i = 0; i < 4; ++i) skew.dispatch([] { return 100u; });
+  EXPECT_EQ(skew.elapsedNs(), 1000u);
+  skew.barrier();
+  EXPECT_EQ(skew.elapsedNs(), 1000u);
+  EXPECT_EQ(skew.busyNs(), 1400u);
 }
 
-TEST(VirtualExecutor, RoundRobinCycles) {
-  VirtualExecutor exec(3, zeroOverhead());
-  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kRoundRobin), 0u);
-  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kRoundRobin), 1u);
-  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kRoundRobin), 2u);
-  EXPECT_EQ(exec.pickWorker(SchedulingPolicy::kRoundRobin), 0u);
-}
-
-TEST(VirtualExecutor, StealPlacesOnEarliestWorkerUnlikeRoundRobin) {
-  // kSteal is simulated as its quiescent fixed point: the earliest-
-  // finishing worker takes the next task, so a long task on worker 0
-  // keeps every later pick away from it. Round-robin returns to it.
-  VirtualExecutor exec(3, zeroOverhead());
-  exec.dispatch(0, [] { return 1000u; });
-  for (int i = 0; i < 4; ++i) {
-    const std::size_t w = exec.pickWorker(SchedulingPolicy::kSteal);
-    EXPECT_NE(w, 0u) << "pick " << i;
-    exec.dispatch(w, [] { return 100u; });
-  }
+// The serial dispatch clock delays starts but never steers placement: a
+// task still goes to the worker whose clock is earliest.
+TEST(VirtualExecutor, DispatchOverheadDoesNotMovePlacement) {
+  OverheadModel m = zeroOverhead();
+  m.dispatchNs = 10;
+  VirtualExecutor exec(2, m);
+  exec.dispatch([] { return 500u; });  // worker 0: 10..510
+  exec.dispatch([] { return 100u; });  // worker 1: 20..120
+  exec.dispatch([] { return 100u; });  // worker 1 again: 120..220
+  exec.dispatch([] { return 100u; });  // worker 1 again: 220..320
+  EXPECT_EQ(exec.elapsedNs(), 510u) << "a short task queued behind the long one";
   exec.barrier();
-  EXPECT_EQ(exec.elapsedNs(), 1000u);
+  EXPECT_EQ(exec.elapsedNs(), 510u);
+  EXPECT_EQ(exec.busyNs(), 800u);
+}
 
-  VirtualExecutor rr(3, zeroOverhead());
-  rr.dispatch(0, [] { return 1000u; });
-  bool hitZero = false;
-  for (int i = 0; i < 4; ++i)
-    hitZero |= rr.pickWorker(SchedulingPolicy::kRoundRobin) == 0u;
-  EXPECT_TRUE(hitZero);
+// A barrier realigns every worker clock, so the next tasks tie again and
+// spread over all workers from the lowest index.
+TEST(VirtualExecutor, BarrierRealignsClocksSoTasksSpreadAgain) {
+  VirtualExecutor exec(2, zeroOverhead());
+  exec.dispatch([] { return 300u; });
+  exec.dispatch([] { return 100u; });
+  exec.barrier();  // both workers resume at 300
+  exec.dispatch([] { return 100u; });
+  exec.dispatch([] { return 100u; });
+  exec.barrier();
+  // Without the realignment both would fit on worker 1 before 300.
+  EXPECT_EQ(exec.elapsedNs(), 400u);
+  EXPECT_EQ(exec.busyNs(), 600u);
 }
 
 TEST(VirtualExecutor, DeterministicAcrossRuns) {
   auto run = [] {
     VirtualExecutor exec(3);
-    for (int i = 0; i < 50; ++i) {
-      const std::size_t w = exec.pickWorker(SchedulingPolicy::kLeastLoaded);
-      exec.dispatch(w, [i] { return static_cast<std::uint64_t>(37 * i + 11); });
-    }
+    for (int i = 0; i < 50; ++i)
+      exec.dispatch([i] { return static_cast<std::uint64_t>(37 * i + 11); });
     exec.barrier();
     return exec.elapsedNs();
   };
@@ -126,8 +152,7 @@ TEST(VirtualExecutor, SpeedupImprovesThenSaturates) {
     m.barrierQuadNs = 0;
     VirtualExecutor exec(w, m);
     for (int i = 0; i < 64; ++i)
-      exec.dispatch(exec.pickWorker(SchedulingPolicy::kRoundRobin),
-                    [] { return 1'000'000u; });
+      exec.dispatch([] { return 1'000'000u; });
     exec.barrier();
     return static_cast<double>(exec.busyNs()) /
            static_cast<double>(exec.elapsedNs());

@@ -6,7 +6,7 @@
 //   owlcl convert  <file.obo> [out.ofn]         OBO → functional syntax
 //
 // classify options:
-//   --workers=N          worker threads (default 4)
+//   --workers=N          worker threads (default 4, at most 256)
 //   --cycles=N           random-division cycles (default 2)
 //   --no-pruning         disable Algorithm 5 pruning
 //   --ordered            ordered (non-symmetric) pair tests
@@ -14,8 +14,6 @@
 //                        saturate the EL sub-ontology first and seed the
 //                        P/K store from it; auto routes only when the
 //                        ontology is majority-EL (default off)
-//   --scheduling=steal|rr|ll  group dispatch discipline (default steal:
-//                        unpinned tasks balanced by work-stealing)
 //   --bit-backend=portable|avx2|auto  compute backend for the P/K
 //                        bit-matrix kernels (DESIGN.md §15; default auto =
 //                        widest vector backend this CPU supports)
@@ -82,7 +80,7 @@
 //                        default); responses go to stdout in input order
 //   --port=N             TCP socket mode; admission sheds under load with
 //                        explicit {"error":"overloaded"} responses
-//   --query-threads=N    query worker pool size (default 2)
+//   --query-threads=N    query worker pool size (default 2, at most 256)
 //   --queue-cap=N        admission queue bound (default 128)
 //   --query-snapshot=off|on  compile each finished generation's taxonomy
 //                        into an immutable read-optimized index (interval
@@ -198,7 +196,6 @@ struct Options {
   bool sharedCache = false;
   bool mergeModels = false;
   bool stats = false;
-  SchedulingPolicy scheduling = SchedulingPolicy::kSteal;
   std::string backend = "tableau";
   std::string output = "tree";
   std::size_t maxWorkers = 64;
@@ -246,6 +243,21 @@ std::size_t parseCount(const char* flag, const char* v) {
     std::exit(2);
   }
   return static_cast<std::size_t>(n);
+}
+
+/// Ceiling on the OS-thread counts: --workers starts one pool thread per
+/// worker and serve --query-threads one std::thread per query worker.
+constexpr std::size_t kMaxThreads = 256;
+
+/// parseCount for a thread count: 1..kMaxThreads, checked before any
+/// thread starts.
+std::size_t parseThreadCount(const char* flag, const char* v) {
+  const std::size_t n = parseCount(flag, v);
+  if (n == 0 || n > kMaxThreads) {
+    std::fprintf(stderr, "%s must be in 1..%zu\n", flag, kMaxThreads);
+    std::exit(2);
+  }
+  return n;
 }
 
 /// Strict rate parse for --inject-faults values: the whole token must be a
@@ -385,7 +397,7 @@ Options parseOptions(int argc, char** argv, int first) {
       return a.compare(0, len, key) == 0 ? a.c_str() + len : nullptr;
     };
     if (const char* v = value("--workers=")) {
-      o.workers = parseCount("--workers", v);
+      o.workers = parseThreadCount("--workers", v);
     } else if (const char* v2 = value("--cycles=")) {
       o.cycles = parseCount("--cycles", v2);
     } else if (a == "--no-pruning") {
@@ -421,18 +433,6 @@ Options parseOptions(int argc, char** argv, int first) {
       o.mergeModels = true;
     } else if (a == "--stats") {
       o.stats = true;
-    } else if (const char* v3 = value("--scheduling=")) {
-      const std::string s = v3;
-      if (s == "ll")
-        o.scheduling = SchedulingPolicy::kLeastLoaded;
-      else if (s == "rr")
-        o.scheduling = SchedulingPolicy::kRoundRobin;
-      else if (s == "steal")
-        o.scheduling = SchedulingPolicy::kSteal;
-      else {
-        std::fprintf(stderr, "unknown scheduling: %s\n", s.c_str());
-        usage();
-      }
     } else if (const char* v4 = value("--backend=")) {
       o.backend = v4;
     } else if (const char* v5 = value("--output=")) {
@@ -487,8 +487,7 @@ Options parseOptions(int argc, char** argv, int first) {
     } else if (const char* v16 = value("--query-file=")) {
       o.queryFile = v16;
     } else if (const char* v17 = value("--query-threads=")) {
-      o.queryThreads = parseCount("--query-threads", v17);
-      if (o.queryThreads == 0) usage();
+      o.queryThreads = parseThreadCount("--query-threads", v17);
     } else if (const char* v18 = value("--queue-cap=")) {
       o.queueCap = parseCount("--queue-cap", v18);
       if (o.queueCap == 0) usage();
@@ -516,7 +515,7 @@ Options parseOptions(int argc, char** argv, int first) {
       usage();
     }
   }
-  if (o.workers == 0 || o.maxWorkers == 0) usage();
+  if (o.maxWorkers == 0) usage();
   if (o.resume && o.checkpointDir.empty()) {
     std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
     std::exit(2);
@@ -831,7 +830,6 @@ ClassifierConfig buildClassifierConfig(const Options& o) {
   config.enablePruning = o.pruning;
   config.symmetricTests = o.symmetric;
   config.routeEl = o.routeEl;
-  config.scheduling = o.scheduling;
   config.maxRetries = o.maxRetries;
   config.watchdogBudgetNs = static_cast<std::uint64_t>(o.budgetMs) * 1'000'000;
   return config;
