@@ -351,7 +351,7 @@ void ParallelClassifier::testPairSymmetric(ConceptId a, ConceptId b,
   // known from this claim (Situation 2.3; 2.2 equivalence and 2.4 mutual
   // non-subsumption leave P/K as recorded above). A failed direction
   // yields no outcome, so no pruning happens on partial knowledge.
-  if (!config_.enablePruning || !knowBUnderA || !knowAUnderB) return;
+  if (!knowBUnderA || !knowAUnderB) return;
   if (bUnderA && !aUnderB)
     pruneAfterStrict(/*super=*/a, /*sub=*/b);
   else if (aUnderB && !bUnderA)

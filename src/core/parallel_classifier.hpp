@@ -64,8 +64,6 @@ struct ClassifierConfig {
   /// Shuffle seed — classification work assignment is fully deterministic
   /// given (seed, workers).
   std::uint64_t seed = 42;
-  /// Algorithm 5 pruning on strict subsumption outcomes.
-  bool enablePruning = true;
   /// Section IV symmetric testing: resolve both directions of a pair with
   /// one claim. When false, Algorithms 2/3 run verbatim (one direction per
   /// claim, no pruning).

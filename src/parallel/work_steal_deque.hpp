@@ -130,15 +130,6 @@ class WorkStealDeque {
     return item;
   }
 
-  /// Racy size estimate (exact when quiescent; never negative).
-  std::size_t sizeApprox() const {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
-  bool emptyApprox() const { return sizeApprox() == 0; }
-
  private:
   struct Buffer {
     std::int64_t capacity;

@@ -14,13 +14,10 @@ TableauReasoner::TableauReasoner(TBox& tbox, TableauReasonerConfig config)
     : kb_(buildKb(tbox)),
       config_(config),
       id_(nextReasonerId.fetch_add(1, std::memory_order_relaxed)) {
-  if (config_.sharedCache) {
-    std::size_t slots = config_.sharedCacheSlots;
-    if (slots == 0)
-      slots = std::min<std::size_t>(
-          std::max<std::size_t>(kb_.atomExpr.size() * 64, 4096), 1ULL << 20);
-    sharedCache_ = std::make_unique<ConcurrentSatCache>(slots);
-  }
+  if (config_.sharedCache)
+    sharedCache_ = std::make_unique<ConcurrentSatCache>(
+        std::min<std::size_t>(
+            std::max<std::size_t>(kb_.atomExpr.size() * 64, 4096), 1ULL << 20));
   if (config_.mergeModels)
     models_ = std::make_unique<SharedModelStore>(kb_.atomExpr.size());
 }

@@ -29,11 +29,10 @@
 namespace owlcl {
 
 struct TableauReasonerConfig {
-  /// Share one lock-free verdict cache across all worker workspaces.
+  /// Share one lock-free verdict cache across all worker workspaces,
+  /// sized from the ontology (64 slots per named concept, clamped to
+  /// [4096, 2^20]).
   bool sharedCache = false;
-  /// Slot budget for the shared cache; 0 sizes it from the ontology
-  /// (64 slots per named concept, clamped to [4096, 2^20]).
-  std::size_t sharedCacheSlots = 0;
   /// Pseudo-model merging fast path for subsumption tests.
   bool mergeModels = false;
 };

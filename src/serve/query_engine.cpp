@@ -72,7 +72,15 @@ std::chrono::steady_clock::time_point QueryEngine::deadlineFor(
   std::uint64_t ms =
       req.deadlineMs == 0 ? config_.defaultDeadlineMs : req.deadlineMs;
   if (config_.maxDeadlineMs > 0) ms = std::min(ms, config_.maxDeadlineMs);
-  return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  // Saturate instead of overflowing the clock's int64 count: an unclamped
+  // deadline_ms in the far future means "no deadline".
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (ms >= static_cast<std::uint64_t>(headroom.count()))
+    return Clock::time_point::max();
+  return now + std::chrono::milliseconds(ms);
 }
 
 std::uint64_t QueryEngine::remainingNs(

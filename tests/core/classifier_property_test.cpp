@@ -1,7 +1,8 @@
 // Property sweep: the classifier must produce the exact ground-truth
 // taxonomy under EVERY configuration combination — worker counts, cycle
-// counts, pruning, symmetric vs ordered testing, EL routing (a store
-// pre-seeded before phase 1), on both executors.
+// counts, symmetric (pruning) vs ordered testing, EL routing (a store
+// pre-seeded before phase 1), on both executors — over two hierarchy
+// shapes: a multi-parent DAG and a forest of uniformly attached trees.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -15,10 +16,12 @@
 namespace owlcl {
 namespace {
 
+enum class Shape { kDag, kForest };
+
 struct Param {
   std::size_t workers;
   std::size_t randomCycles;
-  bool pruning;
+  Shape shape;
   bool symmetric;
   ElRouting routeEl;
   bool realThreads;
@@ -32,7 +35,10 @@ TEST_P(ClassifierMatrix, MatchesGroundTruth) {
   GenConfig cfg;
   cfg.name = "matrix";
   cfg.concepts = 70;
-  cfg.subClassEdges = 110;
+  // The DAG gives many concepts several parents; the forest (fewer edges
+  // than concepts - 1) has several roots and uniformly attached chains.
+  cfg.subClassEdges = p.shape == Shape::kDag ? 110 : 60;
+  cfg.attachmentBias = p.shape == Shape::kDag ? 0.5 : 0.0;
   cfg.existentialAxioms = 20;
   cfg.equivalentAxioms = 6;
   cfg.disjointAxioms = 6;
@@ -43,7 +49,6 @@ TEST_P(ClassifierMatrix, MatchesGroundTruth) {
 
   ClassifierConfig config;
   config.randomCycles = p.randomCycles;
-  config.enablePruning = p.pruning;
   config.symmetricTests = p.symmetric;
   config.routeEl = p.routeEl;
 
@@ -64,7 +69,8 @@ TEST_P(ClassifierMatrix, MatchesGroundTruth) {
       ASSERT_EQ(r.taxonomy.subsumes(x, y), g.truth.subsumes(x, y))
           << g.tbox->conceptName(y) << " ⊑ " << g.tbox->conceptName(x)
           << " [w=" << p.workers << " cycles=" << p.randomCycles
-          << " prune=" << p.pruning << " sym=" << p.symmetric
+          << " forest=" << (p.shape == Shape::kForest)
+          << " sym=" << p.symmetric
           << " route=" << (p.routeEl == ElRouting::kOn)
           << " real=" << p.realThreads << "]";
 }
@@ -75,21 +81,21 @@ std::vector<Param> buildMatrix() {
   // the interesting booleans at two worker counts.
   for (std::size_t w : {1u, 5u}) {
     for (std::size_t cycles : {0u, 3u}) {
-      for (bool pruning : {false, true}) {
+      for (Shape shape : {Shape::kForest, Shape::kDag}) {
         for (bool symmetric : {false, true}) {
           for (ElRouting routeEl : {ElRouting::kOff, ElRouting::kOn}) {
-            params.push_back({w, cycles, pruning, symmetric, routeEl, false});
+            params.push_back({w, cycles, shape, symmetric, routeEl, false});
           }
         }
       }
     }
   }
   // A third virtual worker count, with two random cycles.
-  params.push_back({4, 2, true, true, ElRouting::kOff, false});
-  // Real threads: the racy cases (pruning × symmetric), several workers.
+  params.push_back({4, 2, Shape::kDag, true, ElRouting::kOff, false});
+  // Real threads: the racy case (symmetric tests prune), several workers.
   for (std::size_t w : {2u, 4u, 8u}) {
-    params.push_back({w, 2, true, true, ElRouting::kOff, true});
-    params.push_back({w, 2, true, true, ElRouting::kOn, true});
+    params.push_back({w, 2, Shape::kDag, true, ElRouting::kOff, true});
+    params.push_back({w, 2, Shape::kDag, true, ElRouting::kOn, true});
   }
   return params;
 }

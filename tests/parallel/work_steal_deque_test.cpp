@@ -15,14 +15,13 @@ TEST(WorkStealDeque, OwnerPopsLifo) {
   WorkStealDeque<int> dq;
   std::vector<int> items = {1, 2, 3, 4, 5};
   for (int& i : items) dq.pushBottom(&i);
-  EXPECT_EQ(dq.sizeApprox(), 5u);
   for (int expect = 5; expect >= 1; --expect) {
     int* p = dq.popBottom();
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(*p, expect);
   }
   EXPECT_EQ(dq.popBottom(), nullptr);
-  EXPECT_TRUE(dq.emptyApprox());
+  EXPECT_EQ(dq.steal(), nullptr);
 }
 
 TEST(WorkStealDeque, ThievesStealFifo) {
@@ -43,7 +42,6 @@ TEST(WorkStealDeque, GrowsPastInitialCapacity) {
   std::vector<int> items(n);
   std::iota(items.begin(), items.end(), 0);
   for (int& i : items) dq.pushBottom(&i);
-  EXPECT_EQ(dq.sizeApprox(), static_cast<std::size_t>(n));
   // Half from the top (oldest first), half from the bottom (newest first).
   for (int i = 0; i < n / 2; ++i) {
     int* p = dq.steal();
@@ -55,7 +53,8 @@ TEST(WorkStealDeque, GrowsPastInitialCapacity) {
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(*p, i);
   }
-  EXPECT_TRUE(dq.emptyApprox());
+  EXPECT_EQ(dq.popBottom(), nullptr);
+  EXPECT_EQ(dq.steal(), nullptr);
 }
 
 TEST(WorkStealDeque, InterleavedPushPopStealNeverLosesItems) {
@@ -68,17 +67,21 @@ TEST(WorkStealDeque, InterleavedPushPopStealNeverLosesItems) {
   while (taken < items.size()) {
     for (int k = 0; k < 2 && next < items.size(); ++k)
       dq.pushBottom(&items[next++]);
+    bool got = false;
     if (int* p = dq.popBottom()) {
       EXPECT_FALSE(seen[static_cast<std::size_t>(*p)]);
       seen[static_cast<std::size_t>(*p)] = true;
       ++taken;
+      got = true;
     }
     if (int* p = dq.steal()) {
       EXPECT_FALSE(seen[static_cast<std::size_t>(*p)]);
       seen[static_cast<std::size_t>(*p)] = true;
       ++taken;
+      got = true;
     }
-    if (next >= items.size() && dq.emptyApprox()) break;
+    // All pushed and both ends came back empty: the deque is drained.
+    if (next >= items.size() && !got) break;
   }
   EXPECT_EQ(taken, items.size());
 }
@@ -142,7 +145,8 @@ TEST(WorkStealDeque, ConcurrentStealsTakeEachItemExactlyOnce) {
   for (int i = 0; i < n; ++i)
     ASSERT_EQ(taken[static_cast<std::size_t>(i)].load(), 1)
         << "item " << i << " consumed a wrong number of times";
-  EXPECT_TRUE(dq.emptyApprox());
+  EXPECT_EQ(dq.popBottom(), nullptr);
+  EXPECT_EQ(dq.steal(), nullptr);
 }
 
 }  // namespace

@@ -7,16 +7,13 @@
 // fallback, and deterministic resume.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/cli_run.hpp"
 #include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
@@ -27,22 +24,6 @@ namespace owlcl {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Runs a shell command; returns the child's exit status (or -1).
-int run(const std::string& cmd) {
-  const int status = std::system(cmd.c_str());
-  if (status == -1) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 class KillResumeTest : public ::testing::Test {
  protected:
@@ -162,12 +143,15 @@ TEST_F(KillResumeTest, ResumeAfterCompletedRunIsIdentityOp) {
 
 // Options the CLI does not know and malformed values exit 2 before any
 // work starts, instead of running with a silently substituted value.
+// Millisecond values past 2^62 ns would overflow the watchdog's
+// steady-clock deadline and cancel the run before its first test.
 TEST_F(KillResumeTest, UnknownOptionsAndMalformedValuesAreRejected) {
   for (const char* bad :
-       {"--seed-told", "--scheduling=steal", "--output=xml",
+       {"--seed-told", "--scheduling=steal", "--no-pruning", "--output=xml",
         "--inject-faults=fail-first=-3", "--inject-faults=error=abc",
         "--inject-faults=error=1.5", "--workers=0", "--workers=257",
-        "--query-threads=257"}) {
+        "--query-threads=257", "--budget-ms=9223372036854",
+        "--budget-ms=18446744073710", "--deadline-ms=18446744073710"}) {
     EXPECT_EQ(run(std::string(OWLCL_CLI_PATH) + " classify " + onto_ + " " +
                   bad + " > /dev/null 2>&1"),
               2)

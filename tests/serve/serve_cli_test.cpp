@@ -6,17 +6,14 @@
 // to stderr), so the comparison is a straight slurp.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/cli_run.hpp"
 #include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
@@ -27,21 +24,6 @@ namespace owlcl {
 namespace {
 
 namespace fs = std::filesystem;
-
-int run(const std::string& cmd) {
-  const int status = std::system(cmd.c_str());
-  if (status == -1) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 class ServeCliTest : public ::testing::Test {
  protected:

@@ -266,6 +266,49 @@ TEST_F(ServeServerTest, DeadlineExpiryYieldsExplicitDeadlineError) {
   server.drain();
 }
 
+// With the clamp off (maxDeadlineMs = 0) a client deadline past the
+// clock's range saturates to "no deadline": the query waits for its pair
+// to settle instead of expiring at once on an overflowed time point.
+TEST_F(ServeServerTest, UnclampedHugeClientDeadlineIsAnswered) {
+  MockReasoner backend(onto_.truth);
+  ClassifierConfig config;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, config);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  ServerConfig sc;
+  sc.engine.maxDeadlineMs = 0;
+  Server server(*onto_.tbox, classifier, backend, sc);
+  server.start([&, opened] {
+    opened.wait();
+    return classifier.classify(exec);
+  });
+
+  std::vector<std::future<std::string>> answers;
+  for (const char* ms : {"9223372036854775", "18446744073709551615"}) {
+    auto done = std::make_shared<std::promise<std::string>>();
+    answers.push_back(done->get_future());
+    ASSERT_TRUE(server.submit(
+        std::string("{\"op\":\"subs\",\"id\":1,\"sub\":\"") +
+            onto_.tbox->conceptName(1) + "\",\"sup\":\"" +
+            onto_.tbox->conceptName(2) + "\",\"deadline_ms\":" + ms + "}",
+        [done](std::string resp) { done->set_value(std::move(resp)); }));
+  }
+  // Give the queries time to reach the store before anything settles.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.set_value();
+  const bool want = onto_.truth.subsumes(2, 1);
+  for (std::future<std::string>& answer : answers) {
+    const std::string resp = answer.get();
+    EXPECT_TRUE(contains(resp, "\"ok\":true")) << resp;
+    EXPECT_TRUE(
+        contains(resp, want ? "\"result\":true" : "\"result\":false"))
+        << resp;
+  }
+  server.drain();
+}
+
 TEST_F(ServeServerTest, DrainIsIdempotentAndRejectsNewWork) {
   MockReasoner backend(onto_.truth);
   ClassifierConfig config;

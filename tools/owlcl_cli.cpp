@@ -1,100 +1,23 @@
 // owlcl — command-line front-end to the library.
 //
-//   owlcl classify <file.{ofn,obo}> [options]   classify and print taxonomy
-//   owlcl metrics  <file.{ofn,obo}>             Table IV/V-style metrics row
-//   owlcl sweep    <file.{ofn,obo}> [options]   virtual-time speedup sweep
-//   owlcl convert  <file.obo> [out.ofn]         OBO → functional syntax
+//   owlcl classify <file.{ofn,obo}> [flags]   classify and print taxonomy
+//   owlcl serve    <file.{ofn,obo}> [flags]   classification-as-a-service
+//   owlcl sweep    <file.{ofn,obo}> [flags]   virtual-time speedup sweep
+//   owlcl metrics  <file.{ofn,obo}>           Table IV/V-style metrics row
+//   owlcl convert  <file.obo> [out.ofn]       OBO → functional syntax
 //
-// classify options:
-//   --workers=N          worker threads (default 4, at most 256)
-//   --cycles=N           random-division cycles (default 2)
-//   --no-pruning         disable Algorithm 5 pruning
-//   --ordered            ordered (non-symmetric) pair tests
-//   --route-el=off|auto|on  hybrid EL/tableau routing (DESIGN.md §13):
-//                        saturate the EL sub-ontology first and seed the
-//                        P/K store from it; auto routes only when the
-//                        ontology is majority-EL (default off)
-//   --bit-backend=portable|avx2|auto  compute backend for the P/K
-//                        bit-matrix kernels (DESIGN.md §15; default auto =
-//                        widest vector backend this CPU supports)
-//   --backend=tableau|el   reasoner plug-in (el requires an EL ontology)
-//   --shared-cache       share one lock-free sat-verdict cache across all
-//                        worker tableaux (tableau backend only)
-//   --merge-models       pseudo-model merging fast path for subsumption
-//                        tests (tableau backend only)
-//   --stats              print aggregate + per-worker reasoner statistics
-//   --output=tree|dot|none taxonomy rendering (default tree)
-//   --verify             run structural verification on the result
-//
-// classify fault-tolerance options:
-//   --deadline-ms=N      per-reasoner-call deadline (0 = unlimited)
-//   --max-retries=N      failed-test retries before giving a pair up (default 3)
-//   --budget-ms=N        whole-run watchdog; past it the run degrades (0 = off)
-//   --inject-faults=SPEC deterministic fault injection for robustness drills.
-//                        SPEC is comma-separated key=value pairs:
-//                          seed=N error=R resource=R timeout=R delay-ms=N
-//                          sleep-ms=N target=R fail-first=N
-//                        (N a non-negative integer, R a rate in [0, 1];
-//                        anything else exits 2). delay-ms inflates the
-//                        *reported* (virtual) cost of a timeout fault;
-//                        sleep-ms adds a real wall-clock sleep (use it to
-//                        exercise --budget-ms).
-//                        e.g. --inject-faults=seed=7,error=0.1,target=0.05,fail-first=9
-//
-// classify checkpoint options (crash-safe long runs, DESIGN.md §9):
-//   --checkpoint-dir=D   enable checkpointing into directory D (journal +
-//                        snapshots; created if missing)
-//   --checkpoint-every-rounds=N  snapshot every N epoch barriers (default 1)
-//   --fsync-policy=never|record|barrier  journal durability (default barrier)
-//   --resume             recover from --checkpoint-dir and continue the run
-//                        (committed delta transactions in deltas.wal are
-//                        replayed first — classification resumes against
-//                        the post-delta ontology)
-//   --inject-crash=point=P,after=N  die (_exit 137) at a checkpoint-layer
-//                        fault point, for the kill-and-resume drills. P is
-//                        torn-write | after-journal | before-rename | at-barrier
-//                        or a delta transaction stage: delta-journal |
-//                        mid-rerun | pre-commit | mid-rollback;
-//                        N is the triggering journal-append / barrier /
-//                        rerun-verdict ordinal.
-//
-// classify incremental options (transactional deltas, DESIGN.md §14):
-//   --apply-deltas=F     replay a delta script after classification: each
-//                        transaction is journaled, its affected-concept
-//                        cone reclassified, and committed (or rolled back
-//                        on any failure). Script lines: begin, add <stmt>,
-//                        retract <stmt>, commit, abort, # comment. With
-//                        --resume, transactions already committed in
-//                        deltas.wal are skipped.
-// sweep options:
-//   --max-workers=N      sweep 1..N on the virtual executor (default 64)
+// Every flag is one row of kFlags below, which also names the subcommands
+// that read it: a subcommand rejects (exit 2) any flag it would ignore,
+// and `owlcl` with no arguments prints the table grouped by subcommand.
+// Numeric values are checked as strictly as names: a malformed or
+// out-of-range value exits 2 before any file is loaded or thread started.
 //
 // serve — long-lived classification-as-a-service (DESIGN.md §12). Loads
 // the ontology, classifies in the background, and answers line-oriented
-// JSON queries (protocol in src/serve/protocol.hpp):
-//
-//   owlcl serve <file> --query-file=F [classify options]   batch mode
-//   owlcl serve <file> --port=N       [classify options]   TCP on 127.0.0.1
-//
-//   --query-file=F       newline-delimited requests (- = stdin, the
-//                        default); responses go to stdout in input order
-//   --port=N             TCP socket mode; admission sheds under load with
-//                        explicit {"error":"overloaded"} responses
-//   --query-threads=N    query worker pool size (default 2, at most 256)
-//   --queue-cap=N        admission queue bound (default 128)
-//   --query-snapshot=off|on  compile each finished generation's taxonomy
-//                        into an immutable read-optimized index (interval
-//                        labels + extra-ancestor bitsets + precompiled
-//                        descendant arrays, DESIGN.md §16); queries then
-//                        answer from it at memory speed. Default on; off
-//                        is the walk-path ablation. With --stats the serve
-//                        exit report includes snapshot build/hit counters.
-//   --serve-deadline-ms=N      default per-query deadline (default 1000)
-//   --serve-max-deadline-ms=N  clamp on client deadline_ms (default 60000)
-//   --max-line-bytes=N   request line cap (default 65536)
-//   --inject-serve-faults=SPEC chaos drills on the query path:
-//                          query-fault-every=N slow-client-ms=N
-//                          crash-after-queries=N
+// JSON queries (protocol in src/serve/protocol.hpp), either from
+// --query-file (batch mode; responses on stdout in input order) or on a
+// 127.0.0.1 --port socket, where admission sheds under load with explicit
+// {"error":"overloaded"} responses.
 //
 // serve also accepts a batched read op — {"op":"batch","queries":[...]}
 // with subs/sat/descendants elements — answered against ONE pinned
@@ -125,8 +48,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <sstream>
 
 #include "owlcl.hpp"
 #include "taxonomy/verify.hpp"
@@ -134,13 +60,6 @@
 namespace {
 
 using namespace owlcl;
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: owlcl <classify|serve|metrics|sweep|convert> <file> "
-               "[options]\n(see the header of tools/owlcl_cli.cpp)\n");
-  std::exit(2);
-}
 
 bool hasSuffix(const std::string& s, const char* suffix) {
   const std::size_t len = std::strlen(suffix);
@@ -189,7 +108,6 @@ void installShutdownHandlers() {
 struct Options {
   std::size_t workers = 4;
   std::size_t cycles = 2;
-  bool pruning = true;
   bool symmetric = true;
   ElRouting routeEl = ElRouting::kOff;
   bool verify = false;
@@ -228,304 +146,384 @@ struct Options {
   ServeFaultPlan serveFaults;
 };
 
+// --- value parsers: every malformed value exits 2 ----------------------------
+
+[[noreturn]] void reject(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
 /// Strict non-negative integer parse for --flag=N values: the whole token
 /// must be digits within range — "12abc", "-3", "" and overflow all fail
 /// with a clear message instead of the silent-zero atoi behaviour.
-std::size_t parseCount(const char* flag, const char* v) {
+std::size_t parseCount(const std::string& flag, const char* v) {
   char* end = nullptr;
   errno = 0;
   const long long n = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || n < 0) {
-    std::fprintf(stderr,
-                 "invalid value for %s: '%s' (expected a non-negative "
-                 "integer)\n",
-                 flag, v);
-    std::exit(2);
-  }
+  if (end == v || *end != '\0' || errno == ERANGE || n < 0)
+    reject("invalid value for " + flag + ": '" + v +
+           "' (expected a non-negative integer)");
   return static_cast<std::size_t>(n);
+}
+
+constexpr std::size_t kNoCeiling = std::numeric_limits<std::size_t>::max();
+
+/// parseCount restricted to lo..hi.
+std::size_t parseInRange(const std::string& flag, const char* v,
+                         std::size_t lo, std::size_t hi) {
+  const std::size_t n = parseCount(flag, v);
+  if (n < lo || n > hi)
+    reject(flag + " must be " +
+           (hi == kNoCeiling ? ">= " + std::to_string(lo)
+                             : "in " + std::to_string(lo) + ".." +
+                                   std::to_string(hi)));
+  return n;
 }
 
 /// Ceiling on the OS-thread counts: --workers starts one pool thread per
 /// worker and serve --query-threads one std::thread per query worker.
 constexpr std::size_t kMaxThreads = 256;
 
-/// parseCount for a thread count: 1..kMaxThreads, checked before any
-/// thread starts.
-std::size_t parseThreadCount(const char* flag, const char* v) {
-  const std::size_t n = parseCount(flag, v);
-  if (n == 0 || n > kMaxThreads) {
-    std::fprintf(stderr, "%s must be in 1..%zu\n", flag, kMaxThreads);
-    std::exit(2);
-  }
-  return n;
+constexpr std::uint64_t kNsPerMs = 1'000'000;
+/// Ceiling on every millisecond value (about 146 years): its nanosecond
+/// count stays at or below 2^62, so steady-clock deadline arithmetic
+/// (now + budget) cannot overflow int64.
+constexpr std::size_t kMaxMs = (std::uint64_t{1} << 62) / kNsPerMs;
+
+std::size_t parseMs(const std::string& flag, const char* v) {
+  return parseInRange(flag, v, 0, kMaxMs);
 }
 
 /// Strict rate parse for --inject-faults values: the whole token must be a
 /// number in [0, 1].
-double parseRate(const char* flag, const char* v) {
+double parseRate(const std::string& flag, const char* v) {
   char* end = nullptr;
   errno = 0;
   const double r = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE || !(r >= 0.0 && r <= 1.0)) {
-    std::fprintf(stderr,
-                 "invalid value for %s: '%s' (expected a rate in [0, 1])\n",
-                 flag, v);
-    std::exit(2);
-  }
+  if (end == v || *end != '\0' || errno == ERANGE || !(r >= 0.0 && r <= 1.0))
+    reject("invalid value for " + flag + ": '" + v +
+           "' (expected a rate in [0, 1])");
   return r;
 }
 
-/// Parses "--inject-faults=seed=7,error=0.1,..." into a FaultPlan.
-FaultPlan parseFaultSpec(const char* spec) {
-  FaultPlan plan;
-  std::string s = spec;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    pos = comma + 1;
+/// Index of `v` among `choices`; any other value exits 2.
+std::size_t parseChoice(const std::string& flag, const char* v,
+                        std::initializer_list<const char*> choices) {
+  std::size_t i = 0;
+  for (const char* c : choices) {
+    if (std::strcmp(v, c) == 0) return i;
+    ++i;
+  }
+  reject("unknown " + flag + ": " + v);
+}
+
+/// Splits a "key=value,key=value" SPEC and hands each item to
+/// `set(key, label, value)`, which returns false for a key it does not
+/// know; `label` ("--flag key") names the item in value errors.
+template <typename Set>
+void parseSpec(const std::string& flag, const char* spec, Set set) {
+  std::istringstream items(spec);
+  std::string item;
+  while (std::getline(items, item, ',')) {
     const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad --inject-faults item: %s\n", item.c_str());
-      usage();
-    }
+    if (eq == std::string::npos) reject("bad " + flag + " item: " + item);
     const std::string key = item.substr(0, eq);
-    const std::string flag = "--inject-faults " + key;
-    const char* val = item.c_str() + eq + 1;
+    if (!set(key, flag + " " + key, item.c_str() + eq + 1))
+      reject("unknown " + flag + " key: " + key);
+  }
+}
+
+FaultPlan parseFaultSpec(const std::string& flag, const char* spec) {
+  FaultPlan p;
+  parseSpec(flag, spec, [&p](const std::string& key, const std::string& label,
+                             const char* v) {
     if (key == "seed")
-      plan.seed = parseCount(flag.c_str(), val);
+      p.seed = parseCount(label, v);
     else if (key == "error")
-      plan.errorRate = parseRate(flag.c_str(), val);
+      p.errorRate = parseRate(label, v);
     else if (key == "resource")
-      plan.resourceRate = parseRate(flag.c_str(), val);
+      p.resourceRate = parseRate(label, v);
     else if (key == "timeout")
-      plan.timeoutRate = parseRate(flag.c_str(), val);
+      p.timeoutRate = parseRate(label, v);
     else if (key == "delay-ms")
-      plan.delayNs = parseCount(flag.c_str(), val) * 1'000'000;
+      p.delayNs = parseMs(label, v) * kNsPerMs;
     else if (key == "sleep-ms")
-      plan.sleepNs = parseCount(flag.c_str(), val) * 1'000'000;
+      p.sleepNs = parseMs(label, v) * kNsPerMs;
     else if (key == "target")
-      plan.targetPairRate = parseRate(flag.c_str(), val);
+      p.targetPairRate = parseRate(label, v);
     else if (key == "fail-first")
-      plan.failFirstAttempts = parseCount(flag.c_str(), val);
-    else {
-      std::fprintf(stderr, "unknown --inject-faults key: %s\n", key.c_str());
-      usage();
-    }
-  }
-  return plan;
+      p.failFirstAttempts = parseCount(label, v);
+    else
+      return false;
+    return true;
+  });
+  return p;
 }
 
-/// Parses "--inject-crash=point=torn-write,after=3" into a CrashPlan.
-CrashPlan parseCrashSpec(const char* spec) {
-  CrashPlan plan;
-  std::string s = spec;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    pos = comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad --inject-crash item: %s\n", item.c_str());
-      usage();
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
+CrashPlan parseCrashSpec(const std::string& flag, const char* spec) {
+  CrashPlan p;
+  parseSpec(flag, spec, [&](const std::string& key, const std::string& label,
+                            const char* v) {
     if (key == "point") {
-      plan.point = parseCrashPoint(val);
-      if (plan.point == CrashPoint::kNone) {
-        std::fprintf(stderr, "unknown --inject-crash point: %s\n", val.c_str());
-        usage();
-      }
+      p.point = parseCrashPoint(v);
+      if (p.point == CrashPoint::kNone)
+        reject("unknown " + flag + " point: " + v);
     } else if (key == "after") {
-      plan.after = parseCount("--inject-crash after", val.c_str());
+      p.after = parseCount(label, v);
     } else {
-      std::fprintf(stderr, "unknown --inject-crash key: %s\n", key.c_str());
-      usage();
+      return false;
     }
-  }
-  if (plan.point == CrashPoint::kNone) {
-    std::fprintf(stderr, "--inject-crash needs a point=... item\n");
-    usage();
-  }
-  return plan;
+    return true;
+  });
+  if (p.point == CrashPoint::kNone) reject(flag + " needs a point=... item");
+  return p;
 }
 
-/// Parses "--inject-serve-faults=query-fault-every=3,slow-client-ms=5,...".
-ServeFaultPlan parseServeFaultSpec(const char* spec) {
-  ServeFaultPlan plan;
-  std::string s = spec;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    pos = comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad --inject-serve-faults item: %s\n",
-                   item.c_str());
-      usage();
-    }
-    const std::string key = item.substr(0, eq);
-    const std::size_t val =
-        parseCount("--inject-serve-faults", item.c_str() + eq + 1);
+ServeFaultPlan parseServeFaultSpec(const std::string& flag, const char* spec) {
+  ServeFaultPlan p;
+  parseSpec(flag, spec, [&p](const std::string& key, const std::string& label,
+                             const char* v) {
     if (key == "query-fault-every")
-      plan.queryFaultEvery = val;
+      p.queryFaultEvery = parseCount(label, v);
     else if (key == "slow-client-ms")
-      plan.slowClientNs = static_cast<std::uint64_t>(val) * 1'000'000;
+      p.slowClientNs = parseMs(label, v) * kNsPerMs;
     else if (key == "crash-after-queries")
-      plan.crashAfterQueries = val;
-    else {
-      std::fprintf(stderr, "unknown --inject-serve-faults key: %s\n",
-                   key.c_str());
-      usage();
-    }
-  }
-  return plan;
+      p.crashAfterQueries = parseCount(label, v);
+    else
+      return false;
+    return true;
+  });
+  return p;
 }
 
-Options parseOptions(int argc, char** argv, int first) {
+// --- the flag table ------------------------------------------------------------
+
+enum Command : unsigned {
+  kClassify = 1u << 0,
+  kServe = 1u << 1,
+  kSweep = 1u << 2,
+  kMetrics = 1u << 3,
+  kConvert = 1u << 4,
+};
+/// classify and serve share the run setup, so most flags are read by both;
+/// sweep also builds a backend and divides work, so it reads those flags.
+constexpr unsigned kRun = kClassify | kServe;
+constexpr unsigned kRunOrSweep = kRun | kSweep;
+
+struct CommandInfo {
+  const char* name;
+  Command bit;
+  const char* synopsis;
+};
+
+constexpr CommandInfo kCommands[] = {
+    {"classify", kClassify,
+     "<file.{ofn,obo}> [flags]  classify and print the taxonomy"},
+    {"serve", kServe,
+     "<file.{ofn,obo}> [flags]  classify in the background and answer JSON "
+     "queries"},
+    {"sweep", kSweep, "<file.{ofn,obo}> [flags]  virtual-time speedup sweep"},
+    {"metrics", kMetrics, "<file.{ofn,obo}>  Table IV/V-style metrics row"},
+    {"convert", kConvert, "<file.obo> [out.ofn]  OBO → functional syntax"},
+};
+
+struct Flag {
+  const char* name;
+  const char* arg;  // value placeholder; nullptr for a switch
+  unsigned commands;
+  const char* help;
+  /// Parses the value (nullptr for a switch) into the options; exits 2 on
+  /// a bad value. The rows below bind generic lambdas to this signature.
+  void (*set)(Options& o, const std::string& flag, const char* v);
+};
+
+const Flag kFlags[] = {
+    {"--workers", "N", kRun, "worker threads (default 4, at most 256)",
+     [](auto& o, auto& f, auto v) {
+       o.workers = parseInRange(f, v, 1, kMaxThreads);
+     }},
+    {"--cycles", "N", kRunOrSweep, "random-division cycles (default 2)",
+     [](auto& o, auto& f, auto v) { o.cycles = parseCount(f, v); }},
+    {"--ordered", nullptr, kRun, "ordered (non-symmetric) pair tests",
+     [](auto& o, auto&, auto) { o.symmetric = false; }},
+    {"--route-el", "off|auto|on", kRun,
+     "hybrid routing: saturate the EL sub-ontology first and seed P/K "
+     "(default off)",
+     [](auto& o, auto& f, auto v) {
+       constexpr ElRouting kModes[] = {ElRouting::kOff, ElRouting::kAuto,
+                                       ElRouting::kOn};
+       o.routeEl = kModes[parseChoice(f, v, {"off", "auto", "on"})];
+     }},
+    {"--backend", "tableau|el", kRunOrSweep,
+     "reasoner plug-in (el requires an EL ontology)",
+     [](auto& o, auto& f, auto v) {
+       parseChoice(f, v, {"tableau", "el"});
+       o.backend = v;
+     }},
+    {"--bit-backend", "portable|avx2|auto", kRunOrSweep,
+     "P/K bit-matrix kernels (default auto = widest this CPU runs)",
+     [](auto&, auto& f, auto v) {
+       // Installed process-wide at parse time, before any matrix exists.
+       std::string err;
+       if (!setActiveBitKernels(v, &err)) reject(f + ": " + err);
+     }},
+    {"--shared-cache", nullptr, kRunOrSweep,
+     "one lock-free sat-verdict cache across workers (tableau only)",
+     [](auto& o, auto&, auto) { o.sharedCache = true; }},
+    {"--merge-models", nullptr, kRunOrSweep,
+     "pseudo-model merging fast path (tableau only)",
+     [](auto& o, auto&, auto) { o.mergeModels = true; }},
+    {"--stats", nullptr, kRun, "print reasoner and serving statistics",
+     [](auto& o, auto&, auto) { o.stats = true; }},
+    {"--output", "tree|dot|none", kClassify,
+     "taxonomy rendering (default tree)",
+     [](auto& o, auto& f, auto v) {
+       parseChoice(f, v, {"tree", "dot", "none"});
+       o.output = v;
+     }},
+    {"--verify", nullptr, kClassify, "structural verification of the result",
+     [](auto& o, auto&, auto) { o.verify = true; }},
+    {"--max-workers", "N", kSweep, "sweep 1..N virtual workers (default 64)",
+     [](auto& o, auto& f, auto v) {
+       o.maxWorkers = parseInRange(f, v, 1, kNoCeiling);
+     }},
+    {"--deadline-ms", "N", kRun, "per-reasoner-call deadline (0 = unlimited)",
+     [](auto& o, auto& f, auto v) { o.deadlineMs = parseMs(f, v); }},
+    {"--max-retries", "N", kRun,
+     "failed-test retries before giving a pair up (default 3)",
+     [](auto& o, auto& f, auto v) { o.maxRetries = parseCount(f, v); }},
+    {"--budget-ms", "N", kRun,
+     "whole-run watchdog; past it the run degrades (0 = off)",
+     [](auto& o, auto& f, auto v) { o.budgetMs = parseMs(f, v); }},
+    {"--inject-faults", "SPEC", kRun,
+     "fault drills: seed=N error=R resource=R timeout=R delay-ms=N "
+     "sleep-ms=N target=R fail-first=N",
+     [](auto& o, auto& f, auto v) { o.faults = parseFaultSpec(f, v); }},
+    {"--checkpoint-dir", "D", kRun,
+     "crash-safe checkpointing into directory D (created if missing)",
+     [](auto& o, auto&, auto v) { o.checkpointDir = v; }},
+    {"--checkpoint-every-rounds", "N", kRun,
+     "snapshot every N epoch barriers (default 1)",
+     [](auto& o, auto& f, auto v) {
+       o.checkpointEveryRounds = parseInRange(f, v, 1, kNoCeiling);
+     }},
+    {"--fsync-policy", "never|record|barrier", kRun,
+     "journal durability (default barrier)",
+     [](auto& o, auto& f, auto v) {
+       constexpr FsyncPolicy kPolicies[] = {FsyncPolicy::kNever,
+                                            FsyncPolicy::kEveryRecord,
+                                            FsyncPolicy::kEveryBarrier};
+       o.fsyncPolicy =
+           kPolicies[parseChoice(f, v, {"never", "record", "barrier"})];
+     }},
+    {"--resume", nullptr, kRun,
+     "recover from --checkpoint-dir (replaying committed deltas) and continue",
+     [](auto& o, auto&, auto) { o.resume = true; }},
+    {"--apply-deltas", "F", kClassify,
+     "replay a delta script (begin, add/retract <stmt>, commit, abort) after "
+     "classifying",
+     [](auto& o, auto&, auto v) { o.applyDeltas = v; }},
+    {"--inject-crash", "point=P,after=N", kRun,
+     "exit 137 at crash point P: torn-write after-journal before-rename "
+     "at-barrier delta-journal mid-rerun pre-commit mid-rollback",
+     [](auto& o, auto& f, auto v) { o.crash = parseCrashSpec(f, v); }},
+    {"--port", "N", kServe, "TCP socket mode on 127.0.0.1:N (default batch)",
+     [](auto& o, auto& f, auto v) {
+       o.port = static_cast<std::uint16_t>(parseInRange(f, v, 1, 65535));
+     }},
+    {"--query-file", "F", kServe, "batch request file, - = stdin (default -)",
+     [](auto& o, auto&, auto v) { o.queryFile = v; }},
+    {"--query-threads", "N", kServe,
+     "query worker threads (default 2, at most 256)",
+     [](auto& o, auto& f, auto v) {
+       o.queryThreads = parseInRange(f, v, 1, kMaxThreads);
+     }},
+    {"--queue-cap", "N", kServe,
+     "admission queue bound; beyond it, shed (default 128)",
+     [](auto& o, auto& f, auto v) {
+       o.queueCap = parseInRange(f, v, 1, kNoCeiling);
+     }},
+    {"--serve-deadline-ms", "N", kServe,
+     "default per-query deadline (default 1000)",
+     [](auto& o, auto& f, auto v) { o.serveDeadlineMs = parseMs(f, v); }},
+    {"--serve-max-deadline-ms", "N", kServe,
+     "clamp on client deadline_ms (default 60000, 0 = no clamp)",
+     [](auto& o, auto& f, auto v) { o.serveMaxDeadlineMs = parseMs(f, v); }},
+    {"--max-line-bytes", "N", kServe, "request line cap (default 65536)",
+     [](auto& o, auto& f, auto v) {
+       o.maxLineBytes = parseInRange(f, v, 1, kNoCeiling);
+     }},
+    {"--inject-serve-faults", "SPEC", kServe,
+     "serving chaos: query-fault-every=N slow-client-ms=N "
+     "crash-after-queries=N",
+     [](auto& o, auto& f, auto v) {
+       o.serveFaults = parseServeFaultSpec(f, v);
+     }},
+    {"--query-snapshot", "on|off", kServe,
+     "compiled read snapshot per generation (default on)",
+     [](auto& o, auto& f, auto v) {
+       o.querySnapshot = parseChoice(f, v, {"on", "off"}) == 0;
+     }},
+};
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: owlcl <command> <file> [flags]\n");
+  for (const CommandInfo& c : kCommands) {
+    std::fprintf(stderr, "\n%s %s\n", c.name, c.synopsis);
+    bool any = false;
+    for (const Flag& f : kFlags) {
+      if ((f.commands & c.bit) == 0) continue;
+      const std::string spelled =
+          f.arg != nullptr ? std::string(f.name) + "=" + f.arg : f.name;
+      std::fprintf(stderr, "  %-36s %s\n", spelled.c_str(), f.help);
+      any = true;
+    }
+    if (!any) std::fprintf(stderr, "  (reads no flags)\n");
+  }
+  std::fprintf(stderr,
+               "\nN is a non-negative integer and R a rate in [0, 1]; every "
+               "millisecond value is at most %zu (2^62 ns).\nAny other "
+               "value, an unknown flag, or a flag the subcommand does not "
+               "read exits 2.\n",
+               kMaxMs);
+  std::exit(2);
+}
+
+/// Parses argv[first..] for `command`: each argument must be a flag of
+/// kFlags that `command` reads, spelled --name=VALUE or (for a switch)
+/// --name. Everything is checked here, before any file is loaded or any
+/// thread starts.
+Options parseOptions(int argc, char** argv, int first,
+                     const std::string& command) {
+  const CommandInfo* cmd = nullptr;
+  for (const CommandInfo& c : kCommands)
+    if (command == c.name) cmd = &c;
+  if (cmd == nullptr) usage();
   Options o;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    auto value = [&a](const char* key) -> const char* {
-      const std::size_t len = std::strlen(key);
-      return a.compare(0, len, key) == 0 ? a.c_str() + len : nullptr;
-    };
-    if (const char* v = value("--workers=")) {
-      o.workers = parseThreadCount("--workers", v);
-    } else if (const char* v2 = value("--cycles=")) {
-      o.cycles = parseCount("--cycles", v2);
-    } else if (a == "--no-pruning") {
-      o.pruning = false;
-    } else if (a == "--ordered") {
-      o.symmetric = false;
-    } else if (const char* vr = value("--route-el=")) {
-      const std::string s = vr;
-      if (s == "off")
-        o.routeEl = ElRouting::kOff;
-      else if (s == "auto")
-        o.routeEl = ElRouting::kAuto;
-      else if (s == "on")
-        o.routeEl = ElRouting::kOn;
-      else {
-        std::fprintf(stderr, "unknown --route-el: %s\n", s.c_str());
-        usage();
-      }
-    } else if (const char* vb = value("--bit-backend=")) {
-      // Installed process-wide at parse time, before any matrix exists;
-      // unknown names and backends this CPU cannot run are rejected
-      // loudly, matching the numeric-flag policy.
-      std::string err;
-      if (!setActiveBitKernels(vb, &err)) {
-        std::fprintf(stderr, "--bit-backend: %s\n", err.c_str());
-        usage();
-      }
-    } else if (a == "--verify") {
-      o.verify = true;
-    } else if (a == "--shared-cache") {
-      o.sharedCache = true;
-    } else if (a == "--merge-models") {
-      o.mergeModels = true;
-    } else if (a == "--stats") {
-      o.stats = true;
-    } else if (const char* v4 = value("--backend=")) {
-      o.backend = v4;
-    } else if (const char* v5 = value("--output=")) {
-      o.output = v5;
-      if (o.output != "tree" && o.output != "dot" && o.output != "none") {
-        std::fprintf(stderr, "unknown --output: %s\n", v5);
-        usage();
-      }
-    } else if (const char* v6 = value("--max-workers=")) {
-      o.maxWorkers = parseCount("--max-workers", v6);
-    } else if (const char* v7 = value("--deadline-ms=")) {
-      o.deadlineMs = parseCount("--deadline-ms", v7);
-    } else if (const char* v8 = value("--max-retries=")) {
-      o.maxRetries = parseCount("--max-retries", v8);
-    } else if (const char* v9 = value("--budget-ms=")) {
-      o.budgetMs = parseCount("--budget-ms", v9);
-    } else if (const char* v10 = value("--inject-faults=")) {
-      o.faults = parseFaultSpec(v10);
-    } else if (const char* v11 = value("--checkpoint-dir=")) {
-      o.checkpointDir = v11;
-    } else if (const char* v12 = value("--checkpoint-every-rounds=")) {
-      o.checkpointEveryRounds = parseCount("--checkpoint-every-rounds", v12);
-      if (o.checkpointEveryRounds == 0) {
-        std::fprintf(stderr, "--checkpoint-every-rounds must be >= 1\n");
-        std::exit(2);
-      }
-    } else if (const char* v13 = value("--fsync-policy=")) {
-      const std::string s = v13;
-      if (s == "never")
-        o.fsyncPolicy = FsyncPolicy::kNever;
-      else if (s == "record")
-        o.fsyncPolicy = FsyncPolicy::kEveryRecord;
-      else if (s == "barrier")
-        o.fsyncPolicy = FsyncPolicy::kEveryBarrier;
-      else {
-        std::fprintf(stderr, "unknown --fsync-policy: %s\n", s.c_str());
-        usage();
-      }
-    } else if (a == "--resume") {
-      o.resume = true;
-    } else if (const char* vd = value("--apply-deltas=")) {
-      o.applyDeltas = vd;
-    } else if (const char* v14 = value("--inject-crash=")) {
-      o.crash = parseCrashSpec(v14);
-    } else if (const char* v15 = value("--port=")) {
-      const std::size_t p = parseCount("--port", v15);
-      if (p == 0 || p > 65535) {
-        std::fprintf(stderr, "--port must be in 1..65535\n");
-        std::exit(2);
-      }
-      o.port = static_cast<std::uint16_t>(p);
-    } else if (const char* v16 = value("--query-file=")) {
-      o.queryFile = v16;
-    } else if (const char* v17 = value("--query-threads=")) {
-      o.queryThreads = parseThreadCount("--query-threads", v17);
-    } else if (const char* v18 = value("--queue-cap=")) {
-      o.queueCap = parseCount("--queue-cap", v18);
-      if (o.queueCap == 0) usage();
-    } else if (const char* v19 = value("--serve-deadline-ms=")) {
-      o.serveDeadlineMs = parseCount("--serve-deadline-ms", v19);
-    } else if (const char* v20 = value("--serve-max-deadline-ms=")) {
-      o.serveMaxDeadlineMs = parseCount("--serve-max-deadline-ms", v20);
-    } else if (const char* v21 = value("--max-line-bytes=")) {
-      o.maxLineBytes = parseCount("--max-line-bytes", v21);
-      if (o.maxLineBytes == 0) usage();
-    } else if (const char* v22 = value("--inject-serve-faults=")) {
-      o.serveFaults = parseServeFaultSpec(v22);
-    } else if (const char* v23 = value("--query-snapshot=")) {
-      const std::string s = v23;
-      if (s == "on")
-        o.querySnapshot = true;
-      else if (s == "off")
-        o.querySnapshot = false;
-      else {
-        std::fprintf(stderr, "unknown --query-snapshot: %s\n", s.c_str());
-        usage();
-      }
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      usage();
-    }
+    const std::size_t eq = a.find('=');
+    const std::string name = a.substr(0, eq);
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags)
+      if (name == f.name) flag = &f;
+    if (flag == nullptr) reject("unknown option: " + a);
+    if ((flag->commands & cmd->bit) == 0)
+      reject("owlcl " + command + " does not read " + name);
+    const bool hasValue = eq != std::string::npos;
+    if (hasValue != (flag->arg != nullptr))
+      reject(hasValue ? name + " takes no value"
+                      : name + " needs a value: " + name + "=" + flag->arg);
+    flag->set(o, name, hasValue ? a.c_str() + eq + 1 : nullptr);
   }
-  if (o.maxWorkers == 0) usage();
-  if (o.resume && o.checkpointDir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    std::exit(2);
-  }
-  if (o.crash.enabled() && o.checkpointDir.empty()) {
-    std::fprintf(stderr, "--inject-crash requires --checkpoint-dir\n");
-    std::exit(2);
-  }
+  if (o.resume && o.checkpointDir.empty())
+    reject("--resume requires --checkpoint-dir");
+  if (o.crash.enabled() && o.checkpointDir.empty())
+    reject("--inject-crash requires --checkpoint-dir");
   return o;
 }
+
+// --- the run: ontology, plug-in chain, checkpoints, classifier ----------------
 
 std::unique_ptr<ReasonerPlugin> makeBackend(const Options& o, TBox& tbox) {
   if (o.backend == "el") {
@@ -542,14 +540,10 @@ std::unique_ptr<ReasonerPlugin> makeBackend(const Options& o, TBox& tbox) {
     tbox.freeze();
     return std::make_unique<ElPlugin>(tbox);
   }
-  if (o.backend == "tableau") {
-    TableauReasonerConfig tc;
-    tc.sharedCache = o.sharedCache;
-    tc.mergeModels = o.mergeModels;
-    return std::make_unique<TableauReasoner>(tbox, tc);
-  }
-  std::fprintf(stderr, "unknown backend: %s\n", o.backend.c_str());
-  usage();
+  TableauReasonerConfig tc;
+  tc.sharedCache = o.sharedCache;
+  tc.mergeModels = o.mergeModels;
+  return std::make_unique<TableauReasoner>(tbox, tc);
 }
 
 /// Owns one generation's plug-in decorator stack (backend →
@@ -572,7 +566,7 @@ std::shared_ptr<PluginChain> buildChain(const Options& o, TBox& tbox,
   }
   if (o.deadlineMs > 0 || chain->injector != nullptr) {
     GuardConfig gc;
-    gc.deadlineNs = static_cast<std::uint64_t>(o.deadlineMs) * 1'000'000;
+    gc.deadlineNs = static_cast<std::uint64_t>(o.deadlineMs) * kNsPerMs;
     chain->guarded =
         std::make_unique<GuardedPlugin>(*chain->head, gc, cancel);
     chain->head = chain->guarded.get();
@@ -595,11 +589,7 @@ PluginFactory makeChainFactory(const Options& o, CancellationToken* cancel) {
   };
 }
 
-/// Configures classification checkpointing for classify/serve: fresh runs
-/// wipe the directory and snapshot from the genesis barrier on; --resume
-/// recovers snapshot+journal state for resumeClassify. The content hash
-/// ties the checkpoint to this exact ontology (and the seed to this exact
-/// shuffle sequence).
+/// Checkpoint and delta-recovery state of one classify/serve run.
 struct CheckpointSetup {
   std::unique_ptr<CrashInjector> crashInjector;
   std::unique_ptr<CheckpointManager> manager;
@@ -651,13 +641,23 @@ bool recoverDeltaOntology(const Options& o, const TBox& baseTbox,
   return true;
 }
 
-bool setupCheckpoints(const Options& o, const TBox& tbox,
-                      ClassifierConfig& config, CheckpointSetup* out) {
-  if (o.checkpointDir.empty()) return true;
+CheckpointConfig checkpointConfig(const Options& o) {
   CheckpointConfig cc;
   cc.dir = o.checkpointDir;
   cc.everyRounds = o.checkpointEveryRounds;
   cc.fsyncPolicy = o.fsyncPolicy;
+  return cc;
+}
+
+/// Configures classification checkpointing for classify/serve: fresh runs
+/// wipe the directory and snapshot from the genesis barrier on; --resume
+/// recovers snapshot+journal state for resumeClassify. The content hash
+/// ties the checkpoint to this exact ontology (and the seed to this exact
+/// shuffle sequence).
+bool setupCheckpoints(const Options& o, const TBox& tbox,
+                      ClassifierConfig& config, CheckpointSetup* out) {
+  if (o.checkpointDir.empty()) return true;
+  const CheckpointConfig cc = checkpointConfig(o);
   // Anchor at the COMMITTED ontology: with recovered deltas that is the
   // post-delta hash, otherwise the loaded ontology's own.
   const std::uint64_t anchor = out->effectiveTbox != nullptr
@@ -711,6 +711,114 @@ bool setupCheckpoints(const Options& o, const TBox& tbox,
   }
   config.checkpoint = out->manager.get();
   return true;
+}
+
+ClassifierConfig buildClassifierConfig(const Options& o) {
+  ClassifierConfig config;
+  config.randomCycles = o.cycles;
+  config.symmetricTests = o.symmetric;
+  config.routeEl = o.routeEl;
+  config.maxRetries = o.maxRetries;
+  config.watchdogBudgetNs = static_cast<std::uint64_t>(o.budgetMs) * kNsPerMs;
+  return config;
+}
+
+/// What classify and serve share, built by setupRun in this order: the
+/// ontology (after delta recovery), the worker pool, the plug-in chain,
+/// checkpoints and the classifier; attachDelta adds the delta
+/// reclassifier. Members are destroyed in reverse.
+struct Run {
+  TBox baseTbox;
+  CheckpointSetup ck;
+  TBox* tbox = &baseTbox;  // or the post-delta ontology from deltas.wal
+  ClassifierConfig config;
+  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<RealExecutor> exec;
+  std::shared_ptr<PluginChain> chain;
+  std::unique_ptr<ParallelClassifier> classifier;
+  std::unique_ptr<DeltaJournalSink> sink;
+  std::unique_ptr<DeltaReclassifier> delta;
+
+  ClassificationResult classify() {
+    return ck.haveResume ? classifier->resumeClassify(*exec, ck.resumeFrom)
+                         : classifier->classify(*exec);
+  }
+};
+
+/// Null (after reporting why on stderr) when delta recovery or the
+/// checkpoint setup fails.
+std::unique_ptr<Run> setupRun(const std::string& path, const Options& o) {
+  auto run = std::make_unique<Run>();
+  load(path, run->baseTbox);
+  if (!recoverDeltaOntology(o, run->baseTbox, &run->ck)) return nullptr;
+  // Committed deltas recovered from deltas.wal replace the loaded ontology.
+  if (run->ck.effectiveTbox != nullptr) run->tbox = run->ck.effectiveTbox.get();
+  run->config = buildClassifierConfig(o);
+  run->pool = std::make_unique<ThreadPool>(o.workers);
+  run->exec = std::make_unique<RealExecutor>(*run->pool);
+  run->chain = buildChain(o, *run->tbox, &run->exec->cancellation());
+  if (!setupCheckpoints(o, *run->tbox, run->config, &run->ck)) return nullptr;
+  run->classifier = std::make_unique<ParallelClassifier>(
+      *run->tbox, *run->chain->head, run->config);
+  return run;
+}
+
+/// Creates the run's delta reclassifier over generation 0 — adopted
+/// without ownership, since it lives in `run`; `initial` may be null
+/// until a background run publishes it. With checkpointing on, the
+/// checkpoint manager moves into a delta journal so transactions are
+/// durable. False (reported on stderr) when the journal cannot open.
+bool attachDelta(const Options& o, Run& run,
+                 const ClassificationResult* initial) {
+  run.delta = std::make_unique<DeltaReclassifier>(
+      *run.exec, makeChainFactory(o, &run.exec->cancellation()), run.config);
+  const auto unowned = [](const void*) {};
+  run.delta->adoptInitial(
+      std::shared_ptr<const TBox>(run.tbox, unowned),
+      std::shared_ptr<ReasonerPlugin>(run.chain->head, unowned),
+      std::shared_ptr<ParallelClassifier>(run.classifier.get(), unowned),
+      std::shared_ptr<const ClassificationResult>(initial, unowned));
+  if (run.ck.manager == nullptr) return true;
+  run.sink = std::make_unique<DeltaJournalSink>(checkpointConfig(o),
+                                                run.config.seed);
+  if (run.ck.crashInjector != nullptr)
+    run.sink->setCrashInjector(run.ck.crashInjector.get());
+  std::string err;
+  if (!run.sink->open(run.ck.baseHash, std::move(run.ck.manager),
+                      /*truncateWal=*/!o.resume, &err)) {
+    std::fprintf(stderr, "delta journal: %s\n", err.c_str());
+    return false;
+  }
+  run.delta->setSink(run.sink.get());
+  run.delta->setNextTxnId(run.ck.recovery.nextTxnId);
+  return true;
+}
+
+/// Flushes `capture()` as the final checkpoint: through the delta journal
+/// once it holds the checkpoint manager (commits may have re-anchored the
+/// main area since), else straight to the manager. No-op without
+/// --checkpoint-dir.
+template <typename Capture>
+void flushFinalCheckpoint(const Options& o, Run& run, const char* indent,
+                          Capture capture) {
+  if (run.sink == nullptr && run.ck.manager == nullptr) return;
+  std::string err;
+  const bool flushed = run.sink != nullptr
+                           ? run.sink->flushFinal(capture(), &err)
+                           : run.ck.manager->snapshotFinal(capture(), &err);
+  if (flushed)
+    std::fprintf(stderr, "%sfinal checkpoint flushed to %s\n", indent,
+                 o.checkpointDir.c_str());
+  else
+    std::fprintf(stderr, "%sfinal checkpoint flush FAILED: %s\n", indent,
+                 err.c_str());
+}
+
+void render(const Options& o, const Taxonomy& taxonomy, const TBox& tbox) {
+  if (o.output == "dot")
+    taxonomy.writeDot(std::cout, tbox);
+  else if (o.output == "tree")
+    taxonomy.print(std::cout, tbox);
 }
 
 // --- delta script replay (--apply-deltas) ------------------------------------
@@ -824,65 +932,29 @@ int replayDeltaBlocks(DeltaReclassifier& delta,
   return 0;
 }
 
-ClassifierConfig buildClassifierConfig(const Options& o) {
-  ClassifierConfig config;
-  config.randomCycles = o.cycles;
-  config.enablePruning = o.pruning;
-  config.symmetricTests = o.symmetric;
-  config.routeEl = o.routeEl;
-  config.maxRetries = o.maxRetries;
-  config.watchdogBudgetNs = static_cast<std::uint64_t>(o.budgetMs) * 1'000'000;
-  return config;
-}
+
+// --- subcommands ----------------------------------------------------------------
 
 int cmdClassify(const std::string& path, const Options& o) {
-  TBox baseTbox;
-  load(path, baseTbox);
-
-  CheckpointSetup ck;
-  if (!recoverDeltaOntology(o, baseTbox, &ck)) return 1;
-  // Committed deltas recovered from deltas.wal replace the loaded ontology.
-  TBox& tbox = ck.effectiveTbox != nullptr ? *ck.effectiveTbox : baseTbox;
-
-  ClassifierConfig config = buildClassifierConfig(o);
-
-  Stopwatch sw;
-  ThreadPool pool(o.workers);
-  RealExecutor exec(pool);
-
-  // Plug-in chain: backend → [FaultInjector] → [GuardedPlugin] → classifier.
-  auto chain = buildChain(o, tbox, &exec.cancellation());
-  ReasonerPlugin* plugin = chain->head;
-  GuardedPlugin* guarded = chain->guarded.get();
-
-  if (!setupCheckpoints(o, tbox, config, &ck)) return 1;
-  CheckpointManager* checkpoints = ck.manager.get();
+  const std::unique_ptr<Run> run = setupRun(path, o);
+  if (run == nullptr) return 1;
+  const TBox& tbox = *run->tbox;
+  ReasonerPlugin* plugin = run->chain->head;
 
   // SIGTERM/SIGINT cancel the run through its token: workers stop picking
   // up new tests, partial results are still printed, and a final snapshot
   // is flushed below when checkpointing is on. Exit status 3.
-  gCancelToken.store(&exec.cancellation(), std::memory_order_release);
+  gCancelToken.store(&run->exec->cancellation(), std::memory_order_release);
   installShutdownHandlers();
 
-  ParallelClassifier classifier(tbox, *plugin, config);
-  const ClassificationResult r =
-      ck.haveResume ? classifier.resumeClassify(exec, ck.resumeFrom)
-                    : classifier.classify(exec);
-
-  // With --apply-deltas the deliverable taxonomy is the post-delta one,
-  // printed after the replay below.
-  if (o.applyDeltas.empty()) {
-    if (o.output == "dot")
-      r.taxonomy.writeDot(std::cout, tbox);
-    else if (o.output == "tree")
-      r.taxonomy.print(std::cout, tbox);
-  }
+  const ClassificationResult r = run->classify();
 
   std::fprintf(stderr,
                "classified %zu concepts in %.1f ms (%zu workers, backend %s)\n"
                "  %llu sat + %llu subsumption tests, %llu pruned, "
                "%zu taxonomy nodes, depth %zu\n",
-               tbox.conceptCount(), sw.elapsedMs(), o.workers,
+               tbox.conceptCount(),
+               static_cast<double>(run->exec->elapsedNs()) / 1e6, o.workers,
                o.backend.c_str(), static_cast<unsigned long long>(r.satTests),
                static_cast<unsigned long long>(r.subsumptionTests),
                static_cast<unsigned long long>(r.prunedWithoutTest),
@@ -941,7 +1013,7 @@ int cmdClassify(const std::string& path, const Options& o) {
                  static_cast<unsigned long long>(r.failedTests),
                  static_cast<unsigned long long>(r.retriedTests),
                  r.cancelled ? " — RUN CANCELLED BY WATCHDOG" : "");
-    if (guarded != nullptr) {
+    if (const GuardedPlugin* guarded = run->chain->guarded.get()) {
       const GuardStats gs = guarded->stats();
       std::fprintf(stderr,
                    "  guard: %llu calls, %llu timeouts, %llu errors, "
@@ -971,7 +1043,7 @@ int cmdClassify(const std::string& path, const Options& o) {
                    tbox.conceptName(c).c_str());
   }
 
-  if (checkpoints != nullptr) {
+  if (const CheckpointManager* checkpoints = run->ck.manager.get()) {
     std::fprintf(stderr, "  checkpoint: %llu journal records, %llu snapshots",
                  static_cast<unsigned long long>(checkpoints->journalAppends()),
                  static_cast<unsigned long long>(
@@ -989,8 +1061,6 @@ int cmdClassify(const std::string& path, const Options& o) {
 
   // --- transactional delta replay (--apply-deltas) ---------------------------
   int deltaStatus = 0;
-  std::unique_ptr<DeltaReclassifier> delta;
-  std::unique_ptr<DeltaJournalSink> sink;
   if (!o.applyDeltas.empty()) {
     std::vector<DeltaBlock> blocks;
     std::string err;
@@ -998,52 +1068,21 @@ int cmdClassify(const std::string& path, const Options& o) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 2;
     }
-    delta = std::make_unique<DeltaReclassifier>(
-        exec, makeChainFactory(o, &exec.cancellation()), config);
-    // Generation 0 lives on this stack frame; no-op deleters express the
-    // non-owning adoption.
-    delta->adoptInitial(
-        std::shared_ptr<const TBox>(&tbox, [](const TBox*) {}),
-        std::shared_ptr<ReasonerPlugin>(plugin, [](ReasonerPlugin*) {}),
-        std::shared_ptr<ParallelClassifier>(&classifier,
-                                            [](ParallelClassifier*) {}),
-        std::shared_ptr<const ClassificationResult>(
-            &r, [](const ClassificationResult*) {}));
-    if (ck.manager != nullptr) {
-      CheckpointConfig cc;
-      cc.dir = o.checkpointDir;
-      cc.everyRounds = o.checkpointEveryRounds;
-      cc.fsyncPolicy = o.fsyncPolicy;
-      sink = std::make_unique<DeltaJournalSink>(cc, config.seed);
-      if (ck.crashInjector != nullptr)
-        sink->setCrashInjector(ck.crashInjector.get());
-      if (!sink->open(ck.baseHash, std::move(ck.manager),
-                      /*truncateWal=*/!o.resume, &err)) {
-        std::fprintf(stderr, "delta journal: %s\n", err.c_str());
-        return 1;
-      }
-      checkpoints = nullptr;  // moved into the sink; commits may replace it
-      delta->setSink(sink.get());
-      delta->setNextTxnId(ck.recovery.nextTxnId);
-    }
-    deltaStatus =
-        replayDeltaBlocks(*delta, blocks,
-                          o.resume ? ck.recovery.committedTxns : 0);
+    if (!attachDelta(o, *run, &r)) return 1;
+    deltaStatus = replayDeltaBlocks(*run->delta, blocks,
+                                    o.resume ? run->ck.recovery.committedTxns
+                                             : 0);
   }
   gCancelToken.store(nullptr, std::memory_order_release);
 
-  // Post-delta deliverables come from the FINAL committed generation.
+  // The deliverables come from the FINAL committed generation: the
+  // post-delta one with --apply-deltas, else the run itself.
   DeltaGeneration finalGen;
-  if (delta != nullptr) finalGen = delta->generation();
+  if (run->delta != nullptr) finalGen = run->delta->generation();
   const ClassificationResult& finalResult =
       finalGen.result != nullptr ? *finalGen.result : r;
-  const TBox& finalTbox = finalGen.tbox != nullptr ? *finalGen.tbox : tbox;
-  if (!o.applyDeltas.empty()) {
-    if (o.output == "dot")
-      finalResult.taxonomy.writeDot(std::cout, finalTbox);
-    else if (o.output == "tree")
-      finalResult.taxonomy.print(std::cout, finalTbox);
-  }
+  render(o, finalResult.taxonomy,
+         finalGen.tbox != nullptr ? *finalGen.tbox : tbox);
 
   if (o.verify) {
     const TaxonomyIssues issues = verifyStructure(finalResult.taxonomy);
@@ -1053,27 +1092,11 @@ int cmdClassify(const std::string& path, const Options& o) {
   }
 
   if (const int sig = gSignal.load(std::memory_order_acquire); sig != 0) {
-    std::string err;
-    bool attempted = false, flushed = false;
-    if (sink != nullptr) {
-      attempted = true;
-      flushed = sink->flushFinal(finalGen.classifier != nullptr
-                                     ? finalGen.classifier->captureCheckpoint()
-                                     : classifier.captureCheckpoint(),
-                                 &err);
-    } else if (checkpoints != nullptr) {
-      attempted = true;
-      flushed =
-          checkpoints->snapshotFinal(classifier.captureCheckpoint(), &err);
-    }
-    if (attempted) {
-      if (flushed)
-        std::fprintf(stderr, "  final checkpoint flushed to %s\n",
-                     o.checkpointDir.c_str());
-      else
-        std::fprintf(stderr, "  final checkpoint flush FAILED: %s\n",
-                     err.c_str());
-    }
+    flushFinalCheckpoint(o, *run, "  ", [&] {
+      return (finalGen.classifier != nullptr ? *finalGen.classifier
+                                             : *run->classifier)
+          .captureCheckpoint();
+    });
     std::fprintf(stderr,
                  "interrupted by signal %d — partial results above\n", sig);
     return 3;
@@ -1082,29 +1105,9 @@ int cmdClassify(const std::string& path, const Options& o) {
 }
 
 int cmdServe(const std::string& path, const Options& o) {
-  TBox baseTbox;
-  load(path, baseTbox);
-
-  CheckpointSetup ck;
-  if (!recoverDeltaOntology(o, baseTbox, &ck)) return 1;
-  // Committed deltas recovered from deltas.wal replace the loaded ontology.
-  TBox& tbox = ck.effectiveTbox != nullptr ? *ck.effectiveTbox : baseTbox;
-
-  ClassifierConfig config = buildClassifierConfig(o);
-
-  ThreadPool pool(o.workers);
-  RealExecutor exec(pool);
-
-  // Plug-in chain for the BACKGROUND run only (faults, guard). Direct
-  // per-query fallback calls go to the raw backend: a query's budget is
-  // its own deadline, and serve has its own fault plan — classification
-  // fault schedules must not leak nondeterminism into query answers.
-  auto chain = buildChain(o, tbox, &exec.cancellation());
-  ReasonerPlugin* plugin = chain->head;
-
-  if (!setupCheckpoints(o, tbox, config, &ck)) return 1;
-
-  ParallelClassifier classifier(tbox, *plugin, config);
+  const std::unique_ptr<Run> run = setupRun(path, o);
+  if (run == nullptr) return 1;
+  ParallelClassifier& classifier = *run->classifier;
 
   ServerConfig sc;
   sc.queryThreads = o.queryThreads;
@@ -1114,40 +1117,18 @@ int cmdServe(const std::string& path, const Options& o) {
   sc.engine.maxDeadlineMs = o.serveMaxDeadlineMs;
   sc.querySnapshots = o.querySnapshot;
   sc.faults = o.serveFaults;
-  Server server(tbox, classifier, *chain->backend, sc);
+  // The run's plug-in chain (faults, guard) serves the BACKGROUND run only.
+  // Direct per-query fallback calls go to the raw backend: a query's budget
+  // is its own deadline, and serve has its own fault plan — classification
+  // fault schedules must not leak nondeterminism into query answers.
+  Server server(*run->tbox, classifier, *run->chain->backend, sc);
 
   // Delta transaction verbs: always available over the protocol, durable
-  // when checkpointing is on. Generation 0 is adopted non-owning (it lives
-  // on this stack frame); its result arrives via the server's classify
-  // thread once the background run finishes.
-  DeltaReclassifier delta(exec, makeChainFactory(o, &exec.cancellation()),
-                          config);
-  delta.setBuildSnapshots(o.querySnapshot);
-  delta.adoptInitial(
-      std::shared_ptr<const TBox>(&tbox, [](const TBox*) {}),
-      std::shared_ptr<ReasonerPlugin>(plugin, [](ReasonerPlugin*) {}),
-      std::shared_ptr<ParallelClassifier>(&classifier,
-                                          [](ParallelClassifier*) {}),
-      nullptr);
-  std::unique_ptr<DeltaJournalSink> sink;
-  if (ck.manager != nullptr) {
-    CheckpointConfig cc;
-    cc.dir = o.checkpointDir;
-    cc.everyRounds = o.checkpointEveryRounds;
-    cc.fsyncPolicy = o.fsyncPolicy;
-    sink = std::make_unique<DeltaJournalSink>(cc, config.seed);
-    if (ck.crashInjector != nullptr)
-      sink->setCrashInjector(ck.crashInjector.get());
-    std::string err;
-    if (!sink->open(ck.baseHash, std::move(ck.manager),
-                    /*truncateWal=*/!o.resume, &err)) {
-      std::fprintf(stderr, "delta journal: %s\n", err.c_str());
-      return 1;
-    }
-    delta.setSink(sink.get());
-    delta.setNextTxnId(ck.recovery.nextTxnId);
-  }
-  server.setDeltaReclassifier(&delta);
+  // when checkpointing is on. Generation 0's result arrives via the
+  // server's classify thread once the background run finishes.
+  if (!attachDelta(o, *run, nullptr)) return 1;
+  run->delta->setBuildSnapshots(o.querySnapshot);
+  server.setDeltaReclassifier(run->delta.get());
 
   // SIGTERM/SIGINT: pause the classifier at its next epoch barrier and
   // wake the socket accept loop through the self-pipe; in-flight queries
@@ -1162,10 +1143,7 @@ int cmdServe(const std::string& path, const Options& o) {
   gWakeFd.store(wakePipe[1], std::memory_order_release);
   installShutdownHandlers();
 
-  server.start([&classifier, &exec, &ck] {
-    return ck.haveResume ? classifier.resumeClassify(exec, ck.resumeFrom)
-                         : classifier.classify(exec);
-  });
+  server.start([&run] { return run->classify(); });
 
   int status = 0;
   if (o.port != 0) {
@@ -1203,25 +1181,17 @@ int cmdServe(const std::string& path, const Options& o) {
   // batch — never resolved it) is aborted deterministically, journaled,
   // BEFORE the final flush: `serve --resume` then replays the abort
   // instead of finding an open transaction.
-  if (delta.txnOpen()) {
+  if (run->delta->txnOpen()) {
     std::string err;
-    if (delta.abortTxn(&err))
+    if (run->delta->abortTxn(&err))
       std::fprintf(stderr, "open delta transaction aborted on shutdown\n");
     else
       std::fprintf(stderr, "delta abort on shutdown FAILED: %s\n",
                    err.c_str());
   }
 
-  if (sink != nullptr) {
-    // Flush through the sink: commits may have re-anchored the main
-    // checkpoint area at a later generation since ck.manager was created.
-    std::string err;
-    if (sink->flushFinal(server.captureCheckpoint(), &err))
-      std::fprintf(stderr, "final checkpoint flushed to %s\n",
-                   o.checkpointDir.c_str());
-    else
-      std::fprintf(stderr, "final checkpoint flush FAILED: %s\n", err.c_str());
-  }
+  flushFinalCheckpoint(o, *run, "",
+                       [&server] { return server.captureCheckpoint(); });
 
   const ClassificationResult* r = server.result();
   const char* state = "unknown";
@@ -1285,11 +1255,9 @@ int cmdSweep(const std::string& path, const Options& o) {
   TBox tbox;
   load(path, tbox);
   std::unique_ptr<ReasonerPlugin> backend = makeBackend(o, tbox);
-  ClassifierConfig config;
-  config.randomCycles = o.cycles;
-  const SweepResult r = runSpeedupSweep(path, tbox, *backend,
-                                        figureWorkerCounts(o.maxWorkers),
-                                        config);
+  const SweepResult r =
+      runSpeedupSweep(path, tbox, *backend, figureWorkerCounts(o.maxWorkers),
+                      buildClassifierConfig(o));
   std::printf("%s", renderSweepTable(r).c_str());
   return 0;
 }
@@ -1319,15 +1287,18 @@ int main(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string command = argv[1];
   const std::string path = argv[2];
+  // convert's optional output path is positional; flags follow it.
+  const bool outPath = command == "convert" && argc > 3 &&
+                       std::strncmp(argv[3], "--", 2) != 0;
+  const Options o = parseOptions(argc, argv, outPath ? 4 : 3, command);
   try {
-    if (command == "classify") return cmdClassify(path, parseOptions(argc, argv, 3));
-    if (command == "serve") return cmdServe(path, parseOptions(argc, argv, 3));
+    if (command == "classify") return cmdClassify(path, o);
+    if (command == "serve") return cmdServe(path, o);
     if (command == "metrics") return cmdMetrics(path);
-    if (command == "sweep") return cmdSweep(path, parseOptions(argc, argv, 3));
-    if (command == "convert") return cmdConvert(path, argc > 3 ? argv[3] : "");
+    if (command == "sweep") return cmdSweep(path, o);
+    return cmdConvert(path, outPath ? argv[3] : "");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
 }
