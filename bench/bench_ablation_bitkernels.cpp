@@ -1,6 +1,7 @@
 // BitKernels backend ablation (the pluggable-backend PR's perf gate):
 //
-//   kernel level   raw GB/s per registered backend over the bulk kernels
+//   kernel level   raw GB/s of portable and of the CPUID-chosen backend
+//                  (activeBitKernels, when that differs) over the bulk kernels
 //                  the classifier actually issues — orRow on a fresh row
 //                  (RMW-bound: every word changes), orRow re-applied (the
 //                  skip fast path: no word changes), andNotRow both ways,
@@ -8,11 +9,11 @@
 //                  kernels (orInto / andNotInto / popcountWords) that the
 //                  routing/merge-sweep/verify passes run.
 //   end to end     full classification of a generated dense-hierarchy
-//                  ontology, portable vs every vectorized backend, with
+//                  ontology, portable vs the active backend, with
 //                  the taxonomies byte-compared (divergence is FATAL —
 //                  this doubles as the CI parity smoke).
 //
-// The headline number is the portable->best-backend throughput ratio on
+// The headline number is the portable->active-backend throughput ratio on
 // the bulk kernels (geometric mean across kernels); the ISSUE acceptance
 // expects >= 1.5x on AVX2 machines, and the measured ratio is recorded in
 // BENCH_bitkernels.json either way. `--quick` shrinks buffers and the
@@ -196,9 +197,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
-  std::vector<const BitKernels*> backends;
-  for (const BitBackendDesc& d : bitKernelsRegistry())
-    if (d.supported && d.kernels != nullptr) backends.push_back(d.kernels);
+  std::vector<const BitKernels*> backends = {&portableBitKernels()};
+  if (&activeBitKernels() != backends.front())
+    backends.push_back(&activeBitKernels());
 
   const std::size_t nWords = quick ? (1u << 13) : (1u << 16);  // 64KB / 512KB
   const int reps = quick ? 15 : 40;
@@ -211,24 +212,17 @@ int main(int argc, char** argv) {
     runKernelMatrix(*bk, nWords, reps, kernelRows);
 
   // Bulk-kernel throughput ratio: geometric mean of per-kernel speedups of
-  // the widest backend over portable (1.0 when only portable is compiled
-  // in / supported).
+  // the active backend over portable (1.0 when CPUID picked portable).
+  // runKernelMatrix adds the same kernels in the same order per backend,
+  // so row i of the active half pairs with row i of the portable half.
   double ratio = 1.0;
   const char* bestName = backends.back()->name();
   if (backends.size() > 1) {
+    const std::size_t half = kernelRows.size() / 2;
     double logSum = 0.0;
-    int terms = 0;
-    for (const KernelRow& a : kernelRows) {
-      if (a.backend != bestName) continue;
-      for (const KernelRow& b : kernelRows) {
-        if (b.backend == "portable" && std::strcmp(b.kernel, a.kernel) == 0 &&
-            b.gbps > 0.0) {
-          logSum += std::log(a.gbps / b.gbps);
-          ++terms;
-        }
-      }
-    }
-    if (terms > 0) ratio = std::exp(logSum / terms);
+    for (std::size_t i = 0; i < half; ++i)
+      logSum += std::log(kernelRows[half + i].gbps / kernelRows[i].gbps);
+    ratio = std::exp(logSum / static_cast<double>(half));
   }
   std::printf("bulk-kernel throughput %s/portable: %.2fx (geomean)\n",
               bestName, ratio);
@@ -236,7 +230,7 @@ int main(int argc, char** argv) {
     std::printf("NOTE: ratio below the 1.5x acceptance expectation — "
                 "recorded for trend tracking\n");
 
-  // End to end: portable baseline, then every vectorized backend, with
+  // End to end: portable baseline, then the active backend, with
   // byte-compared taxonomies.
   const GenConfig cfg = workload(quick);
   const std::size_t threads = 4;

@@ -90,18 +90,20 @@ RepeatStats repeatWall(int warmups, int repeats, Fn&& fn) {
 }
 
 /// Strict value of a figure bench's "--flag=N" argument: the whole token
-/// must be a decimal integer >= min. Anything else ("abc", "-1", "",
-/// trailing junk, overflow) prints `usage` and exits 2 before any sweep
-/// starts.
+/// must be a decimal integer in min..max. Anything else ("abc", "-1", "",
+/// trailing junk, overflow, a value past max) prints `usage` and exits 2
+/// before any sweep starts.
 inline std::size_t parseCountArg(const char* flag, const char* value,
-                                 std::size_t min, const char* usage) {
+                                 std::size_t min, std::size_t max,
+                                 const char* usage) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long n = std::strtoull(value, &end, 10);
   if (*value < '0' || *value > '9' || *end != '\0' || errno == ERANGE ||
-      n < min) {
-    std::fprintf(stderr, "%s: expected an integer >= %zu, got '%s'\n%s\n",
-                 flag, min, value, usage);
+      n < min || n > max) {
+    std::fprintf(stderr,
+                 "%s: expected an integer >= %zu and <= %zu, got '%s'\n%s\n",
+                 flag, min, max, value, usage);
     std::exit(2);
   }
   return static_cast<std::size_t>(n);

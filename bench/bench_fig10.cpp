@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--max-workers=", 14) == 0) {
-      maxWorkers = parseCountArg("--max-workers", argv[i] + 14, 1, usage);
+      maxWorkers = parseCountArg("--max-workers", argv[i] + 14, 1,
+                                 kMaxSweepWorkers, usage);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n%s\n", argv[i], usage);
       return 2;

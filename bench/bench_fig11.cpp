@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
   std::size_t workers = 10;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--cycles=", 9) == 0) {
-      cycles = parseCountArg("--cycles", argv[i] + 9, 0, usage);
+      cycles = parseCountArg("--cycles", argv[i] + 9, 0, SIZE_MAX, usage);
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = parseCountArg("--workers", argv[i] + 10, 1, usage);
+      workers = parseCountArg("--workers", argv[i] + 10, 1,
+                              kMaxSweepWorkers, usage);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n%s\n", argv[i], usage);
       return 2;

@@ -18,7 +18,7 @@
 //
 // Phase 3 (snapshot ablation): two identical servers classify the same
 // DAG-heavy ontology with an instant MockReasoner — one with
-// --query-snapshot=off (legacy taxonomy-walk ladder), one with the
+// ServerConfig::querySnapshots off (the taxonomy-walk ladder), one with the
 // compiled interval+bitset snapshot (DESIGN.md §16). A pre-generated
 // mixed workload (~50% subs / 20% sat / 30% descendants) is driven at
 // batch sizes 1, 16 and 256; every snapshot-path response must be

@@ -1,8 +1,10 @@
 // ReasonerPlugin over one EL saturation: the ElReasoner classifies the
 // whole TBox once at construction, then every sat?/subs? is an O(1)
 // lookup in the fixpoint. The ELK-style comparator behind the plug-in
-// boundary — `--backend=el`, the backend ablation bench, and the EL
-// generations of delta reclassification.
+// boundary: bench_ablation_backend and the delta-reclassification tests
+// use it to show that the classifier's reasoner can be replaced (the
+// paper's point). owlcl itself always plugs in the tableau; its EL
+// fast path is routing (DESIGN.md §13), which beats this backend.
 #pragma once
 
 #include <atomic>

@@ -629,10 +629,9 @@ bool DeltaReclassifier::commitTxn(DeltaCommitInfo* info, std::string* error) {
   // worker, before the generation swap — query threads only ever see a
   // finished snapshot appear with the new view (DESIGN.md §16). The rerun
   // completed, so the taxonomy is whole.
-  std::shared_ptr<const TaxonomySnapshot> snapshot;
-  if (buildSnapshots_)
-    snapshot = TaxonomySnapshot::build(result->taxonomy, *newTbox,
-                                       result->complete(), pre.deltaEpoch + 1);
+  std::shared_ptr<const TaxonomySnapshot> snapshot =
+      TaxonomySnapshot::build(result->taxonomy, *newTbox, result->complete(),
+                              pre.deltaEpoch + 1);
   DeltaCommitInfo out;
   out.txid = txid;
   out.coneSize = cone.cone.size();

@@ -145,8 +145,8 @@ struct DeltaGeneration {
   std::shared_ptr<ParallelClassifier> classifier;
   std::shared_ptr<const ClassificationResult> result;
   /// Read-optimized query index compiled from this generation's finished
-  /// taxonomy (DESIGN.md §16); null when snapshot building is off or the
-  /// generation's result is degraded/pending.
+  /// taxonomy (DESIGN.md §16); null while the generation's result is
+  /// degraded or pending.
   std::shared_ptr<const TaxonomySnapshot> snapshot;
   std::uint64_t deltaEpoch = 0;  // committed delta transactions so far
 };
@@ -183,11 +183,6 @@ class DeltaReclassifier {
   void publishInitialResult(
       std::shared_ptr<const ClassificationResult> r,
       std::shared_ptr<const TaxonomySnapshot> snapshot = nullptr);
-
-  /// Compile a TaxonomySnapshot for each committed generation (inside
-  /// commitTxn, off the query path). Default on; the serve ablation turns
-  /// it off. Call before any commit, not concurrently with one.
-  void setBuildSnapshots(bool build) { buildSnapshots_ = build; }
 
   /// Optional durability sink (null = in-memory transactions).
   void setSink(DeltaTxnSink* sink) { sink_ = sink; }
@@ -235,7 +230,6 @@ class DeltaReclassifier {
   std::uint32_t curTxnId_ = 0;
   std::uint32_t nextTxnId_ = 1;
   std::vector<StagedOp> ops_;
-  bool buildSnapshots_ = true;
   std::atomic<ParallelClassifier*> active_{nullptr};
 };
 

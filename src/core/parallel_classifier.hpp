@@ -86,9 +86,10 @@ struct ClassifierConfig {
   /// resumes byte-for-byte on their original journaled path.
   bool routeElOnResume = false;
   /// Compute backend for the P/K bit-matrix kernels and the routing and
-  /// merge-sweep mask passes (parallel/bit_kernels.hpp). Null binds the
-  /// process-wide activeBitKernels() — the --bit-backend selection; the
-  /// differential suites pin explicit backends to compare taxonomies.
+  /// merge-sweep mask passes (parallel/bit_kernels.hpp). Null binds
+  /// activeBitKernels(), the CPUID choice; an explicit backend exists for
+  /// the differential suites and bench_ablation_bitkernels, which pin one
+  /// to compare taxonomies.
   const BitKernels* bitKernels = nullptr;
 
   // --- fault tolerance -------------------------------------------------------

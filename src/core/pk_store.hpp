@@ -67,9 +67,9 @@ struct PkStoreImage {
 
 class PkStore {
  public:
-  /// A null `kernels` binds the process-wide activeBitKernels() (the
-  /// --bit-backend selection); an explicit backend pins all three matrices
-  /// to it (the differential suites pin portable vs vectorized).
+  /// A null `kernels` binds activeBitKernels(). An explicit backend pins
+  /// all three matrices to it; that exists for the differential suites and
+  /// bench_ablation_bitkernels, which compare portable with vectorized.
   explicit PkStore(std::size_t conceptCount,
                    const BitKernels* kernels = nullptr);
 

@@ -13,8 +13,8 @@
 // Roles in this codebase (DESIGN.md §2):
 //  * routing pre-pass — the parallel classifier saturates the maximal EL
 //    sub-ontology before phase 1 and seeds P/K from it (DESIGN.md §13);
-//  * plug-in backend (core/el_plugin.hpp, `--backend=el`) — the ELK-style
-//    comparator for the related-work baseline bench;
+//  * plug-in backend (core/el_plugin.hpp) — the ELK-style comparator for
+//    the backend ablation bench and the delta-reclassification tests;
 //  * cross-check oracle — integration tests compare the tableau reasoner
 //    and the parallel classifier against this saturation on EL ontologies.
 //

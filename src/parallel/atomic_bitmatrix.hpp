@@ -32,8 +32,8 @@
 // compares them). recountRow/recountAll always scan, for verification.
 //
 // Compute backend: every bulk word-parallel operation delegates to a
-// BitKernels backend (parallel/bit_kernels.hpp — portable atomics by
-// default, AVX2 when selected/detected). Rows are stored in 64-byte-
+// BitKernels backend (parallel/bit_kernels.hpp — AVX2 when CPUID finds
+// it, portable atomics otherwise). Rows are stored in 64-byte-
 // aligned blocks and wordsPerRow() is padded to a whole block, so a
 // 256-bit vector load never straddles a row boundary; the padding words
 // map to no column and are permanently zero.
@@ -66,7 +66,8 @@ class AtomicBitMatrix {
 
   /// Re-dimensions and zeroes the matrix. Not thread-safe. A null
   /// `kernels` keeps the matrix's current backend (or, on first reset,
-  /// binds the process-wide activeBitKernels()). The fresh block vector is
+  /// binds activeBitKernels()); an explicit one exists for the
+  /// differential suites and bench_ablation_bitkernels. The fresh block vector is
   /// value-initialised, which already zeroes every word and counter.
   void reset(std::size_t rows, std::size_t cols, bool counted = false,
              const BitKernels* kernels = nullptr) {
@@ -123,7 +124,7 @@ class AtomicBitMatrix {
   // deltas come from the popcount of each word's own before/after
   // transition, so the exactly-one-counter-update-per-bit-flip invariant
   // is identical to the single-bit ops and bulk/scalar mixes stay
-  // consistent (tested under TSan, for every registered backend).
+  // consistent (tested under TSan, on portable and the active backend).
   // Orderings are acq_rel like testAndSet/testAndClear: a worker that
   // observes a bulk-set bit also observes every write the setting worker
   // published before the RMW.

@@ -1,8 +1,6 @@
 #include "parallel/bit_kernels.hpp"
 
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -423,73 +421,24 @@ class Avx2BitKernels final : public BitKernels {
 
 #endif  // OWLCL_HAVE_AVX2_BACKEND
 
-bool avx2Supported() {
-#if OWLCL_HAVE_AVX2_BACKEND
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
-// --- registry ---------------------------------------------------------------
+// --- backends ---------------------------------------------------------------
 
 const BitKernels& portableBitKernels() {
   static const PortableBitKernels k;
   return k;
 }
 
+const BitKernels& activeBitKernels() {
 #if OWLCL_HAVE_AVX2_BACKEND
-static const BitKernels& avx2BitKernelsInstance() {
-  static const Avx2BitKernels k;
-  return k;
-}
-#endif
-
-const std::vector<BitBackendDesc>& bitKernelsRegistry() {
-  static const std::vector<BitBackendDesc> reg = [] {
-    std::vector<BitBackendDesc> r;
-    r.push_back({"portable", true, &portableBitKernels()});
-#if OWLCL_HAVE_AVX2_BACKEND
-    r.push_back({"avx2", avx2Supported(), &avx2BitKernelsInstance()});
+  static const Avx2BitKernels avx2;
+  static const BitKernels& active =
+      __builtin_cpu_supports("avx2") != 0 ? avx2 : portableBitKernels();
+  return active;
 #else
-    r.push_back({"avx2", false, nullptr});
+  return portableBitKernels();
 #endif
-    return r;
-  }();
-  return reg;
-}
-
-const BitKernels* selectBitKernels(const std::string& spec, std::string* err) {
-  const auto& reg = bitKernelsRegistry();
-  if (spec == "auto") {
-    const BitKernels* best = &portableBitKernels();
-    for (const BitBackendDesc& d : reg)
-      if (d.supported && d.kernels != nullptr) best = d.kernels;
-    return best;
-  }
-  for (const BitBackendDesc& d : reg) {
-    if (spec != d.name) continue;
-    if (d.kernels == nullptr) {
-      if (err != nullptr)
-        *err = "bit-kernels backend '" + spec +
-               "' is not compiled into this build";
-      return nullptr;
-    }
-    if (!d.supported) {
-      if (err != nullptr)
-        *err = "bit-kernels backend '" + spec +
-               "' is not supported by this CPU (detected: " +
-               cpuFeatureString() + ")";
-      return nullptr;
-    }
-    return d.kernels;
-  }
-  if (err != nullptr)
-    *err = "unknown bit-kernels backend '" + spec +
-           "' (expected portable|avx2|auto)";
-  return nullptr;
 }
 
 std::string cpuFeatureString() {
@@ -516,34 +465,6 @@ std::string cpuFeatureString() {
 #else
   return "generic";
 #endif
-}
-
-namespace {
-std::atomic<const BitKernels*>& activeBitKernelsSlot() {
-  static std::atomic<const BitKernels*> slot{[]() -> const BitKernels* {
-    const char* env = std::getenv("OWLCL_BIT_BACKEND");
-    const std::string spec = (env != nullptr && *env != '\0') ? env : "auto";
-    std::string err;
-    const BitKernels* k = selectBitKernels(spec, &err);
-    if (k != nullptr) return k;
-    std::fprintf(stderr,
-                 "owlcl: ignoring OWLCL_BIT_BACKEND: %s; using auto\n",
-                 err.c_str());
-    return selectBitKernels("auto", nullptr);
-  }()};
-  return slot;
-}
-}  // namespace
-
-const BitKernels& activeBitKernels() {
-  return *activeBitKernelsSlot().load(std::memory_order_acquire);
-}
-
-bool setActiveBitKernels(const std::string& spec, std::string* err) {
-  const BitKernels* k = selectBitKernels(spec, err);
-  if (k == nullptr) return false;
-  activeBitKernelsSlot().store(k, std::memory_order_release);
-  return true;
 }
 
 }  // namespace owlcl

@@ -6,9 +6,10 @@
 // verify phases run on private DynamicBitset buffers funnels through
 // this narrow interface (ROADMAP item 4, the Etaler-style backend split).
 // The portable implementation reproduces the original hand-written loops
-// bit for bit; vectorized backends (AVX2 today, AVX-512/GPU/sharded later)
-// register in a small runtime registry with CPUID feature detection and are
-// selected with --bit-backend=portable|avx2|auto (auto = best supported).
+// bit for bit. The AVX2 backend is compiled in on x86 GCC/Clang builds;
+// CPUID picks it at first use when the machine runs it (activeBitKernels).
+// Nothing else selects a backend: the differential suites and
+// bench_ablation_bitkernels pass one explicitly to compare the two.
 //
 // Concurrency contract (the counted-mode invariant, DESIGN.md §15):
 //
@@ -40,7 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace owlcl {
 
@@ -50,7 +50,7 @@ class BitKernels {
 
   virtual ~BitKernels() = default;
 
-  /// Stable registry name ("portable", "avx2", ...).
+  /// Stable backend name ("portable" or "avx2").
   virtual const char* name() const = 0;
 
   // --- shared-row kernels (words may race with scalar setters) -------------
@@ -120,39 +120,19 @@ class BitKernels {
                           std::size_t n) const;
 };
 
-// --- registry ---------------------------------------------------------------
-
-struct BitBackendDesc {
-  const char* name;          ///< registry/CLI name
-  bool supported;            ///< CPUID says this machine can run it
-  const BitKernels* kernels; ///< null iff compiled out of this build
-};
+// --- backends ---------------------------------------------------------------
 
 /// The always-available scalar-atomics reference backend.
 const BitKernels& portableBitKernels();
-
-/// All backends this build knows about, portable first. Stable order.
-const std::vector<BitBackendDesc>& bitKernelsRegistry();
-
-/// Resolves "portable" | "avx2" | "auto" (auto = last supported registry
-/// entry, i.e. the widest vector backend this CPU runs). Returns null and
-/// fills *err for unknown names and for explicit backends the machine
-/// cannot run.
-const BitKernels* selectBitKernels(const std::string& spec, std::string* err);
 
 /// Human-readable detected CPU feature list ("popcnt avx avx2 bmi2 ..."),
 /// surfaced through --stats and the BENCH_*.json meta blocks.
 std::string cpuFeatureString();
 
-/// Process-wide default backend used by AtomicBitMatrix instances that are
-/// not given an explicit one. First use resolves the OWLCL_BIT_BACKEND
-/// environment variable ("portable"/"avx2"/"auto"; unset or invalid =
-/// auto); the CLI overrides it from --bit-backend before any matrix exists.
+/// The backend every AtomicBitMatrix uses unless given an explicit one,
+/// fixed by CPUID on first use: AVX2 when this build has that backend and
+/// the CPU supports it, otherwise portable. Every call returns the same
+/// object.
 const BitKernels& activeBitKernels();
-
-/// Installs `spec` as the process-wide default. Returns false (and fills
-/// *err) on unknown/unsupported specs, leaving the active backend as-is.
-/// Not thread-safe against concurrent matrix construction; call at startup.
-bool setActiveBitKernels(const std::string& spec, std::string* err);
 
 }  // namespace owlcl

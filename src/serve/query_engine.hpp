@@ -62,7 +62,7 @@ struct EngineView {
   std::uint64_t deltaEpoch = 0;
   /// Compiled read-optimized index over this generation's finished
   /// taxonomy (DESIGN.md §16); null until the run completes, on degraded
-  /// runs, or with --query-snapshot=off. When present, subs/sat/
+  /// runs, or with ServerConfig::querySnapshots off. When present, subs/sat/
   /// descendants answer from it at memory speed instead of walking.
   std::shared_ptr<const TaxonomySnapshot> snapshot;
   std::shared_ptr<const void> owner;

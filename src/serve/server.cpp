@@ -205,7 +205,8 @@ void Server::publishGeneration() {
   view.fallback = own->plugin.get();
   view.result = own->result.get();
   view.deltaEpoch = own->deltaEpoch;
-  view.snapshot = own->snapshot;  // compiled by commitTxn, off the query path
+  // Compiled by commitTxn, off the query path.
+  if (config_.querySnapshots) view.snapshot = own->snapshot;
   view.owner = std::move(own);
   engine_.publishView(std::move(view));
 }

@@ -50,9 +50,10 @@ struct ServerConfig {
   /// Hard cap on one request line; longer input is answered with a parse
   /// error and discarded — never buffered unboundedly.
   std::size_t maxLineBytes = 64 * 1024;
-  /// Compile a read-optimized TaxonomySnapshot after classification and
-  /// after every delta commit (DESIGN.md §16). Off = answer every query
-  /// through the legacy ladder (the --query-snapshot=off ablation path).
+  /// Answer from the read-optimized TaxonomySnapshot compiled after
+  /// classification and after every delta commit (DESIGN.md §16). Off =
+  /// answer every query through the walk ladder: bench_serve's reference
+  /// path, which its snapshot answers are byte-compared against.
   bool querySnapshots = true;
   QueryEngineConfig engine;
   ServeFaultPlan faults;

@@ -40,6 +40,12 @@ SweepResult runSpeedupSweep(const std::string& name, const TBox& tbox,
 /// The worker counts used in Fig. 9 (1..140) and Fig. 10 (1..80).
 std::vector<std::size_t> figureWorkerCounts(std::size_t maxWorkers);
 
+/// Ceiling on a sweep's largest worker count (owlcl sweep --max-workers,
+/// the figure benches' --max-workers/--workers): each point's
+/// VirtualExecutor keeps one clock per virtual worker. It matches owlcl's
+/// --workers ceiling and lies above the paper's 140-worker figures.
+constexpr std::size_t kMaxSweepWorkers = 256;
+
 /// Renders one "w speedup elapsed" row per point, echoing the figures'
 /// axes (speedup vs number of workers/threads).
 std::string renderSweepTable(const SweepResult& result);

@@ -70,7 +70,8 @@ class TaxonomySnapshot {
   /// concept names for the descendant pools and must describe the same
   /// concept ids. `complete` is echoed into descendants answers (a
   /// snapshot is normally only built when the run was complete).
-  /// `kernels` defaults to the process-wide active BitKernels backend.
+  /// `kernels` defaults to activeBitKernels(); an explicit backend exists
+  /// for the differential suites, which compare the two.
   static std::shared_ptr<const TaxonomySnapshot> build(
       const Taxonomy& tax, const TBox& tbox, bool complete,
       std::uint64_t generation, const BitKernels* kernels = nullptr);

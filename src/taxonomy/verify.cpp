@@ -38,8 +38,8 @@ std::vector<DynamicBitset> descendantsBelow(const Taxonomy& tax) {
     desc[id] = DynamicBitset(nn);
     for (NodeId ch : tax.node(id).children) desc[id].set(ch);
   }
-  // The union kernel runs on the process-wide bit-kernels backend
-  // (--bit-backend): this fixpoint is the verify pass's hot loop.
+  // The union kernel runs on the CPUID-chosen bit-kernels backend: this
+  // fixpoint is the verify pass's hot loop.
   const BitKernels& bk = activeBitKernels();
   bool grew = true;
   while (grew) {

@@ -247,6 +247,36 @@ TEST(DeltaReclassify, CommitMatchesFromScratch) {
             rig.scratchTaxonomy(delta->statements()));
 }
 
+// Every committed generation carries the query snapshot compiled from
+// its own taxonomy, stamped with its delta epoch.
+TEST(DeltaReclassify, EveryCommitCompilesItsSnapshot) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  std::string err;
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    const std::string name = "Extra" + std::to_string(epoch);
+    ASSERT_TRUE(delta->beginTxn(&err)) << err;
+    ASSERT_TRUE(delta->stageAdd("Declaration(Class(" + name + "))", &err))
+        << err;
+    ASSERT_TRUE(delta->stageAdd("SubClassOf(" + name + " Employee)", &err))
+        << err;
+    ASSERT_TRUE(delta->commitTxn(nullptr, &err)) << err;
+
+    const DeltaGeneration gen = delta->generation();
+    EXPECT_EQ(gen.deltaEpoch, epoch);
+    ASSERT_NE(gen.snapshot, nullptr) << "epoch " << epoch;
+    EXPECT_EQ(gen.snapshot->stats().generation, epoch);
+    EXPECT_TRUE(gen.snapshot->complete());
+    EXPECT_EQ(gen.snapshot->conceptCount(), gen.tbox->conceptCount());
+    const ConceptId added = gen.tbox->findConcept(name);
+    EXPECT_TRUE(gen.snapshot->subsumes(gen.tbox->findConcept("Person"), added))
+        << name;
+  }
+}
+
 TEST(DeltaReclassify, EmptyDeltaCommitsAsNoOp) {
   Rig rig(2);
   parseFunctionalSyntax(kSmallOntology, rig.tbox);

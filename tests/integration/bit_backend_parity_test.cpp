@@ -47,12 +47,10 @@ void expectBackendParity(const ParseFn& parse, ClassifierConfig config,
   const std::string baseline =
       classifyWithBackend(parse, &portableBitKernels(), config);
   ASSERT_FALSE(baseline.empty()) << label;
-  for (const BitBackendDesc& d : bitKernelsRegistry()) {
-    if (!d.supported || d.kernels == nullptr) continue;
-    if (d.kernels == &portableBitKernels()) continue;
-    SCOPED_TRACE(std::string(label) + " backend=" + d.name);
-    EXPECT_EQ(classifyWithBackend(parse, d.kernels, config), baseline);
-  }
+  const BitKernels& active = activeBitKernels();
+  if (&active == &portableBitKernels()) return;
+  SCOPED_TRACE(std::string(label) + " backend=" + active.name());
+  EXPECT_EQ(classifyWithBackend(parse, &active, config), baseline);
 }
 
 ParseFn universityOfn() {

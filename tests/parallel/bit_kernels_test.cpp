@@ -1,6 +1,6 @@
-// Unit tests for the BitKernels registry/selection layer plus direct
-// kernel-level differentials: every registered backend must agree bit for
-// bit with the portable reference on randomized buffers, including the
+// Unit tests for the BitKernels CPUID selection plus direct kernel-level
+// differentials: the selected backend must agree bit for bit with the
+// portable reference on randomized buffers, including the
 // private-buffer mask kernels (orInto/andNotInto), popcounts, quiescent
 // copies, and the nonzero-word scan / column probe bridges.
 #include <gtest/gtest.h>
@@ -30,94 +30,36 @@ std::vector<Word> randomWords(std::uint64_t& s, std::size_t n) {
 }
 
 std::vector<const BitKernels*> runnableBackends() {
-  std::vector<const BitKernels*> out;
-  for (const BitBackendDesc& d : bitKernelsRegistry())
-    if (d.supported && d.kernels != nullptr) out.push_back(d.kernels);
+  std::vector<const BitKernels*> out = {&portableBitKernels()};
+  if (&activeBitKernels() != out.front()) out.push_back(&activeBitKernels());
   return out;
 }
 
-// --- registry / selection ----------------------------------------------------
+// --- selection -----------------------------------------------------------------
 
-TEST(BitKernelsRegistry, PortableIsFirstAndAlwaysSupported) {
-  const auto& reg = bitKernelsRegistry();
-  ASSERT_FALSE(reg.empty());
-  EXPECT_STREQ(reg.front().name, "portable");
-  EXPECT_TRUE(reg.front().supported);
-  ASSERT_NE(reg.front().kernels, nullptr);
-  EXPECT_EQ(reg.front().kernels, &portableBitKernels());
-}
-
-TEST(BitKernelsRegistry, NamesAreUniqueAndMatchKernels) {
-  std::vector<std::string> names;
-  for (const BitBackendDesc& d : bitKernelsRegistry()) {
-    for (const std::string& seen : names) EXPECT_NE(seen, d.name);
-    names.push_back(d.name);
-    if (d.kernels != nullptr) {
-      EXPECT_STREQ(d.kernels->name(), d.name);
-    }
+TEST(BitKernelsSelection, ActiveIsAvx2ExactlyWhenBuildAndCpuHaveIt) {
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_STREQ(activeBitKernels().name(), avx2 ? "avx2" : "portable");
+  if (!avx2) {
+    EXPECT_EQ(&activeBitKernels(), &portableBitKernels());
   }
+  EXPECT_STREQ(portableBitKernels().name(), "portable");
+  // Fixed on first use: every call hands out the same object.
+  EXPECT_EQ(&activeBitKernels(), &activeBitKernels());
 }
 
-TEST(BitKernelsRegistry, SelectResolvesEveryRunnableBackendByName) {
-  for (const BitBackendDesc& d : bitKernelsRegistry()) {
-    if (!d.supported || d.kernels == nullptr) continue;
-    std::string err;
-    const BitKernels* k = selectBitKernels(d.name, &err);
-    EXPECT_EQ(k, d.kernels) << d.name << ": " << err;
-  }
-}
-
-TEST(BitKernelsRegistry, AutoPicksASupportedBackend) {
-  std::string err;
-  const BitKernels* k = selectBitKernels("auto", &err);
-  ASSERT_NE(k, nullptr) << err;
-  bool found = false;
-  for (const BitBackendDesc& d : bitKernelsRegistry())
-    if (d.kernels == k) found = d.supported;
-  EXPECT_TRUE(found) << "auto resolved to an unregistered/unsupported backend";
-}
-
-TEST(BitKernelsRegistry, UnknownNameIsRejectedWithMessage) {
-  std::string err;
-  EXPECT_EQ(selectBitKernels("sse9", &err), nullptr);
-  EXPECT_NE(err.find("sse9"), std::string::npos) << err;
-  EXPECT_NE(err.find("portable"), std::string::npos) << err;
-}
-
-TEST(BitKernelsRegistry, UnsupportedBackendNamesTheCpu) {
-  // Only checkable when some registered backend is not runnable here.
-  for (const BitBackendDesc& d : bitKernelsRegistry()) {
-    if (d.supported && d.kernels != nullptr) continue;
-    std::string err;
-    EXPECT_EQ(selectBitKernels(d.name, &err), nullptr);
-    EXPECT_NE(err.find(d.name), std::string::npos) << err;
-  }
-}
-
-TEST(BitKernelsRegistry, CpuFeatureStringIsStable) {
+TEST(BitKernelsSelection, CpuFeatureStringIsStable) {
   // Feeds --stats and the bench meta blocks; must be deterministic.
   const std::string a = cpuFeatureString();
   EXPECT_EQ(a, cpuFeatureString());
 #if defined(__x86_64__)
   EXPECT_FALSE(a.empty());
 #endif
-}
-
-TEST(BitKernelsRegistry, SetActiveRejectsBadSpecAndKeepsCurrent) {
-  const BitKernels& before = activeBitKernels();
-  std::string err;
-  EXPECT_FALSE(setActiveBitKernels("not-a-backend", &err));
-  EXPECT_FALSE(err.empty());
-  EXPECT_EQ(&activeBitKernels(), &before);
-  // Valid re-selection installs what selectBitKernels resolves.
-  ASSERT_TRUE(setActiveBitKernels("portable", &err)) << err;
-  EXPECT_STREQ(activeBitKernels().name(), "portable");
-  ASSERT_TRUE(setActiveBitKernels("auto", &err)) << err;
-  EXPECT_EQ(&activeBitKernels(), selectBitKernels("auto", &err));
-  // Leave the process-wide default exactly as this test found it (the
-  // suite may be running under a forced OWLCL_BIT_BACKEND).
-  ASSERT_TRUE(setActiveBitKernels(before.name(), &err)) << err;
-  EXPECT_EQ(&activeBitKernels(), &before);
 }
 
 // --- direct kernel differentials vs portable ---------------------------------

@@ -19,14 +19,13 @@ namespace {
 
 using Word = AtomicBitMatrix::Word;
 
-/// Every backend this machine can run (portable always included). The
+/// Portable plus the CPUID-chosen backend when that differs. The
 /// differential and storm tests below iterate all of them against the
 /// portable reference, so a vectorized backend can only land with
 /// bit-identical observable behavior.
 std::vector<const BitKernels*> runnableBackends() {
-  std::vector<const BitKernels*> out;
-  for (const BitBackendDesc& d : bitKernelsRegistry())
-    if (d.supported && d.kernels != nullptr) out.push_back(d.kernels);
+  std::vector<const BitKernels*> out = {&portableBitKernels()};
+  if (&activeBitKernels() != out.front()) out.push_back(&activeBitKernels());
   return out;
 }
 

@@ -4,6 +4,7 @@
 // and error surfaces (verbs without a reclassifier, commit without begin).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -139,6 +140,43 @@ TEST_F(ServeDeltaTest, TransactionLifecycleAndViewSwap) {
       ask(*server,
           R"({"op":"subs","sub":"Intern","sup":"Employee","deadline_ms":30000})"),
       "\"result\":true"));
+  server->drain();
+}
+
+std::string addAxiom(const std::string& axiom) {
+  return "{\"op\":\"add-axiom\",\"axiom\":\"" + axiom + "\"}";
+}
+
+// Every committed generation compiles its query snapshot: the view a
+// commit publishes already carries the index for the new epoch.
+TEST_F(ServeDeltaTest, CommittedViewCarriesSnapshotOfItsEpoch) {
+  auto server = startServer();
+  for (std::uint64_t epoch = 1; epoch <= 2; ++epoch) {
+    const std::string name = "Temp" + std::to_string(epoch);
+    ASSERT_TRUE(contains(ask(*server, R"({"op":"begin-delta"})"), "\"txn\""));
+    ASSERT_TRUE(contains(ask(*server, addAxiom("Declaration(Class(" + name +
+                                               "))")),
+                         "\"staged\":1"));
+    ASSERT_TRUE(contains(
+        ask(*server, addAxiom("SubClassOf(" + name + " Student)")),
+        "\"staged\":2"));
+    const std::string commit = ask(*server, R"({"op":"commit"})");
+    ASSERT_TRUE(contains(commit, ("\"epoch\":" + std::to_string(epoch))
+                                     .c_str()))
+        << commit;
+
+    const auto view = server->engineView();
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(view->deltaEpoch, epoch);
+    ASSERT_NE(view->snapshot, nullptr) << "epoch " << epoch;
+    EXPECT_EQ(view->snapshot->stats().generation, epoch);
+    EXPECT_EQ(view->snapshot->conceptCount(), view->tbox->conceptCount());
+    EXPECT_TRUE(contains(
+        ask(*server, "{\"op\":\"subs\",\"sub\":\"" + name +
+                         "\",\"sup\":\"Person\",\"deadline_ms\":30000}"),
+        "\"result\":true"));
+  }
+  EXPECT_GT(server->engineStats().snapshotAnswers, 0u);
   server->drain();
 }
 

@@ -1,6 +1,7 @@
 // End-to-end tests for the Server core: batch answers against ground
 // truth, in-order batch output, explicit overload shedding, worker-fault
-// containment, per-query deadline degradation, and graceful drain.
+// containment, per-query deadline degradation, walk-vs-snapshot answer
+// parity, and graceful drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -307,6 +308,66 @@ TEST_F(ServeServerTest, UnclampedHugeClientDeadlineIsAnswered) {
         << resp;
   }
   server.drain();
+}
+
+// With ServerConfig::querySnapshots off every query walks the taxonomy;
+// once classification has settled, those answers must be byte-identical
+// to the compiled snapshot's (bench_serve's phase-3 parity in miniature).
+TEST_F(ServeServerTest, WalkLadderAnswersMatchSnapshotAnswers) {
+  const std::size_t n = onto_.tbox->conceptCount();
+  std::ostringstream in;
+  std::uint64_t id = 0;
+  for (ConceptId a = 0; a < n; a += 2)
+    for (ConceptId b = 0; b < n; b += 5)
+      in << "{\"op\":\"subs\",\"id\":" << id++ << ",\"sub\":\""
+         << onto_.tbox->conceptName(a) << "\",\"sup\":\""
+         << onto_.tbox->conceptName(b) << "\",\"deadline_ms\":30000}\n";
+  for (ConceptId c = 0; c < n; c += 3) {
+    in << "{\"op\":\"sat\",\"id\":" << id++ << ",\"concept\":\""
+       << onto_.tbox->conceptName(c) << "\",\"deadline_ms\":30000}\n";
+    in << "{\"op\":\"descendants\",\"id\":" << id++ << ",\"concept\":\""
+       << onto_.tbox->conceptName(c) << "\"}\n";
+  }
+
+  auto serve = [&](bool snapshots, QueryEngineStats* stats) {
+    MockReasoner backend(onto_.truth);
+    ThreadPool pool(2);
+    RealExecutor exec(pool);
+    ParallelClassifier classifier(*onto_.tbox, backend, ClassifierConfig{});
+    ServerConfig sc;
+    sc.querySnapshots = snapshots;
+    Server server(*onto_.tbox, classifier, backend, sc);
+    server.start([&] { return classifier.classify(exec); });
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::minutes(1);
+    for (;;) {
+      const auto view = server.engineView();
+      if (view != nullptr && view->result != nullptr &&
+          (view->snapshot != nullptr) == snapshots)
+        break;
+      if (std::chrono::steady_clock::now() > giveUp) {
+        ADD_FAILURE() << "server never settled (snapshots=" << snapshots
+                      << ")";
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::istringstream input(in.str());
+    std::ostringstream output;
+    server.runBatch(input, output);
+    server.drain();
+    *stats = server.engineStats();
+    return output.str();
+  };
+
+  QueryEngineStats walkStats, snapStats;
+  const std::string walk = serve(false, &walkStats);
+  const std::string snap = serve(true, &snapStats);
+  ASSERT_EQ(lines(walk).size(), id);
+  EXPECT_EQ(walk, snap);
+  EXPECT_EQ(walkStats.snapshotAnswers, 0u);
+  EXPECT_GT(walkStats.walkAnswers, 0u);
+  EXPECT_GT(snapStats.snapshotAnswers, 0u);
 }
 
 TEST_F(ServeServerTest, DrainIsIdempotentAndRejectsNewWork) {

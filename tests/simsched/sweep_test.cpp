@@ -21,6 +21,19 @@ TEST(FigureWorkerCounts, CoversRangeAndEndsAtMax) {
   EXPECT_EQ(w7.back(), 7u);  // appended non-grid max
 }
 
+// The --max-workers ceiling must admit the paper's largest figure (140
+// workers, Fig. 9) and yield a grid that ends exactly at the ceiling.
+TEST(FigureWorkerCounts, CeilingAdmitsThePaperFigures) {
+  EXPECT_EQ(kMaxSweepWorkers, 256u);
+  const auto w140 = figureWorkerCounts(140);
+  EXPECT_LE(w140.back(), kMaxSweepWorkers);
+  const auto top = figureWorkerCounts(kMaxSweepWorkers);
+  EXPECT_EQ(top.back(), kMaxSweepWorkers);
+  // Every grid point up to 140 stays; the ceiling is the only one added.
+  ASSERT_EQ(top.size(), w140.size() + 1);
+  for (std::size_t i = 0; i < w140.size(); ++i) EXPECT_EQ(top[i], w140[i]);
+}
+
 TEST(Sweep, RunsAllPointsDeterministically) {
   GenConfig cfg;
   cfg.name = "sweep";

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "parallel/bit_kernels.hpp"
 #include "support/cli_run.hpp"
 #include "support/test_dir.hpp"
 
@@ -36,7 +37,6 @@ TEST(CliFlags, SubcommandsRejectFlagsTheyDoNotRead) {
   const std::string ckpt = dir + "/ckpt";
   const std::vector<std::pair<const char*, std::string>> cases = {
       {"classify", "--port=5"},
-      {"classify", "--query-snapshot=off"},
       {"classify", "--max-workers=3"},
       {"serve", "--apply-deltas=" + dir + "/deltas.txt"},
       {"serve", "--verify"},
@@ -55,11 +55,24 @@ TEST(CliFlags, SubcommandsRejectFlagsTheyDoNotRead) {
         << command << " " << flag;
   EXPECT_FALSE(fs::exists(ckpt)) << "a rejected flag must not start work";
   // Bad values of flags it does read are rejected just as early.
-  for (const char* bad : {"--backend=foo", "--budget-ms=18446744073710"})
-    EXPECT_EQ(run(kCli + " classify " + missing + " " + bad +
+  for (const auto& [command, bad] :
+       {std::pair{"classify", "--route-el=foo"},
+        std::pair{"classify", "--budget-ms=18446744073710"},
+        std::pair{"sweep", "--max-workers=257"}})
+    EXPECT_EQ(run(kCli + " " + command + " " + missing + " " + bad +
                   " > /dev/null 2>&1"),
               2)
-        << bad;
+        << command << " " << bad;
+  // The retired configuration switches are unknown to every subcommand.
+  for (const char* command : {"classify", "serve", "sweep", "metrics",
+                              "convert"})
+    for (const char* retired :
+         {"--backend=el", "--bit-backend=portable", "--shared-cache",
+          "--merge-models", "--query-snapshot=off"})
+      EXPECT_EQ(run(kCli + " " + command + " " + missing + " " + retired +
+                    " > /dev/null 2>&1"),
+                2)
+          << command << " " << retired;
 
   // Each subcommand still accepts a flag it does read.
   EXPECT_EQ(run(kCli + " classify " + kOntology +
@@ -72,6 +85,46 @@ TEST(CliFlags, SubcommandsRejectFlagsTheyDoNotRead) {
                 " --max-workers=2 > /dev/null 2>&1"),
             0);
   EXPECT_EQ(run(kCli + " metrics " + kOntology + " > /dev/null 2>&1"), 0);
+  fs::remove_all(dir);
+}
+
+// OWLCL_BIT_BACKEND is no longer read: the bit kernels are fixed by
+// CPUID, so setting the retired variable changes nothing --stats reports
+// and draws no warning.
+TEST(CliFlags, BitBackendEnvironmentVariableIsIgnored) {
+  const std::string dir = freshTestDir("cli-bit-env");
+  const std::string want =
+      std::string("bit kernels: ") + activeBitKernels().name() + " backend";
+  for (const char* forced : {"portable", "no-such-backend"}) {
+    const std::string stats = dir + "/stats-" + forced + ".txt";
+    ASSERT_EQ(run(std::string("OWLCL_BIT_BACKEND=") + forced + " " + kCli +
+                  " classify " + kOntology +
+                  " --stats --output=none > /dev/null 2> " + stats),
+              0)
+        << forced;
+    const std::string err = slurp(stats);
+    EXPECT_NE(err.find(want), std::string::npos) << forced << ": " << err;
+    EXPECT_EQ(err.find("OWLCL_BIT_BACKEND"), std::string::npos) << err;
+  }
+  fs::remove_all(dir);
+}
+
+// --max-workers=256 is the ceiling, not past it: the sweep runs and its
+// last row is the 256-worker point.
+TEST(CliFlags, SweepRunsAtTheWorkerCeiling) {
+  const std::string dir = freshTestDir("cli-sweep-ceiling");
+  const std::string table = dir + "/sweep.txt";
+  ASSERT_EQ(run(kCli + " sweep " + kOntology + " --max-workers=256 > " +
+                table + " 2> /dev/null"),
+            0);
+  std::istringstream rows(slurp(table));
+  std::string row, last;
+  while (std::getline(rows, row))
+    if (!row.empty()) last = row;
+  std::istringstream fields(last);
+  std::size_t workers = 0;
+  EXPECT_TRUE(fields >> workers) << last;
+  EXPECT_EQ(workers, 256u) << last;
   fs::remove_all(dir);
 }
 
@@ -153,9 +206,9 @@ TEST(CliFlags, UsageListsTheReadmeFlagTable) {
   }
   for (const std::string& c : commands)
     EXPECT_EQ(usage[c], readme[c]) << "flags of owlcl " << c;
-  EXPECT_EQ(usage["classify"].size(), 21u);
-  EXPECT_EQ(usage["serve"].size(), 27u);
-  EXPECT_EQ(usage["sweep"].size(), 6u);
+  EXPECT_EQ(usage["classify"].size(), 17u);
+  EXPECT_EQ(usage["serve"].size(), 22u);
+  EXPECT_EQ(usage["sweep"].size(), 2u);
   fs::remove_all(dir);
 }
 

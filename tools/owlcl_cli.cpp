@@ -111,10 +111,7 @@ struct Options {
   bool symmetric = true;
   ElRouting routeEl = ElRouting::kOff;
   bool verify = false;
-  bool sharedCache = false;
-  bool mergeModels = false;
   bool stats = false;
-  std::string backend = "tableau";
   std::string output = "tree";
   std::size_t maxWorkers = 64;
 
@@ -142,7 +139,6 @@ struct Options {
   std::size_t serveDeadlineMs = 1000;
   std::size_t serveMaxDeadlineMs = 60'000;
   std::size_t maxLineBytes = 64 * 1024;
-  bool querySnapshot = true;
   ServeFaultPlan serveFaults;
 };
 
@@ -305,10 +301,8 @@ enum Command : unsigned {
   kMetrics = 1u << 3,
   kConvert = 1u << 4,
 };
-/// classify and serve share the run setup, so most flags are read by both;
-/// sweep also builds a backend and divides work, so it reads those flags.
+/// classify and serve share the run setup, so most flags are read by both.
 constexpr unsigned kRun = kClassify | kServe;
-constexpr unsigned kRunOrSweep = kRun | kSweep;
 
 struct CommandInfo {
   const char* name;
@@ -342,7 +336,7 @@ const Flag kFlags[] = {
      [](auto& o, auto& f, auto v) {
        o.workers = parseInRange(f, v, 1, kMaxThreads);
      }},
-    {"--cycles", "N", kRunOrSweep, "random-division cycles (default 2)",
+    {"--cycles", "N", kRun | kSweep, "random-division cycles (default 2)",
      [](auto& o, auto& f, auto v) { o.cycles = parseCount(f, v); }},
     {"--ordered", nullptr, kRun, "ordered (non-symmetric) pair tests",
      [](auto& o, auto&, auto) { o.symmetric = false; }},
@@ -354,25 +348,6 @@ const Flag kFlags[] = {
                                        ElRouting::kOn};
        o.routeEl = kModes[parseChoice(f, v, {"off", "auto", "on"})];
      }},
-    {"--backend", "tableau|el", kRunOrSweep,
-     "reasoner plug-in (el requires an EL ontology)",
-     [](auto& o, auto& f, auto v) {
-       parseChoice(f, v, {"tableau", "el"});
-       o.backend = v;
-     }},
-    {"--bit-backend", "portable|avx2|auto", kRunOrSweep,
-     "P/K bit-matrix kernels (default auto = widest this CPU runs)",
-     [](auto&, auto& f, auto v) {
-       // Installed process-wide at parse time, before any matrix exists.
-       std::string err;
-       if (!setActiveBitKernels(v, &err)) reject(f + ": " + err);
-     }},
-    {"--shared-cache", nullptr, kRunOrSweep,
-     "one lock-free sat-verdict cache across workers (tableau only)",
-     [](auto& o, auto&, auto) { o.sharedCache = true; }},
-    {"--merge-models", nullptr, kRunOrSweep,
-     "pseudo-model merging fast path (tableau only)",
-     [](auto& o, auto&, auto) { o.mergeModels = true; }},
     {"--stats", nullptr, kRun, "print reasoner and serving statistics",
      [](auto& o, auto&, auto) { o.stats = true; }},
     {"--output", "tree|dot|none", kClassify,
@@ -383,9 +358,10 @@ const Flag kFlags[] = {
      }},
     {"--verify", nullptr, kClassify, "structural verification of the result",
      [](auto& o, auto&, auto) { o.verify = true; }},
-    {"--max-workers", "N", kSweep, "sweep 1..N virtual workers (default 64)",
+    {"--max-workers", "N", kSweep,
+     "sweep 1..N virtual workers (default 64, at most 256)",
      [](auto& o, auto& f, auto v) {
-       o.maxWorkers = parseInRange(f, v, 1, kNoCeiling);
+       o.maxWorkers = parseInRange(f, v, 1, kMaxSweepWorkers);
      }},
     {"--deadline-ms", "N", kRun, "per-reasoner-call deadline (0 = unlimited)",
      [](auto& o, auto& f, auto v) { o.deadlineMs = parseMs(f, v); }},
@@ -459,11 +435,6 @@ const Flag kFlags[] = {
      [](auto& o, auto& f, auto v) {
        o.serveFaults = parseServeFaultSpec(f, v);
      }},
-    {"--query-snapshot", "on|off", kServe,
-     "compiled read snapshot per generation (default on)",
-     [](auto& o, auto& f, auto v) {
-       o.querySnapshot = parseChoice(f, v, {"on", "off"}) == 0;
-     }},
 };
 
 [[noreturn]] void usage() {
@@ -525,31 +496,10 @@ Options parseOptions(int argc, char** argv, int first,
 
 // --- the run: ontology, plug-in chain, checkpoints, classifier ----------------
 
-std::unique_ptr<ReasonerPlugin> makeBackend(const Options& o, TBox& tbox) {
-  if (o.backend == "el") {
-    if (!isElTBox(tbox)) {
-      std::fprintf(stderr,
-                   "--backend=el requires an EL ontology (this one is %s)\n",
-                   computeMetrics(tbox).expressivity.c_str());
-      std::exit(1);
-    }
-    if (o.sharedCache || o.mergeModels)
-      std::fprintf(stderr,
-                   "note: --shared-cache/--merge-models only apply to "
-                   "--backend=tableau; ignored\n");
-    tbox.freeze();
-    return std::make_unique<ElPlugin>(tbox);
-  }
-  TableauReasonerConfig tc;
-  tc.sharedCache = o.sharedCache;
-  tc.mergeModels = o.mergeModels;
-  return std::make_unique<TableauReasoner>(tbox, tc);
-}
-
 /// Owns one generation's plug-in decorator stack (backend →
 /// [FaultInjector] → [GuardedPlugin]); `head` answers for the chain.
 struct PluginChain {
-  std::unique_ptr<ReasonerPlugin> backend;
+  std::unique_ptr<TableauReasoner> backend;
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<GuardedPlugin> guarded;
   ReasonerPlugin* head = nullptr;
@@ -558,7 +508,11 @@ struct PluginChain {
 std::shared_ptr<PluginChain> buildChain(const Options& o, TBox& tbox,
                                         CancellationToken* cancel) {
   auto chain = std::make_shared<PluginChain>();
-  chain->backend = makeBackend(o, tbox);
+  // The one plug-in: the tableau with pseudo-model merging and without the
+  // shared sat cache, the configuration EXPERIMENTS.md measured fastest.
+  TableauReasonerConfig tc;
+  tc.mergeModels = true;
+  chain->backend = std::make_unique<TableauReasoner>(tbox, tc);
   chain->head = chain->backend.get();
   if (o.faults.enabled()) {
     chain->injector = std::make_unique<FaultInjector>(*chain->head, o.faults);
@@ -579,9 +533,6 @@ std::shared_ptr<PluginChain> buildChain(const Options& o, TBox& tbox,
 /// commit path catches and rolls back) instead of exiting the process.
 PluginFactory makeChainFactory(const Options& o, CancellationToken* cancel) {
   return [&o, cancel](const TBox& tbox) -> std::shared_ptr<ReasonerPlugin> {
-    if (o.backend == "el" && !isElTBox(tbox))
-      throw std::runtime_error(
-          "delta leaves the EL fragment; --backend=el cannot reclassify it");
     // The commit path froze the TBox before calling the factory, so the
     // backend's own freeze is a no-op; the non-const ref is an API wrinkle.
     auto chain = buildChain(o, const_cast<TBox&>(tbox), cancel);
@@ -950,12 +901,12 @@ int cmdClassify(const std::string& path, const Options& o) {
   const ClassificationResult r = run->classify();
 
   std::fprintf(stderr,
-               "classified %zu concepts in %.1f ms (%zu workers, backend %s)\n"
+               "classified %zu concepts in %.1f ms (%zu workers)\n"
                "  %llu sat + %llu subsumption tests, %llu pruned, "
                "%zu taxonomy nodes, depth %zu\n",
                tbox.conceptCount(),
                static_cast<double>(run->exec->elapsedNs()) / 1e6, o.workers,
-               o.backend.c_str(), static_cast<unsigned long long>(r.satTests),
+               static_cast<unsigned long long>(r.satTests),
                static_cast<unsigned long long>(r.subsumptionTests),
                static_cast<unsigned long long>(r.prunedWithoutTest),
                r.taxonomy.nodeCount(), r.taxonomy.depth());
@@ -1115,7 +1066,6 @@ int cmdServe(const std::string& path, const Options& o) {
   sc.maxLineBytes = o.maxLineBytes;
   sc.engine.defaultDeadlineMs = o.serveDeadlineMs;
   sc.engine.maxDeadlineMs = o.serveMaxDeadlineMs;
-  sc.querySnapshots = o.querySnapshot;
   sc.faults = o.serveFaults;
   // The run's plug-in chain (faults, guard) serves the BACKGROUND run only.
   // Direct per-query fallback calls go to the raw backend: a query's budget
@@ -1127,7 +1077,6 @@ int cmdServe(const std::string& path, const Options& o) {
   // when checkpointing is on. Generation 0's result arrives via the
   // server's classify thread once the background run finishes.
   if (!attachDelta(o, *run, nullptr)) return 1;
-  run->delta->setBuildSnapshots(o.querySnapshot);
   server.setDeltaReclassifier(run->delta.get());
 
   // SIGTERM/SIGINT: pause the classifier at its next epoch barrier and
@@ -1229,8 +1178,8 @@ int cmdServe(const std::string& path, const Options& o) {
           bs.concepts, bs.treeEdges, bs.nonTreeEdges, bs.extraWords,
           bs.descendantIds);
     } else {
-      std::fprintf(stderr, "snapshot stats: none (off, degraded, or not yet "
-                           "built)\n");
+      std::fprintf(stderr,
+                   "snapshot stats: none (degraded or not yet built)\n");
     }
   }
   return status;
@@ -1254,10 +1203,11 @@ int cmdMetrics(const std::string& path) {
 int cmdSweep(const std::string& path, const Options& o) {
   TBox tbox;
   load(path, tbox);
-  std::unique_ptr<ReasonerPlugin> backend = makeBackend(o, tbox);
-  const SweepResult r =
-      runSpeedupSweep(path, tbox, *backend, figureWorkerCounts(o.maxWorkers),
-                      buildClassifierConfig(o));
+  // sweep reads no fault or deadline flags, so the chain is the backend.
+  const std::shared_ptr<PluginChain> chain = buildChain(o, tbox, nullptr);
+  const SweepResult r = runSpeedupSweep(path, tbox, *chain->head,
+                                        figureWorkerCounts(o.maxWorkers),
+                                        buildClassifierConfig(o));
   std::printf("%s", renderSweepTable(r).c_str());
   return 0;
 }
