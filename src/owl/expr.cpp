@@ -4,8 +4,9 @@
 
 namespace owlcl {
 
-std::size_t ExprFactory::NodeKeyHash::operator()(const NodeKey& k) const {
-  // FNV-1a over the key fields; children are already canonically ordered.
+std::uint64_t ExprFactory::hashKey(const NodeKey& k) {
+  // FNV-1a over the key fields (children are already canonically ordered),
+  // then a murmur finaliser so the table's low-bit mask sees every field.
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -16,17 +17,47 @@ std::size_t ExprFactory::NodeKeyHash::operator()(const NodeKey& k) const {
   mix(k.number);
   mix(k.atom);
   for (ExprId c : k.children) mix(c);
-  return static_cast<std::size_t>(h);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
 }
 
-ExprFactory::ExprFactory() {
-  nodes_.push_back(ExprNode{ExprKind::kTop, kInvalidRole, 0, kInvalidConcept, 0, 0});
-  nodes_.push_back(ExprNode{ExprKind::kBottom, kInvalidRole, 0, kInvalidConcept, 0, 0});
+bool ExprFactory::matches(ExprId id, const NodeKey& k) const {
+  const ExprNode& n = nodes_[id];
+  if (n.kind != k.kind || n.role != k.role || n.number != k.number ||
+      n.atom != k.atom || n.childCount != k.children.size())
+    return false;
+  return std::equal(k.children.begin(), k.children.end(),
+                    childPool_.begin() + n.childBegin);
 }
 
-ExprId ExprFactory::intern(NodeKey key) {
-  auto it = internMap_.find(key);
-  if (it != internMap_.end()) return it->second;
+ExprId ExprFactory::find(const NodeKey& k, std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const ExprId id = slots_[i];
+    if (id == kInvalidExpr) return kInvalidExpr;
+    if (hashOf_[id] == hash && matches(id, k)) return id;
+  }
+}
+
+void ExprFactory::insertSlot(ExprId id) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hashOf_[id] & mask;
+  while (slots_[i] != kInvalidExpr) i = (i + 1) & mask;
+  slots_[i] = id;
+}
+
+ExprFactory::ExprFactory() : slots_(64, kInvalidExpr) {
+  intern(NodeKey{ExprKind::kTop, kInvalidRole, 0, kInvalidConcept, {}});
+  intern(NodeKey{ExprKind::kBottom, kInvalidRole, 0, kInvalidConcept, {}});
+}
+
+ExprId ExprFactory::intern(const NodeKey& key) {
+  const std::uint64_t hash = hashKey(key);
+  if (const ExprId hit = find(key, hash); hit != kInvalidExpr) return hit;
   OWLCL_ASSERT_MSG(!frozen_, "ExprFactory mutated after freeze()");
   ExprNode n;
   n.kind = key.kind;
@@ -38,16 +69,22 @@ ExprId ExprFactory::intern(NodeKey key) {
   childPool_.insert(childPool_.end(), key.children.begin(), key.children.end());
   const ExprId id = static_cast<ExprId>(nodes_.size());
   nodes_.push_back(n);
-  internMap_.emplace(std::move(key), id);
+  hashOf_.push_back(hash);
+  complementMemo_.push_back(kInvalidExpr);
+  if (2 * nodes_.size() > slots_.size()) {
+    slots_.assign(2 * slots_.size(), kInvalidExpr);
+    for (ExprId e = 0; e < nodes_.size(); ++e) insertSlot(e);
+  } else {
+    insertSlot(id);
+  }
   return id;
 }
 
 ExprId ExprFactory::atom(ConceptId c) {
-  auto it = atomMap_.find(c);
-  if (it != atomMap_.end()) return it->second;
-  NodeKey key{ExprKind::kAtom, kInvalidRole, 0, c, {}};
-  const ExprId id = intern(std::move(key));
-  atomMap_.emplace(c, id);
+  if (c < atomOf_.size() && atomOf_[c] != kInvalidExpr) return atomOf_[c];
+  const ExprId id = intern(NodeKey{ExprKind::kAtom, kInvalidRole, 0, c, {}});
+  if (c >= atomOf_.size()) atomOf_.resize(std::size_t{c} + 1, kInvalidExpr);
+  atomOf_[c] = id;
   return id;
 }
 
@@ -63,8 +100,8 @@ ExprId ExprFactory::negate(ExprId e) {
     default:
       break;
   }
-  NodeKey key{ExprKind::kNot, kInvalidRole, 0, kInvalidConcept, {e}};
-  return intern(std::move(key));
+  const ExprId cs[1] = {e};
+  return intern(NodeKey{ExprKind::kNot, kInvalidRole, 0, kInvalidConcept, cs});
 }
 
 ExprId ExprFactory::makeNary(ExprKind kind, std::span<const ExprId> cs) {
@@ -74,8 +111,9 @@ ExprId ExprFactory::makeNary(ExprKind kind, std::span<const ExprId> cs) {
   const ExprId identity = isAnd ? top() : bottom();
 
   // Flatten nested same-kind operands, drop identities, detect absorbers.
-  std::vector<ExprId> flat;
-  flat.reserve(cs.size());
+  // The scratch buffer is reused: nothing below re-enters makeNary.
+  std::vector<ExprId>& flat = naryScratch_;
+  flat.clear();
   auto add = [&](auto&& self, ExprId c) -> bool {  // returns false on absorber
     if (c == absorbing) return false;
     if (c == identity) return true;
@@ -103,8 +141,7 @@ ExprId ExprFactory::makeNary(ExprKind kind, std::span<const ExprId> cs) {
       return absorbing;
   }
 
-  NodeKey key{kind, kInvalidRole, 0, kInvalidConcept, std::move(flat)};
-  return intern(std::move(key));
+  return intern(NodeKey{kind, kInvalidRole, 0, kInvalidConcept, flat});
 }
 
 ExprId ExprFactory::conj(std::span<const ExprId> cs) {
@@ -117,42 +154,43 @@ ExprId ExprFactory::disj(std::span<const ExprId> cs) {
 
 ExprId ExprFactory::exists(RoleId r, ExprId c) {
   if (c == bottom()) return bottom();  // ∃R.⊥ ≡ ⊥
-  NodeKey key{ExprKind::kExists, r, 0, kInvalidConcept, {c}};
-  return intern(std::move(key));
+  const ExprId cs[1] = {c};
+  return intern(NodeKey{ExprKind::kExists, r, 0, kInvalidConcept, cs});
 }
 
 ExprId ExprFactory::forall(RoleId r, ExprId c) {
   if (c == top()) return top();  // ∀R.⊤ ≡ ⊤
-  NodeKey key{ExprKind::kForall, r, 0, kInvalidConcept, {c}};
-  return intern(std::move(key));
+  const ExprId cs[1] = {c};
+  return intern(NodeKey{ExprKind::kForall, r, 0, kInvalidConcept, cs});
 }
 
 ExprId ExprFactory::forallInterned(RoleId r, ExprId c) const {
   if (c == top()) return top();
-  const NodeKey key{ExprKind::kForall, r, 0, kInvalidConcept, {c}};
-  auto it = internMap_.find(key);
-  OWLCL_ASSERT_MSG(it != internMap_.end(),
+  const ExprId cs[1] = {c};
+  const NodeKey key{ExprKind::kForall, r, 0, kInvalidConcept, cs};
+  const ExprId id = find(key, hashKey(key));
+  OWLCL_ASSERT_MSG(id != kInvalidExpr,
                    "forallInterned: node missing from the closure");
-  return it->second;
+  return id;
 }
 
 ExprId ExprFactory::atLeast(std::uint32_t n, RoleId r, ExprId c) {
   if (n == 0) return top();            // ≥0 R.C ≡ ⊤
   if (c == bottom()) return bottom();  // ≥n R.⊥ ≡ ⊥ for n ≥ 1
   if (n == 1) return exists(r, c);     // ≥1 R.C ≡ ∃R.C
-  NodeKey key{ExprKind::kAtLeast, r, n, kInvalidConcept, {c}};
-  return intern(std::move(key));
+  const ExprId cs[1] = {c};
+  return intern(NodeKey{ExprKind::kAtLeast, r, n, kInvalidConcept, cs});
 }
 
 ExprId ExprFactory::atMost(std::uint32_t n, RoleId r, ExprId c) {
+  OWLCL_ASSERT(n <= kMaxCardinality);  // the complement's n + 1 must fit
   if (c == bottom()) return top();  // ≤n R.⊥ ≡ ⊤
-  NodeKey key{ExprKind::kAtMost, r, n, kInvalidConcept, {c}};
-  return intern(std::move(key));
+  const ExprId cs[1] = {c};
+  return intern(NodeKey{ExprKind::kAtMost, r, n, kInvalidConcept, cs});
 }
 
 ExprId ExprFactory::complementOf(ExprId e) {
-  auto it = complementMemo_.find(e);
-  if (it != complementMemo_.end()) return it->second;
+  if (complementMemo_[e] != kInvalidExpr) return complementMemo_[e];
 
   // Copy the node: recursive interning can reallocate nodes_.
   const ExprNode n = node(e);
@@ -198,9 +236,10 @@ ExprId ExprFactory::complementOf(ExprId e) {
       break;
   }
   OWLCL_ASSERT(result != kInvalidExpr);
-  complementMemo_.emplace(e, result);
-  // A complement pair is symmetric; memoise the reverse direction too.
-  complementMemo_.emplace(result, e);
+  // A complement pair is symmetric; memoise the reverse direction too. An
+  // entry written while recursing (in either direction) is kept.
+  if (complementMemo_[e] == kInvalidExpr) complementMemo_[e] = result;
+  if (complementMemo_[result] == kInvalidExpr) complementMemo_[result] = e;
   return result;
 }
 

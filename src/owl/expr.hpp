@@ -4,7 +4,10 @@
 // ExprFactory and addressed by ExprId; structural equality is id equality.
 // Construction performs cheap lexical normalisation (flattening, sorting,
 // deduplication, ⊤/⊥ identities, direct-complement clash detection) —
-// the "lexical normalisation" optimisation of tableau reasoners.
+// the "lexical normalisation" optimisation of tableau reasoners. The
+// hash-consing table is open-addressed over ids and compares a probe key
+// against the stored node and child span, so a lookup that hits allocates
+// nothing; ids are assigned in creation order.
 //
 // Concurrency contract (DESIGN.md §5): the factory is mutated only during
 // single-threaded loading / preprocessing. freeze() flips it immutable;
@@ -47,6 +50,11 @@ struct ExprNode {
   std::uint32_t childBegin = 0;      // index into the factory's child pool
   std::uint32_t childCount = 0;      // kNot/kExists/...: 1; kAnd/kOr: >= 2
 };
+
+/// The largest cardinality a number restriction may carry. It leaves room
+/// for the n + 1 of ¬(≤n R.C) = ≥(n+1) R.C in 32 bits; the parsers reject
+/// anything larger.
+inline constexpr std::uint32_t kMaxCardinality = 0x7fffffff;
 
 class ExprFactory {
  public:
@@ -118,26 +126,33 @@ class ExprFactory {
   static constexpr ExprId kTopId = 0;
   static constexpr ExprId kBottomId = 1;
 
+  /// A node's identity as the hash-consing table sees it. `children`
+  /// points at caller storage, so a lookup allocates nothing.
   struct NodeKey {
     ExprKind kind;
     RoleId role;
     std::uint32_t number;
     ConceptId atom;
-    std::vector<ExprId> children;
-    bool operator==(const NodeKey&) const = default;
-  };
-  struct NodeKeyHash {
-    std::size_t operator()(const NodeKey& k) const;
+    std::span<const ExprId> children;
   };
 
-  ExprId intern(NodeKey key);
+  static std::uint64_t hashKey(const NodeKey& k);
+  bool matches(ExprId id, const NodeKey& k) const;
+  /// The interned id of `k`, or kInvalidExpr.
+  ExprId find(const NodeKey& k, std::uint64_t hash) const;
+  ExprId intern(const NodeKey& k);
+  void insertSlot(ExprId id);
   ExprId makeNary(ExprKind kind, std::span<const ExprId> cs);
 
   std::vector<ExprNode> nodes_;
   std::vector<ExprId> childPool_;
-  std::unordered_map<NodeKey, ExprId, NodeKeyHash> internMap_;
-  std::unordered_map<ConceptId, ExprId> atomMap_;
-  std::unordered_map<ExprId, ExprId> complementMemo_;
+  /// Open-addressing table of ids (kInvalidExpr = empty slot), linear
+  /// probing, power-of-two size, load factor at most 1/2.
+  std::vector<ExprId> slots_;
+  std::vector<std::uint64_t> hashOf_;  // per node, for rehashing
+  std::vector<ExprId> atomOf_;         // ConceptId → atom id or kInvalidExpr
+  std::vector<ExprId> complementMemo_; // ExprId → complement or kInvalidExpr
+  std::vector<ExprId> naryScratch_;    // makeNary's flattened operands
   mutable std::unordered_map<ExprId, std::size_t> sizeMemo_;
   bool frozen_ = false;
 };

@@ -1,6 +1,7 @@
 #include "owl/parser.hpp"
 
-#include <cctype>
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -25,10 +26,28 @@ enum class Tok : std::uint8_t {
 
 struct Token {
   Tok kind;
-  std::string text;
+  std::string_view text;  // a view into the source document
   std::size_t line;
   std::size_t col;
 };
+
+/// Character classes of the lexer, one table lookup per byte.
+enum : std::uint8_t { kNameChar = 1, kDigit = 2, kSpace = 4 };
+
+constexpr std::array<std::uint8_t, 256> makeCharClasses() {
+  std::array<std::uint8_t, 256> t{};
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kNameChar;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kNameChar;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kNameChar | kDigit;
+  t['_'] = t['-'] = t['.'] = kNameChar;
+  t[' '] = t['\t'] = t['\r'] = t['\n'] = kSpace;
+  return t;
+}
+constexpr std::array<std::uint8_t, 256> kCharClass = makeCharClasses();
+
+bool is(char c, std::uint8_t cls) {
+  return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
+}
 
 class Lexer {
  public:
@@ -48,69 +67,62 @@ class Lexer {
       return {Tok::kRParen, ")", line, col};
     }
     if (c == '<') {  // <IRI>
-      std::size_t start = pos_ + 1;
       advance();
+      const std::size_t start = pos_;
       while (pos_ < text_.size() && text_[pos_] != '>') advance();
       if (pos_ >= text_.size()) throw ParseError("unterminated IRI", line, col);
-      std::string iri(text_.substr(start, pos_ - start));
+      const std::string_view iri = text_.substr(start, pos_ - start);
       advance();  // consume '>'
-      return {Tok::kIri, std::move(iri), line, col};
+      return {Tok::kIri, iri, line, col};
     }
     if (c == '"') {  // string literal (no escapes; annotations only)
-      std::size_t start = pos_ + 1;
       advance();
+      const std::size_t start = pos_;
       while (pos_ < text_.size() && text_[pos_] != '"') advance();
       if (pos_ >= text_.size())
         throw ParseError("unterminated string literal", line, col);
-      std::string lit(text_.substr(start, pos_ - start));
+      const std::string_view lit = text_.substr(start, pos_ - start);
       advance();  // consume closing '"'
-      return {Tok::kString, std::move(lit), line, col};
+      return {Tok::kString, lit, line, col};
     }
     if (c == ':' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
       advance();
       advance();
       return {Tok::kColonEq, ":=", line, col};
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t start = pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        advance();
-      return {Tok::kInt, std::string(text_.substr(start, pos_ - start)), line, col};
+    // Names and integers never contain a newline: advance the column in
+    // one step.
+    const std::size_t start = pos_;
+    if (is(c, kDigit)) {
+      while (pos_ < text_.size() && is(text_[pos_], kDigit)) ++pos_;
+      col_ += pos_ - start;
+      return {Tok::kInt, text_.substr(start, pos_ - start), line, col};
     }
-    if (isNameChar(c)) {
-      std::size_t start = pos_;
+    if (is(c, kNameChar)) {
       while (pos_ < text_.size()) {
         const char cc = text_[pos_];
-        if (isNameChar(cc)) {
-          advance();
-          continue;
-        }
         // Keep ':' inside prefixed names (ex:A) but stop before ':=' so
         // Prefix(ex:=<iri>) tokenises as "ex" ":=" "<iri>".
-        if (cc == ':' && !(pos_ + 1 < text_.size() && text_[pos_ + 1] == '=')) {
-          advance();
+        if (is(cc, kNameChar) ||
+            (cc == ':' && !(pos_ + 1 < text_.size() && text_[pos_ + 1] == '='))) {
+          ++pos_;
           continue;
         }
         break;
       }
-      return {Tok::kName, std::string(text_.substr(start, pos_ - start)), line, col};
+      col_ += pos_ - start;
+      return {Tok::kName, text_.substr(start, pos_ - start), line, col};
     }
     throw ParseError(std::string("unexpected character '") + c + "'", line, col);
   }
 
  private:
-  static bool isNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-           c == '.';
-  }
-
   void skipWsAndComments() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if (c == '#') {
         while (pos_ < text_.size() && text_[pos_] != '\n') advance();
-      } else if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
+      } else if (is(c, kSpace)) {
         advance();
       } else {
         break;
@@ -160,31 +172,37 @@ class Parser {
   void consume() { cur_ = lexer_.next(); }
 
   void expect(Tok kind) {
-    if (cur_.kind != kind) fail("unexpected token '" + cur_.text + "'");
+    if (cur_.kind != kind) fail("unexpected token '" + std::string(cur_.text) + "'");
     consume();
   }
 
   void expectName(std::string_view name) {
     if (cur_.kind != Tok::kName || cur_.text != name)
-      fail("expected '" + std::string(name) + "', found '" + cur_.text + "'");
+      fail("expected '" + std::string(name) + "', found '" + std::string(cur_.text) +
+           "'");
     consume();
   }
 
-  std::string takeEntityName() {
-    if (cur_.kind == Tok::kIri) {
-      std::string full = cur_.text;
-      consume();
-      return full;
-    }
-    if (cur_.kind != Tok::kName) fail("expected entity name");
-    std::string name = cur_.text;
+  /// The entity name at the cursor, consumed. The view points into the
+  /// source, or into expanded_ for a prefixed name, so it is valid until
+  /// the next call.
+  std::string_view takeEntityName() {
+    if (cur_.kind != Tok::kIri && cur_.kind != Tok::kName)
+      fail("expected entity name");
+    const std::string_view name = cur_.text;
+    const bool iri = cur_.kind == Tok::kIri;
     consume();
+    if (iri) return name;
     // Expand a declared prefix; names with undeclared prefixes (or none)
     // are kept verbatim, which keeps hand-written test files terse.
     const std::size_t colon = name.find(':');
-    if (colon != std::string::npos) {
+    if (colon != std::string_view::npos) {
       auto it = prefixes_.find(name.substr(0, colon));
-      if (it != prefixes_.end()) return it->second + name.substr(colon + 1);
+      if (it != prefixes_.end()) {
+        expanded_.assign(it->second);
+        expanded_.append(name.substr(colon + 1));
+        return expanded_;
+      }
     }
     return name;
   }
@@ -193,19 +211,19 @@ class Parser {
     expectName("Prefix");
     expect(Tok::kLParen);
     if (cur_.kind != Tok::kName) fail("expected prefix name");
-    std::string pname = cur_.text;
-    if (!pname.empty() && pname.back() == ':') pname.pop_back();
+    std::string_view pname = cur_.text;
+    if (!pname.empty() && pname.back() == ':') pname.remove_suffix(1);
     consume();
     expect(Tok::kColonEq);
     if (cur_.kind != Tok::kIri) fail("expected IRI in Prefix declaration");
-    prefixes_[pname] = cur_.text;
+    prefixes_.insert_or_assign(std::string(pname), std::string(cur_.text));
     consume();
     expect(Tok::kRParen);
   }
 
   void parseAxiom() {
     if (cur_.kind != Tok::kName) fail("expected axiom keyword");
-    const std::string kw = cur_.text;
+    const std::string_view kw = cur_.text;
     consume();
     expect(Tok::kLParen);
     if (kw == "Declaration") {
@@ -236,26 +254,26 @@ class Parser {
       takeEntityName();  // annotation property (e.g. rdfs:comment)
       const ConceptId subject = tbox_.declareConcept(takeEntityName());
       if (cur_.kind != Tok::kString) fail("expected string literal");
-      tbox_.addAnnotation(subject, cur_.text);
+      tbox_.addAnnotation(subject, std::string(cur_.text));
       consume();
     } else {
-      fail("unsupported axiom '" + kw + "'");
+      fail("unsupported axiom '" + std::string(kw) + "'");
     }
     expect(Tok::kRParen);
   }
 
   void parseDeclarationBody() {
     if (cur_.kind != Tok::kName) fail("expected entity kind in Declaration");
-    const std::string kind = cur_.text;
+    const std::string_view kind = cur_.text;
     consume();
     expect(Tok::kLParen);
-    const std::string name = takeEntityName();
+    const std::string_view name = takeEntityName();
     if (kind == "Class") {
       tbox_.declareConcept(name);
     } else if (kind == "ObjectProperty") {
       tbox_.declareRole(name);
     } else {
-      fail("unsupported Declaration kind '" + kind + "'");
+      fail("unsupported Declaration kind '" + std::string(kind) + "'");
     }
     expect(Tok::kRParen);
   }
@@ -264,7 +282,12 @@ class Parser {
 
   std::uint32_t parseCardinality() {
     if (cur_.kind != Tok::kInt) fail("expected non-negative integer cardinality");
-    const unsigned long v = std::stoul(cur_.text);
+    std::uint64_t v = 0;
+    const char* end = cur_.text.data() + cur_.text.size();
+    const auto [ptr, ec] = std::from_chars(cur_.text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > kMaxCardinality)
+      fail("cardinality " + std::string(cur_.text) + " exceeds the maximum " +
+           std::to_string(kMaxCardinality));
     consume();
     return static_cast<std::uint32_t>(v);
   }
@@ -273,7 +296,7 @@ class Parser {
     ExprFactory& f = tbox_.exprs();
     if (cur_.kind == Tok::kIri) return f.atom(tbox_.declareConcept(takeEntityName()));
     if (cur_.kind != Tok::kName) fail("expected class expression");
-    const std::string head = cur_.text;
+    const std::string_view head = cur_.text;
     if (head == "owl:Thing") {
       consume();
       return f.top();
@@ -288,7 +311,7 @@ class Parser {
       std::vector<ExprId> cs;
       while (cur_.kind != Tok::kRParen) cs.push_back(parseClassExpr());
       expect(Tok::kRParen);
-      if (cs.size() < 2) fail(head + " needs >= 2 operands");
+      if (cs.size() < 2) fail(std::string(head) + " needs >= 2 operands");
       return head == "ObjectIntersectionOf" ? f.conj(cs) : f.disj(cs);
     }
     if (head == "ObjectComplementOf") {
@@ -325,7 +348,8 @@ class Parser {
   Lexer lexer_;
   TBox& tbox_;
   Token cur_{Tok::kEof, "", 0, 0};
-  std::unordered_map<std::string, std::string> prefixes_;
+  std::unordered_map<std::string, std::string, StringHash, std::equal_to<>> prefixes_;
+  std::string expanded_;  // takeEntityName's prefix-expansion buffer
 };
 
 }  // namespace

@@ -6,7 +6,7 @@ namespace owlcl {
 
 RoleId RoleBox::declare(std::string_view name) {
   OWLCL_ASSERT_MSG(!frozen_, "RoleBox mutated after freeze()");
-  auto it = byName_.find(std::string(name));
+  auto it = byName_.find(name);
   if (it != byName_.end()) return it->second;
   const RoleId id = static_cast<RoleId>(names_.size());
   names_.emplace_back(name);
@@ -16,7 +16,7 @@ RoleId RoleBox::declare(std::string_view name) {
 }
 
 RoleId RoleBox::find(std::string_view name) const {
-  auto it = byName_.find(std::string(name));
+  auto it = byName_.find(name);
   return it == byName_.end() ? kInvalidRole : it->second;
 }
 

@@ -13,6 +13,7 @@
 
 #include "owl/ids.hpp"
 #include "util/bitset.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 
@@ -58,8 +59,7 @@ class RoleBox {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, RoleId, std::hash<std::string>, std::equal_to<>>
-      byName_;
+  std::unordered_map<std::string, RoleId, StringHash, std::equal_to<>> byName_;
   std::vector<std::pair<RoleId, RoleId>> assertedSubRoles_;  // (sub, super)
   std::vector<bool> transitive_;
   std::vector<DynamicBitset> superClosure_;

@@ -4,7 +4,7 @@ namespace owlcl {
 
 ConceptId TBox::declareConcept(std::string_view name) {
   OWLCL_ASSERT_MSG(!frozen_, "TBox mutated after freeze()");
-  auto it = conceptByName_.find(std::string(name));
+  auto it = conceptByName_.find(name);
   if (it != conceptByName_.end()) return it->second;
   const ConceptId id = static_cast<ConceptId>(conceptNames_.size());
   conceptNames_.emplace_back(name);
@@ -13,7 +13,7 @@ ConceptId TBox::declareConcept(std::string_view name) {
 }
 
 ConceptId TBox::findConcept(std::string_view name) const {
-  auto it = conceptByName_.find(std::string(name));
+  auto it = conceptByName_.find(name);
   return it == conceptByName_.end() ? kInvalidConcept : it->second;
 }
 

@@ -18,6 +18,7 @@
 #include "owl/expr.hpp"
 #include "owl/ids.hpp"
 #include "owl/rolebox.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 
@@ -93,8 +94,7 @@ class TBox {
 
  private:
   std::vector<std::string> conceptNames_;
-  std::unordered_map<std::string, ConceptId, std::hash<std::string>, std::equal_to<>>
-      conceptByName_;
+  std::unordered_map<std::string, ConceptId, StringHash, std::equal_to<>> conceptByName_;
   ExprFactory exprs_;
   RoleBox roles_;
   std::vector<ToldAxiom> told_;

@@ -2,7 +2,9 @@
 
 #include <deque>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace owlcl {
 
@@ -87,7 +89,7 @@ class KbBuilder {
   /// obligations (e.g. A ≡ A', A ⊑ B would lose A' ⊑ B).
   void extractDefinitions() {
     // Count constraining axioms per atomic concept.
-    std::unordered_map<ConceptId, std::size_t> constrained;
+    std::vector<std::size_t> constrained(tbox_.conceptCount(), 0);
     for (const ToldAxiom& ax : tbox_.toldAxioms()) {
       switch (ax.kind) {
         case AxiomKind::kSubClassOf:
@@ -181,7 +183,10 @@ class KbBuilder {
   }
 
   void addToClosure(ExprId e) {
-    if (!closure_.insert(e).second) return;
+    if (e >= inClosure_.size()) inClosure_.resize(f_.size(), 0);
+    if (inClosure_[e] != 0) return;
+    inClosure_[e] = 1;
+    closure_.push_back(e);
     worklist_.push_back(e);
   }
 
@@ -202,11 +207,9 @@ class KbBuilder {
     while (!worklist_.empty()) {
       const ExprId e = worklist_.back();
       worklist_.pop_back();
-      {
-        const auto cspan = f_.children(e);
-        const std::vector<ExprId> cs(cspan.begin(), cspan.end());
-        for (ExprId c : cs) addToClosure(c);
-      }
+      // Children are already interned, so this loop creates no node and
+      // the span stays valid.
+      for (ExprId c : f_.children(e)) addToClosure(c);
       const ExprNode node = f_.node(e);
       if (node.kind == ExprKind::kForall) {
         // ∀⁺-rule: a ∀S.D can spawn ∀T.D for transitive T ⊑* S.
@@ -222,6 +225,8 @@ class KbBuilder {
       // ∀T.¬C variants. complementOf is memoised, so this terminates.
       addToClosure(f_.complementOf(e));
     }
+    // Every complement below is a memo hit: the loop above interned them.
+    kb_.compOf.assign(f_.size(), kInvalidExpr);
     for (ExprId e : closure_) kb_.compOf[e] = f_.complementOf(e);
   }
 
@@ -247,7 +252,8 @@ class KbBuilder {
   ExprFactory& f_;
   ReasonerKb kb_;
   std::unordered_map<ConceptId, ExprId> definitions_;
-  std::unordered_set<ExprId> closure_;
+  std::vector<ExprId> closure_;      // members in insertion order
+  std::vector<std::uint8_t> inClosure_;  // ExprId → member?
   std::vector<ExprId> worklist_;
 };
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "owl/tbox.hpp"
@@ -46,16 +45,18 @@ struct ReasonerKb {
   std::vector<ExprId> atomExpr;
   std::vector<ExprId> negAtomExpr;
 
-  /// Complement lookup for clash detection / choose-rule. Covers the whole
-  /// label closure; kInvalidExpr markers never occur for closure members.
-  std::unordered_map<ExprId, ExprId> compOf;
+  /// Complement lookup for clash detection / choose-rule, indexed by
+  /// ExprId over the whole (frozen) factory: the complement of a label
+  /// closure member, kInvalidExpr for an expression outside the closure.
+  std::vector<ExprId> compOf;
 
   KbStats stats;
 
   ExprId complement(ExprId e) const {
-    auto it = compOf.find(e);
-    OWLCL_ASSERT_MSG(it != compOf.end(), "expression outside label closure");
-    return it->second;
+    OWLCL_DEBUG_ASSERT(e < compOf.size());
+    const ExprId c = compOf[e];
+    OWLCL_ASSERT_MSG(c != kInvalidExpr, "expression outside label closure");
+    return c;
   }
 };
 

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "owl/ids.hpp"
@@ -54,6 +55,8 @@ bool pseudoModelsMergable(const PseudoModel& a, const PseudoModel& b);
 /// ("negative", built lazily the first time C appears as a subsumer). A
 /// claim/publish protocol guarantees a single builder per slot; readers
 /// acquire-load the state and see a fully constructed model or nothing.
+/// A slot is a state byte and a pointer to the model publish() allocates,
+/// so the store the reasoner's constructor zero-fills stays small.
 class SharedModelStore {
  public:
   explicit SharedModelStore(std::size_t concepts)
@@ -63,11 +66,11 @@ class SharedModelStore {
   SharedModelStore& operator=(const SharedModelStore&) = delete;
 
   /// Ready model or nullptr. The pointer stays valid for the store's
-  /// lifetime (slots are preallocated; models are never replaced).
+  /// lifetime (models are never replaced).
   const PseudoModel* find(ConceptId c, bool negated) const {
     const Slot& s = slot(c, negated);
     if (s.state.load(std::memory_order_acquire) != kReady) return nullptr;
-    return &s.model;
+    return s.model.get();
   }
 
   /// True iff the caller won the build (empty → building). A false return
@@ -83,7 +86,7 @@ class SharedModelStore {
   /// Publishes the claimed slot; `m` must be valid. building → ready.
   void publish(ConceptId c, bool negated, PseudoModel m) {
     Slot& s = slot(c, negated);
-    s.model = std::move(m);
+    s.model = std::make_unique<PseudoModel>(std::move(m));
     s.state.store(kReady, std::memory_order_release);
   }
 
@@ -108,7 +111,7 @@ class SharedModelStore {
                                 kAbsent = 3;
   struct Slot {
     std::atomic<std::uint8_t> state{kEmpty};
-    PseudoModel model;
+    std::unique_ptr<const PseudoModel> model;  // set once, by publish()
   };
 
   Slot& slot(ConceptId c, bool negated) {

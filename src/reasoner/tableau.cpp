@@ -121,8 +121,8 @@ Tableau::AddResult Tableau::add(Frame& fr, ExprId e) {
     return AddResult::kClash;
   }
   if (fr.has.count(e) != 0) return AddResult::kOk;
-  if (auto it = kb_.compOf.find(e);
-      it != kb_.compOf.end() && fr.has.count(it->second) != 0) {
+  if (const ExprId comp = kb_.compOf[e];
+      comp != kInvalidExpr && fr.has.count(comp) != 0) {
     ++stats_.clashes;
     return AddResult::kClash;
   }
@@ -150,8 +150,8 @@ bool Tableau::propositionalSearch(Frame& fr) {
       bool reopened = false;
       while (!fr.choices.empty()) {
         Frame::Choice& ch = fr.choices.back();
-        const auto altSpan = f_.children(ch.disjunction);
-        const std::vector<ExprId> alts(altSpan.begin(), altSpan.end());
+        // The factory is frozen, so the child span stays valid.
+        const auto alts = f_.children(ch.disjunction);
         if (ch.nextAlt >= alts.size()) {
           fr.choices.pop_back();
           continue;
@@ -163,8 +163,8 @@ bool Tableau::propositionalSearch(Frame& fr) {
         bool clash = false;
         // Semantic branching: earlier alternatives are now known-failed.
         for (std::size_t k = 0; k < alt && !clash; ++k) {
-          if (auto it = kb_.compOf.find(alts[k]); it != kb_.compOf.end())
-            clash = add(fr, it->second) == AddResult::kClash;
+          if (const ExprId comp = kb_.compOf[alts[k]]; comp != kInvalidExpr)
+            clash = add(fr, comp) == AddResult::kClash;
         }
         if (!clash) clash = add(fr, alts[alt]) == AddResult::kClash;
         if (clash) continue;  // try the next alternative of this choice
@@ -251,8 +251,8 @@ bool Tableau::succAdd(Succ& s, ExprId d) const {
   if (d == f_.top()) return true;
   if (d == f_.bottom()) return false;
   if (succContains(s, d)) return true;
-  if (auto it = kb_.compOf.find(d); it != kb_.compOf.end()) {
-    if (std::find(s.label.begin(), s.label.end(), it->second) != s.label.end())
+  if (const ExprId comp = kb_.compOf[d]; comp != kInvalidExpr) {
+    if (std::find(s.label.begin(), s.label.end(), comp) != s.label.end())
       return false;  // direct clash inside the successor constraint set
   }
   s.label.push_back(d);

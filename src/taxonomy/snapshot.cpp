@@ -105,98 +105,112 @@ std::shared_ptr<const TaxonomySnapshot> TaxonomySnapshot::build(
     }
   }
 
-  // --- ancestor closure + compressed extra-ancestor pool ---------------------
+  // --- ancestor closure ------------------------------------------------------
   // anc[v] = ∪_p (anc[p] ∪ {p}) in topo order; the word-parallel unions run
-  // through the BitKernels backend. extra[v] = anc[v] \ treeAnc[v] keeps only
-  // the non-tree part, stored as its nonzero word span in a shared pool.
-  {
-    WordMatrix anc(n, w), treeAnc(n, w);
-    std::vector<Word> scratch(w);
-    for (const Taxonomy::NodeId v : topo) {
-      for (const Taxonomy::NodeId p : tax.node(v).parents) {
-        kernels->orInto(anc.row(v), anc.row(p), w);
-        anc.setBit(v, p);
+  // through the BitKernels backend. Row v's nonzero words lie in
+  // [lo[v], hi[v]), and unions and scans touch only that span: real
+  // hierarchies give each node a few dozen ancestors, clustered in a
+  // fraction of the row.
+  WordMatrix anc(n, w);
+  std::vector<std::size_t> lo(n, w), hi(n, 0);
+  for (const Taxonomy::NodeId v : topo)
+    for (const Taxonomy::NodeId p : tax.node(v).parents) {
+      if (lo[p] < hi[p]) {
+        kernels->orInto(anc.row(v) + lo[p], anc.row(p) + lo[p], hi[p] - lo[p]);
+        lo[v] = std::min(lo[v], lo[p]);
+        hi[v] = std::max(hi[v], hi[p]);
       }
-      if (treeParent[v] != Taxonomy::kNoNode) {
-        kernels->orInto(treeAnc.row(v), treeAnc.row(treeParent[v]), w);
-        treeAnc.setBit(v, treeParent[v]);
-      }
+      anc.setBit(v, p);
+      lo[v] = std::min<std::size_t>(lo[v], p >> 6);
+      hi[v] = std::max<std::size_t>(hi[v], (p >> 6) + 1);
     }
-    snap->extra_.assign(n, ExtraRef{});
-    for (std::size_t v = 0; v < n; ++v) {
-      kernels->andNotInto(scratch.data(), anc.row(v), treeAnc.row(v), w);
-      std::size_t first = w, last = 0;
-      for (std::size_t i = 0; i < w; ++i) {
-        if (scratch[i] != 0) {
-          if (first == w) first = i;
-          last = i;
-        }
-      }
-      if (first == w) continue;  // tree covers all of v's ancestry
-      ExtraRef& e = snap->extra_[v];
-      e.offset = static_cast<std::uint32_t>(snap->extraWords_.size());
-      e.firstWord = static_cast<std::uint32_t>(first);
-      e.wordCount = static_cast<std::uint32_t>(last - first + 1);
-      snap->extraWords_.insert(snap->extraWords_.end(), scratch.begin() + first,
-                               scratch.begin() + last + 1);
-    }
-  }
 
   // --- contiguous descendant ranges + precompiled JSON arrays ----------------
-  // descN[v] = ∪_ch (descN[ch] ∪ {ch}) in reverse topo order: the strict
-  // node-descendants of v (v's own class excluded, ⊥ included — matching the
-  // walk path's answer exactly).
+  // A concept is a strict descendant of every node in its own node's
+  // ancestor row (a node's own class is excluded, ⊥ included — matching the
+  // walk path's answer exactly). One counting pass sizes each node's range; the
+  // filling pass visits concepts in byte-wise name rank, so every range
+  // comes out sorted the way the walk path's std::sort over the name
+  // strings does (names are unique per TBox).
+  const std::size_t concepts = tax.conceptCount();
   {
-    WordMatrix descN(n, w);
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const Taxonomy::NodeId v = *it;
-      for (const Taxonomy::NodeId ch : tax.node(v).children) {
-        kernels->orInto(descN.row(v), descN.row(ch), w);
-        descN.setBit(v, ch);
-      }
-    }
-    // Byte-wise name rank: sorting ids by rank reproduces the walk path's
-    // std::sort over the name strings (names are unique per TBox).
-    std::vector<ConceptId> byName(tax.conceptCount());
+    std::vector<ConceptId> byName(concepts);
     std::iota(byName.begin(), byName.end(), ConceptId{0});
     std::sort(byName.begin(), byName.end(), [&](ConceptId a, ConceptId b) {
       return tbox.conceptName(a) < tbox.conceptName(b);
     });
-    std::vector<std::uint32_t> rank(tax.conceptCount());
-    for (std::size_t i = 0; i < byName.size(); ++i)
-      rank[byName[i]] = static_cast<std::uint32_t>(i);
+    const auto forEachAncestor = [&](Taxonomy::NodeId d, auto&& visit) {
+      const Word* row = anc.row(d);
+      for (std::size_t i = lo[d]; i < hi[d]; ++i)
+        for (Word word = row[i]; word != 0; word &= word - 1)
+          visit((i << 6) + static_cast<std::size_t>(__builtin_ctzll(word)));
+    };
 
     snap->desc_.assign(n, DescRef{});
+    for (ConceptId c = 0; c < concepts; ++c)
+      if (tax.nodeOf(c) != Taxonomy::kNoNode)
+        forEachAncestor(tax.nodeOf(c), [&](std::size_t a) { ++snap->desc_[a].count; });
+    std::uint32_t offset = 0;
+    for (DescRef& d : snap->desc_) {
+      d.offset = offset;
+      offset += d.count;
+    }
+    snap->descIdPool_.resize(offset);
+    std::vector<std::uint32_t> filled(n, 0);
+    for (const ConceptId c : byName)
+      if (tax.nodeOf(c) != Taxonomy::kNoNode)
+        forEachAncestor(tax.nodeOf(c), [&](std::size_t a) {
+          snap->descIdPool_[snap->desc_[a].offset + filled[a]++] = c;
+        });
+  }
+  {
+    // Each name is escaped once; a node's array concatenates the pieces.
+    std::vector<std::string> quoted(concepts);
+    for (ConceptId c = 0; c < concepts; ++c) {
+      quoted[c].push_back('"');
+      jsonEscapeInto(tbox.conceptName(c), quoted[c]);
+      quoted[c].push_back('"');
+    }
     snap->descJson_.assign(n, std::string());
-    std::vector<ConceptId> ids;
     for (std::size_t v = 0; v < n; ++v) {
-      ids.clear();
-      const Word* row = descN.row(v);
-      for (std::size_t i = 0; i < w; ++i) {
-        Word word = row[i];
-        while (word != 0) {
-          const auto d = static_cast<Taxonomy::NodeId>(
-              (i << 6) + static_cast<std::size_t>(__builtin_ctzll(word)));
-          word &= word - 1;
-          for (const ConceptId m : tax.node(d).members) ids.push_back(m);
-        }
-      }
-      std::sort(ids.begin(), ids.end(),
-                [&](ConceptId a, ConceptId b) { return rank[a] < rank[b]; });
-      DescRef& d = snap->desc_[v];
-      d.offset = static_cast<std::uint32_t>(snap->descIdPool_.size());
-      d.count = static_cast<std::uint32_t>(ids.size());
-      snap->descIdPool_.insert(snap->descIdPool_.end(), ids.begin(), ids.end());
+      const ConceptId* ids = snap->descIdPool_.data() + snap->desc_[v].offset;
+      const std::uint32_t count = snap->desc_[v].count;
+      std::size_t bytes = 2 + count;
+      for (std::uint32_t i = 0; i < count; ++i) bytes += quoted[ids[i]].size();
       std::string& json = snap->descJson_[v];
+      json.reserve(bytes);
       json.push_back('[');
-      for (std::size_t i = 0; i < ids.size(); ++i) {
+      for (std::uint32_t i = 0; i < count; ++i) {
         if (i != 0) json.push_back(',');
-        json.push_back('"');
-        jsonEscapeInto(tbox.conceptName(ids[i]), json);
-        json.push_back('"');
+        json += quoted[ids[i]];
       }
       json.push_back(']');
     }
+  }
+
+  // --- compressed extra-ancestor pool ----------------------------------------
+  // extra[v] is anc[v] with v's tree path (the treeParent chain) cleared, in
+  // place — the descendant lists above were the matrix's last other reader
+  // — and stored as its nonzero word span in a shared pool.
+  snap->extra_.assign(n, ExtraRef{});
+  for (std::size_t v = 0; v < n; ++v) {
+    Word* row = anc.row(v);
+    for (Taxonomy::NodeId u = treeParent[v]; u != Taxonomy::kNoNode;
+         u = treeParent[u])
+      row[u >> 6] &= ~(Word{1} << (u & 63));
+    std::size_t first = hi[v], last = 0;
+    for (std::size_t i = lo[v]; i < hi[v]; ++i) {
+      if (row[i] != 0) {
+        if (first == hi[v]) first = i;
+        last = i;
+      }
+    }
+    if (first == hi[v]) continue;  // tree covers all of v's ancestry
+    ExtraRef& e = snap->extra_[v];
+    e.offset = static_cast<std::uint32_t>(snap->extraWords_.size());
+    e.firstWord = static_cast<std::uint32_t>(first);
+    e.wordCount = static_cast<std::uint32_t>(last - first + 1);
+    snap->extraWords_.insert(snap->extraWords_.end(), row + first, row + last + 1);
   }
 
   // --- stats ------------------------------------------------------------------

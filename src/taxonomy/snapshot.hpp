@@ -22,9 +22,10 @@
 //       descendants answer is a single cache-linear copy, no traversal,
 //       no sort, no per-query allocation.
 //
-// Build cost is O(nodes² / 64) words of scratch for the ancestor/descendant
-// closures (word-parallel via the BitKernels backend — the PR 9 vector
-// kernels drive the fixpoint unions) and is paid once per generation:
+// Build cost is one nodes × nodes/64-word ancestor matrix of scratch
+// (word-parallel unions via the BitKernels backend); the extra-ancestor
+// pool and the descendant lists are both read off it, and each concept
+// name is JSON-escaped once. The cost is paid once per generation:
 // after the initial classification and after every committed delta, never
 // on a query thread. Snapshots are published RCU-style through the
 // QueryEngine's copy-on-write EngineView swap; an in-flight query/batch

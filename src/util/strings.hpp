@@ -1,11 +1,22 @@
 // Small string helpers shared by the parser, printers and CLIs.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace owlcl {
+
+/// Hash for std::string-keyed unordered containers that answers
+/// std::string_view lookups without building a std::string (pair it with
+/// std::equal_to<>).
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Returns `s` with leading and trailing ASCII whitespace removed.
 std::string_view trim(std::string_view s);

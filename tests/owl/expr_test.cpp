@@ -99,6 +99,43 @@ TEST_F(ExprTest, ExprSizeCountsNodes) {
   EXPECT_EQ(f.exprSize(f.exists(r, f.conj(a, b))), 4u);
 }
 
+// The hash-consing table doubles many times on the way to 200 k nodes;
+// ids stay in creation order and a second pass finds every node again.
+TEST(ExprTableGrowth, IdsStableAcrossTableGrowths) {
+  constexpr ConceptId kAtoms = 100'000;
+  ExprFactory f;
+  std::vector<ExprId> first;
+  first.reserve(kAtoms);
+  for (ConceptId i = 0; i < kAtoms; ++i) {
+    const ExprId ex = f.exists(RoleId{0}, f.atom(i));
+    EXPECT_EQ(ex, 3 + 2 * i) << "ids must follow creation order";
+    first.push_back(ex);
+  }
+  const std::size_t size = f.size();
+  for (ConceptId i = 0; i < kAtoms; ++i)
+    ASSERT_EQ(f.exists(RoleId{0}, f.atom(i)), first[i]) << "atom " << i;
+  EXPECT_EQ(f.size(), size);
+  EXPECT_EQ(f.atom(0), 2u);
+  EXPECT_EQ(f.node(first[kAtoms - 1]).kind, ExprKind::kExists);
+}
+
+TEST(ExprTableGrowth, ForallInternedFindsEveryForallWhenFrozen) {
+  ExprFactory f;
+  std::vector<std::pair<RoleId, ExprId>> keys;
+  std::vector<ExprId> ids;
+  for (ConceptId i = 0; i < 5'000; ++i)
+    for (RoleId r = 0; r < 3; ++r) {
+      keys.emplace_back(r, f.atom(i));
+      ids.push_back(f.forall(r, keys.back().second));
+    }
+  f.freeze();
+  for (std::size_t k = 0; k < keys.size(); ++k)
+    ASSERT_EQ(f.forallInterned(keys[k].first, keys[k].second), ids[k]) << k;
+  EXPECT_EQ(f.forallInterned(RoleId{0}, f.top()), f.top());
+  // ∀3.A0 was never interned: a missing closure node is a hard failure.
+  EXPECT_DEATH(f.forallInterned(RoleId{3}, f.atom(0)), "forallInterned");
+}
+
 TEST_F(ExprTest, FreezeBlocksNewInterning) {
   const ExprId ab = f.conj(a, b);
   f.freeze();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "owl/printer.hpp"
 
 namespace owlcl {
@@ -77,6 +80,97 @@ TEST(Parser, CardinalityForms) {
   // ExactCardinality(1 r) = ≥1 r.⊤ ⊓ ≤1 r.⊤ = ∃r.⊤ ⊓ ≤1 r.⊤.
   const ExprId exact = t.toldAxioms()[2].classArgs[1];
   EXPECT_EQ(f.kind(exact), ExprKind::kAnd);
+}
+
+/// The ParseError parsing `text` raises; fails the test when none is.
+ParseError parseErrorOf(const std::string& text) {
+  TBox t;
+  try {
+    parseFunctionalSyntax(text, t);
+  } catch (const ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError";
+  return ParseError("none", 0, 0);
+}
+
+// 2^32 used to wrap to 0, turning A ⊑ ≤2^32 r.B ⊓ ∃r.B into an
+// unsatisfiable A.
+TEST(Parser, CardinalityAboveTheMaximumIsALocatedError) {
+  const ParseError e = parseErrorOf(
+      "Ontology(\n"
+      "  SubClassOf(A ObjectMaxCardinality(4294967296 r B))\n"
+      "  SubClassOf(A ObjectSomeValuesFrom(r B))\n"
+      ")");
+  EXPECT_EQ(e.line(), 2u);
+  EXPECT_EQ(e.column(), 37u);
+  EXPECT_NE(std::string(e.what()).find("cardinality 4294967296 exceeds the maximum"),
+            std::string::npos)
+      << e.what();
+}
+
+TEST(Parser, CardinalityPastSixtyFourBitsIsALocatedError) {
+  const ParseError e = parseErrorOf(
+      "Ontology(SubClassOf(A ObjectMinCardinality(12345678901234567890123 r B)))");
+  EXPECT_EQ(e.line(), 1u);
+  EXPECT_EQ(e.column(), 44u);
+  EXPECT_NE(std::string(e.what()).find("cardinality 12345678901234567890123"),
+            std::string::npos)
+      << e.what();
+  EXPECT_EQ(parseErrorOf("Ontology(SubClassOf(A ObjectMaxCardinality(2147483648 r B)))")
+                .column(),
+            44u);
+}
+
+TEST(Parser, LargestCardinalityIsAccepted) {
+  TBox t;
+  parseFunctionalSyntax(
+      "Ontology(SubClassOf(A ObjectMaxCardinality(2147483647 r B)))", t);
+  ExprFactory& f = t.exprs();
+  const ExprId atMost = t.toldAxioms()[0].classArgs[1];
+  ASSERT_EQ(f.kind(atMost), ExprKind::kAtMost);
+  EXPECT_EQ(f.node(atMost).number, kMaxCardinality);
+  // ¬(≤n r.B) = ≥(n+1) r.B still fits.
+  const ExprId comp = f.complementOf(atMost);
+  ASSERT_EQ(f.kind(comp), ExprKind::kAtLeast);
+  EXPECT_EQ(f.node(comp).number, std::uint64_t{kMaxCardinality} + 1);
+}
+
+TEST(Parser, TwoPrefixedNamesInOneAxiom) {
+  TBox t;
+  parseFunctionalSyntax(R"(
+    Prefix(ex:=<http://example.org/>)
+    Prefix(o:=<http://other.org/onto#>)
+    Ontology(
+      SubClassOf(ex:A o:B)
+      SubClassOf(ObjectSomeValuesFrom(ex:r ex:C) o:B)
+    ))",
+                        t);
+  EXPECT_EQ(t.conceptCount(), 3u);
+  const ConceptId a = t.findConcept("http://example.org/A");
+  const ConceptId b = t.findConcept("http://other.org/onto#B");
+  ASSERT_NE(a, kInvalidConcept);
+  ASSERT_NE(b, kInvalidConcept);
+  EXPECT_NE(t.findConcept("http://example.org/C"), kInvalidConcept);
+  EXPECT_NE(t.roles().find("http://example.org/r"), kInvalidRole);
+  const ExprFactory& f = t.exprs();
+  EXPECT_EQ(f.node(t.toldAxioms()[0].classArgs[0]).atom, a);
+  EXPECT_EQ(f.node(t.toldAxioms()[0].classArgs[1]).atom, b);
+}
+
+TEST(Parser, IriAndPrefixedFormsNameOneConcept) {
+  TBox t;
+  parseFunctionalSyntax(R"(
+    Prefix(ex:=<http://example.org/>)
+    Ontology(
+      Declaration(Class(<http://example.org/A>))
+      SubClassOf(ex:A <http://example.org/B>)
+      SubClassOf(<http://example.org/A> ex:B)
+    ))",
+                        t);
+  EXPECT_EQ(t.conceptCount(), 2u);
+  ASSERT_EQ(t.toldAxioms().size(), 2u);
+  EXPECT_EQ(t.toldAxioms()[0].classArgs, t.toldAxioms()[1].classArgs);
 }
 
 TEST(Parser, EquivalentAndDisjoint) {

@@ -104,13 +104,21 @@ TEST(KbBuilder, ClosureHasComplementsForEverything) {
       SubClassOf(B ObjectMaxCardinality(2 r C))
     ))",
                              t);
-  for (const auto& [e, comp] : kb.compOf) {
-    auto it = kb.compOf.find(comp);
-    ASSERT_NE(it, kb.compOf.end()) << "complement of a closure member must "
-                                      "itself have a known complement";
-    EXPECT_EQ(it->second, e);
+  // compOf is dense over the frozen factory: closure members map to their
+  // complement, everything else to kInvalidExpr.
+  ASSERT_EQ(kb.compOf.size(), t.exprs().size());
+  std::size_t members = 0;
+  for (ExprId e = 0; e < kb.compOf.size(); ++e) {
+    const ExprId comp = kb.compOf[e];
+    if (comp == kInvalidExpr) continue;
+    ++members;
+    ASSERT_LT(comp, kb.compOf.size());
+    EXPECT_EQ(kb.compOf[comp], e) << "complement of a closure member must "
+                                     "itself have a known complement";
+    EXPECT_EQ(kb.complement(e), comp);
   }
   EXPECT_GT(kb.stats.closureSize, 0u);
+  EXPECT_EQ(members, kb.stats.closureSize);
 }
 
 TEST(KbBuilder, ForallPlusVariantsPreInterned) {
@@ -128,7 +136,7 @@ TEST(KbBuilder, ForallPlusVariantsPreInterned) {
   const ExprId b = kb.atomExpr[t.findConcept("B")];
   // forall() on a frozen factory would abort if this were not interned.
   const ExprId ft = const_cast<ExprFactory&>(t.exprs()).forall(tr, b);
-  EXPECT_NE(kb.compOf.find(ft), kb.compOf.end());
+  EXPECT_NE(kb.compOf[ft], kInvalidExpr);
 }
 
 TEST(KbBuilder, QcrOnTransitiveRoleThrows) {

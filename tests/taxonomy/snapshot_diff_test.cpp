@@ -9,14 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/sequential.hpp"
+#include "gen/generator.hpp"
+#include "gen/mock_reasoner.hpp"
 #include "owl/tbox.hpp"
 #include "parallel/bit_kernels.hpp"
 #include "taxonomy/taxonomy.hpp"
+#include "util/crc32.hpp"
 #include "util/strings.hpp"
 
 namespace owlcl {
@@ -169,6 +174,47 @@ TEST(SnapshotDiffTest, RandomDagsMatchWalkExactly) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     expectParity(tax, tbox);
   }
+}
+
+/// What the compile produced for a generated paper corpus before the
+/// one-matrix rewrite: pool sizes and a CRC over every concept's
+/// descendants array, in concept-id order.
+struct PinnedPools {
+  const char* row;
+  std::size_t extraWords;
+  std::size_t descendantIds;
+  std::size_t compiledBytes;
+  std::uint32_t descendantsCrc;
+};
+
+void expectPinnedPools(const PinnedPools& pin) {
+  GenConfig config;
+  for (const PaperOntologyRow& row : oreEl2015Suite())
+    if (row.config.name == pin.row) config = row.config;
+  ASSERT_EQ(config.name, pin.row);
+  const GeneratedOntology g = generateOntology(config);
+  MockReasoner oracle(g.truth);
+  const Taxonomy tax = EnhancedTraversalClassifier(*g.tbox, oracle).classify().taxonomy;
+  const auto snap = TaxonomySnapshot::build(tax, *g.tbox, /*complete=*/true,
+                                            /*generation=*/0);
+  const TaxonomySnapshot::BuildStats& st = snap->stats();
+  EXPECT_EQ(st.extraWords, pin.extraWords);
+  EXPECT_EQ(st.descendantIds, pin.descendantIds);
+  EXPECT_EQ(st.compiledBytes, pin.compiledBytes);
+  std::uint32_t crc = 0;
+  for (ConceptId c = 0; c < g.tbox->conceptCount(); ++c) {
+    const std::string& json = snap->descendantsJson(c);
+    crc = crc32(json.data(), json.size(), crc);
+  }
+  EXPECT_EQ(crc, pin.descendantsCrc);
+}
+
+TEST(SnapshotDiffTest, PinnedPoolsOnGeneratedOboPrevious) {
+  expectPinnedPools({"obo.PREVIOUS", 27, 5248, 192845, 287829154u});
+}
+
+TEST(SnapshotDiffTest, PinnedPoolsOnGeneratedWbbt) {
+  expectPinnedPools({"WBbt.obo", 73492, 64474, 2234074, 1846921520u});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -106,6 +107,25 @@ TEST(CliFlags, BitBackendEnvironmentVariableIsIgnored) {
     EXPECT_NE(err.find(want), std::string::npos) << forced << ": " << err;
     EXPECT_EQ(err.find("OWLCL_BIT_BACKEND"), std::string::npos) << err;
   }
+  fs::remove_all(dir);
+}
+
+// --stats adds one load line, the parse and reasoner prepare times the
+// run setup takes; without --stats the line is absent.
+TEST(CliFlags, StatsPrintsTheLoadLine) {
+  const std::string dir = freshTestDir("cli-load-line");
+  const std::string with = dir + "/with.txt";
+  const std::string without = dir + "/without.txt";
+  ASSERT_EQ(run(kCli + " classify " + kOntology +
+                " --stats --output=none > /dev/null 2> " + with),
+            0);
+  ASSERT_EQ(run(kCli + " classify " + kOntology + " --output=none > /dev/null 2> " +
+                without),
+            0);
+  const std::regex line(R"(\n  load: parse \d+\.\d ms, reasoner prepare \d+\.\d ms\n)");
+  const std::string withErr = slurp(with);
+  EXPECT_TRUE(std::regex_search(withErr, line)) << withErr;
+  EXPECT_EQ(slurp(without).find("load:"), std::string::npos);
   fs::remove_all(dir);
 }
 

@@ -689,6 +689,8 @@ struct Run {
   std::unique_ptr<ParallelClassifier> classifier;
   std::unique_ptr<DeltaJournalSink> sink;
   std::unique_ptr<DeltaReclassifier> delta;
+  double parseMs = 0;    // reading the ontology file
+  double prepareMs = 0;  // building the plug-in chain (the reasoner's KB)
 
   ClassificationResult classify() {
     return ck.haveResume ? classifier->resumeClassify(*exec, ck.resumeFrom)
@@ -700,14 +702,18 @@ struct Run {
 /// checkpoint setup fails.
 std::unique_ptr<Run> setupRun(const std::string& path, const Options& o) {
   auto run = std::make_unique<Run>();
+  Stopwatch sw;
   load(path, run->baseTbox);
+  run->parseMs = sw.elapsedMs();
   if (!recoverDeltaOntology(o, run->baseTbox, &run->ck)) return nullptr;
   // Committed deltas recovered from deltas.wal replace the loaded ontology.
   if (run->ck.effectiveTbox != nullptr) run->tbox = run->ck.effectiveTbox.get();
   run->config = buildClassifierConfig(o);
   run->pool = std::make_unique<ThreadPool>(o.workers);
   run->exec = std::make_unique<RealExecutor>(*run->pool);
+  sw.restart();
   run->chain = buildChain(o, *run->tbox, &run->exec->cancellation());
+  run->prepareMs = sw.elapsedMs();
   if (!setupCheckpoints(o, *run->tbox, run->config, &run->ck)) return nullptr;
   run->classifier = std::make_unique<ParallelClassifier>(
       *run->tbox, *run->chain->head, run->config);
@@ -927,6 +933,8 @@ int cmdClassify(const std::string& path, const Options& o) {
                  static_cast<unsigned long long>(r.testsAvoidedByRouting));
 
   if (o.stats) {
+    std::fprintf(stderr, "  load: parse %.1f ms, reasoner prepare %.1f ms\n",
+                 run->parseMs, run->prepareMs);
     std::fprintf(stderr, "  bit kernels: %s backend (cpu: %s)\n",
                  activeBitKernels().name(), cpuFeatureString().c_str());
     const ReasonerStats agg = plugin->reasonerStats();
