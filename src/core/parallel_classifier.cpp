@@ -454,14 +454,13 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     }
   }
 
-  // Positive closure straight into K through the plain row views. Unsat
-  // subs are handled above; forEachSubsumption's contract excludes the
-  // diagonal.
+  // Positive closure straight into K through the plain row views.
+  // forEachSubsumption emits only satisfiable subs (the unsat ones are
+  // settled above) and never the diagonal.
   const bool journal = config_.checkpoint != nullptr;
   DynamicBitset closureRows(n);
   std::vector<std::uint64_t> closurePairs;  // (sup << 32) | sub, journal only
   el.forEachSubsumption([&](ConceptId sup, ConceptId sub) {
-    if (!el.isSatisfiable(sub)) return;
     store_.quiescentRow(sup).k[sub / 64] |= std::uint64_t{1} << (sub % 64);
     closureRows.set(sup);
     if (journal)

@@ -172,6 +172,7 @@ void ElReasoner::activate(Atom x) {
 void ElReasoner::addSubsumer(Atom x, Atom s) {
   if (subsumers_[x].test(s)) return;
   subsumers_[x].set(s);
+  nonZeroWords_[x * summaryWords_ + s / 4096] |= std::uint64_t{1} << (s / 64 % 64);
   subQueue_.push_back({x, s});
 }
 
@@ -192,6 +193,8 @@ void ElReasoner::initSaturation() {
     }
   linkBwd_.assign(tbox_.roles().size(), {});
   subsumers_.assign(atomCount_, {});
+  summaryWords_ = DynamicBitset::wordCount(DynamicBitset::wordCount(atomCount_));
+  nonZeroWords_.assign(atomCount_ * summaryWords_, 0);
   for (ConceptId c = 0; c < tbox_.conceptCount(); ++c) activate(namedAtom(c));
   // ⊥ ⊑ X for every X is handled at query time (subsumes/subsumersOf test
   // for ⊥ ∈ S(sub)) instead of inflating S(⊥) with every atom.

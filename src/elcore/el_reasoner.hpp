@@ -22,6 +22,7 @@
 // fragment (isElTBox() tells you), call classify(), then query subsumes().
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -69,28 +70,34 @@ class ElReasoner {
   std::vector<ConceptId> subsumersOf(ConceptId sub) const;
 
   /// After classify(): invokes cb(sup, sub) once for every ordered named
-  /// pair with sup != sub and subsumes(sup, sub) — the full derived
-  /// subsumption closure, including the "unsatisfiable sub is under
-  /// everything" rows. The router consumes this to bulk-seed the
-  /// classifier's K matrix; callers that handle unsatisfiable concepts
-  /// separately should skip subs with !isSatisfiable(sub).
+  /// pair with sup != sub, subsumes(sup, sub) and sub satisfiable — the
+  /// derived subsumption closure of the satisfiable concepts, by sub and
+  /// then sup ascending. An unsatisfiable sub emits nothing; callers that
+  /// need its "under everything" row read isSatisfiable(). The router
+  /// consumes this to bulk-seed the classifier's K matrix. Visits only
+  /// the non-zero words of each S(sub) (see nonZeroWords_).
   template <typename Fn>
   void forEachSubsumption(Fn&& cb) const {
     OWLCL_ASSERT(classified_);
     const std::size_t n = tbox_.conceptCount();
+    const Atom namedEnd = namedAtom(static_cast<ConceptId>(n));
+    const std::size_t lastWord = (namedEnd - 1) / 64;  // past it: no named atom
     for (std::size_t sub = 0; sub < n; ++sub) {
       const ConceptId subC = static_cast<ConceptId>(sub);
-      const DynamicBitset& s = subsumers_[namedAtom(subC)];
-      if (s.test(kBotAtom)) {
-        for (std::size_t sup = 0; sup < n; ++sup)
-          if (sup != sub) cb(static_cast<ConceptId>(sup), subC);
-        continue;
-      }
-      s.forEachSetBit([&cb, subC, n](std::size_t a) {
-        if (a < 2 || a >= 2 + n) return;  // ⊤, ⊥ and normalisation atoms
-        const ConceptId sup = static_cast<ConceptId>(a - 2);
-        if (sup != subC) cb(sup, subC);
-      });
+      const Atom subAtom = namedAtom(subC);
+      const DynamicBitset& s = subsumers_[subAtom];
+      if (s.test(kBotAtom)) continue;
+      const std::uint64_t* nz = &nonZeroWords_[subAtom * summaryWords_];
+      for (std::size_t j = 0; j <= lastWord / 64; ++j)
+        for (std::uint64_t m = nz[j]; m != 0; m &= m - 1) {
+          const std::size_t w = j * 64 + static_cast<std::size_t>(std::countr_zero(m));
+          if (w > lastWord) break;
+          for (std::uint64_t v = s.words()[w]; v != 0; v &= v - 1) {
+            const Atom a = static_cast<Atom>(w * 64 + std::countr_zero(v));
+            if (a < 2 || a >= namedEnd || a == subAtom) continue;
+            cb(static_cast<ConceptId>(a - 2), subC);
+          }
+        }
     }
   }
 
@@ -185,6 +192,11 @@ class ElReasoner {
   // Saturation state.
   std::vector<DynamicBitset> negFiller_;  // [r] {A : some ∃r.A ⊑ B}; may be empty
   std::vector<DynamicBitset> subsumers_;  // S(x); empty = inactive
+  /// Which words of S(x) are non-zero: summaryWords_ words per atom, bit w
+  /// set once word w of S(x) holds a subsumer. Sized atoms × atoms / 4096
+  /// bits, 1/64 of the S(x) matrix; no per-edge record is kept.
+  std::vector<std::uint64_t> nonZeroWords_;
+  std::size_t summaryWords_ = 0;
   std::vector<std::vector<std::vector<Atom>>> linkBwd_;  // [r][y] -> xs
 
   std::vector<SubEvent> subQueue_;

@@ -1,6 +1,7 @@
 #include "owl/el_fragment.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "util/assert.hpp"
 
@@ -188,30 +189,60 @@ void axiomSyms(const TBox& tbox, const SymbolSpace& sp, const ToldAxiom& ax,
 ElPartition partitionElFragment(const TBox& tbox) {
   OWLCL_ASSERT_MSG(tbox.frozen(), "partitionElFragment needs a frozen TBox");
   const std::vector<ToldAxiom>& told = tbox.toldAxioms();
+  const std::size_t nAxioms = told.size();
+
+  ElPartition part;
+  part.axiomEl.assign(nAxioms, 0);
+  for (std::size_t i = 0; i < nAxioms; ++i) {
+    const bool el = isElSafeAxiom(tbox, told[i]);
+    part.axiomEl[i] = el ? 1 : 0;
+    if (told[i].kind != AxiomKind::kAnnotation)
+      ++(el ? part.elAxioms : part.nonElAxioms);
+  }
+
+  // Only a non-EL axiom seeds the fixpoint below, so with none of them no
+  // symbol — `always` included — can become dangerous: every concept is
+  // pure and nothing is tainted.
+  if (part.nonElAxioms == 0) {
+    part.pureConcepts = DynamicBitset(tbox.conceptCount(), true);
+    part.pureCount = tbox.conceptCount();
+    return part;
+  }
+
   const SymbolSpace sp{
       tbox.conceptCount(), tbox.roles().size(),
       static_cast<std::uint32_t>(tbox.conceptCount() + tbox.roles().size())};
   const std::size_t nSyms = sp.always + 1;
 
-  ElPartition part;
-  part.axiomEl.assign(told.size(), 0);
+  // Per-axiom trigger and signature as flat offset arrays: axiom i owns
+  // trig[trigAt[i] .. trigAt[i+1]), sorted and duplicate-free; likewise sig.
+  std::vector<std::uint32_t> trig, sig;
+  std::vector<std::uint32_t> trigAt(nAxioms + 1, 0), sigAt(nAxioms + 1, 0);
+  const auto sortUniqueTail = [](std::vector<std::uint32_t>& v,
+                                 std::size_t from) {
+    std::sort(v.begin() + static_cast<std::ptrdiff_t>(from), v.end());
+    v.erase(std::unique(v.begin() + static_cast<std::ptrdiff_t>(from), v.end()),
+            v.end());
+  };
+  for (std::size_t i = 0; i < nAxioms; ++i) {
+    axiomSyms(tbox, sp, told[i], trig, sig);
+    sortUniqueTail(trig, trigAt[i]);
+    sortUniqueTail(sig, sigAt[i]);
+    trigAt[i + 1] = static_cast<std::uint32_t>(trig.size());
+    sigAt[i + 1] = static_cast<std::uint32_t>(sig.size());
+  }
 
-  // Per-axiom trigger/signature plus a signature-symbol → axioms index.
-  std::vector<std::vector<std::uint32_t>> trig(told.size());
-  std::vector<std::vector<std::uint32_t>> sig(told.size());
-  std::vector<std::vector<std::uint32_t>> axiomsOfSym(nSyms);
-  for (std::size_t i = 0; i < told.size(); ++i) {
-    const bool el = isElSafeAxiom(tbox, told[i]);
-    part.axiomEl[i] = el ? 1 : 0;
-    if (told[i].kind != AxiomKind::kAnnotation)
-      ++(el ? part.elAxioms : part.nonElAxioms);
-    axiomSyms(tbox, sp, told[i], trig[i], sig[i]);
-    for (std::vector<std::uint32_t>* v : {&trig[i], &sig[i]}) {
-      std::sort(v->begin(), v->end());
-      v->erase(std::unique(v->begin(), v->end()), v->end());
-    }
-    for (std::uint32_t s : sig[i])
-      axiomsOfSym[s].push_back(static_cast<std::uint32_t>(i));
+  // Signature-symbol → axioms, by counting sort: symbol s owns
+  // axiomsOfSym[symAt[s] .. symAt[s+1]), in ascending axiom order.
+  std::vector<std::uint32_t> symAt(nSyms + 1, 0);
+  for (std::uint32_t s : sig) ++symAt[s + 1];
+  for (std::size_t s = 0; s < nSyms; ++s) symAt[s + 1] += symAt[s];
+  std::vector<std::uint32_t> axiomsOfSym(sig.size());
+  {
+    std::vector<std::uint32_t> cursor(symAt.begin(), symAt.end() - 1);
+    for (std::size_t i = 0; i < nAxioms; ++i)
+      for (std::uint32_t k = sigAt[i]; k < sigAt[i + 1]; ++k)
+        axiomsOfSym[cursor[sig[k]]++] = static_cast<std::uint32_t>(i);
   }
 
   // Dangerous-symbol fixpoint. Init: a symbol that can fire a non-EL
@@ -222,23 +253,26 @@ ElPartition partitionElFragment(const TBox& tbox) {
   // single-symbol, the module of any pure *pair*) is all-EL.
   DynamicBitset dangerous(nSyms);
   std::vector<std::uint32_t> work;
-  auto mark = [&dangerous, &work](std::uint32_t s) {
-    if (!dangerous.test(s)) {
-      dangerous.set(s);
-      work.push_back(s);
+  const auto markTrigger = [&](std::size_t i) {
+    for (std::uint32_t k = trigAt[i]; k < trigAt[i + 1]; ++k) {
+      const std::uint32_t s = trig[k];
+      if (!dangerous.test(s)) {
+        dangerous.set(s);
+        work.push_back(s);
+      }
     }
   };
-  for (std::size_t i = 0; i < told.size(); ++i)
-    if (part.axiomEl[i] == 0)
-      for (std::uint32_t s : trig[i]) mark(s);
-  std::vector<std::uint8_t> fired(told.size(), 0);
+  for (std::size_t i = 0; i < nAxioms; ++i)
+    if (part.axiomEl[i] == 0) markTrigger(i);
+  std::vector<std::uint8_t> fired(nAxioms, 0);
   while (!work.empty()) {
     const std::uint32_t s = work.back();
     work.pop_back();
-    for (std::uint32_t i : axiomsOfSym[s]) {
+    for (std::uint32_t k = symAt[s]; k < symAt[s + 1]; ++k) {
+      const std::uint32_t i = axiomsOfSym[k];
       if (fired[i] != 0) continue;  // trigger already fully marked
       fired[i] = 1;
-      for (std::uint32_t t : trig[i]) mark(t);
+      markTrigger(i);
     }
   }
 

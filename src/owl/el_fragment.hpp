@@ -63,7 +63,8 @@ struct ElPartition {
   bool majorityEl() const { return elAxioms > nonElAxioms; }
 };
 
-/// Partitions a frozen TBox. Linear in the total size of the told axioms.
+/// Partitions a frozen TBox. Linear in the total size of the told axioms;
+/// an all-EL TBox returns after the per-axiom check, every concept pure.
 ElPartition partitionElFragment(const TBox& tbox);
 
 }  // namespace owlcl

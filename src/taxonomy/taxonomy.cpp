@@ -30,9 +30,8 @@ void Taxonomy::addEdge(NodeId parent, NodeId child) {
   OWLCL_ASSERT(!finalized_);
   OWLCL_ASSERT(parent < nodes_.size() && child < nodes_.size());
   OWLCL_ASSERT(parent != child);
-  auto& pc = nodes_[parent].children;
-  if (std::find(pc.begin(), pc.end(), child) != pc.end()) return;
-  pc.push_back(child);
+  // Appends; a repeated edge is dropped when finalize() de-duplicates.
+  nodes_[parent].children.push_back(child);
   nodes_[child].parents.push_back(parent);
 }
 
@@ -51,9 +50,13 @@ void Taxonomy::finalize() {
   }
   if (nodes_[kTopNode].children.empty() && nodes_.size() == 2)
     addEdge(kTopNode, kBottomNode);
+  const auto sortUnique = [](std::vector<NodeId>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
   for (Node& n : nodes_) {
-    std::sort(n.parents.begin(), n.parents.end());
-    std::sort(n.children.begin(), n.children.end());
+    sortUnique(n.parents);
+    sortUnique(n.children);
     std::sort(n.members.begin(), n.members.end());
   }
   finalized_ = true;

@@ -33,14 +33,16 @@ class Taxonomy {
   /// assigned to any node.
   NodeId addNode(std::vector<ConceptId> members);
 
-  /// Adds a direct subsumption edge parent → child (idempotent).
+  /// Adds a direct subsumption edge parent → child (idempotent: finalize()
+  /// drops repeats). Constant time.
   void addEdge(NodeId parent, NodeId child);
 
   /// Assigns a concept to the ⊥ node (unsatisfiable concepts).
   void assignToBottom(ConceptId c);
 
-  /// Links parentless nodes under ⊤ and childless nodes over ⊥, sorts all
-  /// adjacency lists. Call once after all nodes/edges are added.
+  /// Links parentless nodes under ⊤ and childless nodes over ⊥, sorts and
+  /// de-duplicates all adjacency lists. Call once after all nodes/edges are
+  /// added; linear in the edges up to the sort.
   void finalize();
 
   // --- queries ---------------------------------------------------------------

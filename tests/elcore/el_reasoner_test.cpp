@@ -8,6 +8,7 @@
 #include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
 #include "parallel/cancellation.hpp"
+#include "util/bitset.hpp"
 #include "reasoner/tableau_reasoner.hpp"
 #include "util/rng.hpp"
 
@@ -286,10 +287,48 @@ TEST(ElReasoner, IsElTBoxRejectsNonEl) {
   EXPECT_TRUE(isElTBox(t3)) << "disjointness stays in EL via bottom";
 }
 
+/// Checks forEachSubsumption against subsumes() on every ordered named
+/// pair: a satisfiable sub emits exactly its strict named subsumers, each
+/// once and in ascending (sub, sup) order; an unsatisfiable sub emits
+/// nothing. Returns the number of pairs emitted.
+std::size_t expectClosureMatchesSubsumes(const TBox& tbox, const ElReasoner& el) {
+  const std::size_t n = tbox.conceptCount();
+  std::vector<DynamicBitset> emitted(n, DynamicBitset(n));
+  std::size_t pairs = 0, outOfOrder = 0, duplicates = 0, reflexive = 0,
+              unsatSubs = 0;
+  std::uint64_t last = 0;
+  el.forEachSubsumption([&](ConceptId sup, ConceptId sub) {
+    ASSERT_LT(sup, n);
+    ASSERT_LT(sub, n);
+    const std::uint64_t key = (static_cast<std::uint64_t>(sub) << 32) | sup;
+    if (pairs > 0 && key <= last) ++outOfOrder;
+    last = key;
+    if (sup == sub) ++reflexive;
+    if (emitted[sub].test(sup)) ++duplicates;
+    if (!el.isSatisfiable(sub)) ++unsatSubs;
+    emitted[sub].set(sup);
+    ++pairs;
+  });
+  EXPECT_EQ(reflexive, 0u) << "reflexive pairs emitted";
+  EXPECT_EQ(duplicates, 0u) << "pairs emitted twice";
+  EXPECT_EQ(outOfOrder, 0u) << "pairs out of (sub, sup) order";
+  EXPECT_EQ(unsatSubs, 0u) << "pairs emitted for unsatisfiable subs";
+  std::size_t mismatches = 0;
+  for (ConceptId sub = 0; sub < n; ++sub)
+    for (ConceptId sup = 0; sup < n; ++sup) {
+      const bool want = sup != sub && el.isSatisfiable(sub) && el.subsumes(sup, sub);
+      if (emitted[sub].test(sup) != want && mismatches++ == 0)
+        ADD_FAILURE() << tbox.conceptName(sub) << " ⊑ " << tbox.conceptName(sup)
+                      << (want ? " missing" : " emitted but not derived");
+    }
+  EXPECT_EQ(mismatches, 0u);
+  return pairs;
+}
+
 TEST(ElReasoner, ForEachSubsumptionMatchesPairwiseSubsumes) {
   // Equivalence cycle, derived subsumption, and an unsat concept: the
-  // enumeration must agree with subsumes() on every ordered named pair,
-  // with no duplicates and no reflexive pairs.
+  // enumeration must agree with subsumes() on every satisfiable sub, with
+  // no duplicates and no reflexive pairs, and say nothing about Bad.
   Fixture f(R"(
     Ontology(
       SubClassOf(A B)
@@ -300,23 +339,85 @@ TEST(ElReasoner, ForEachSubsumptionMatchesPairwiseSubsumes) {
       SubClassOf(Bad D)
       SubClassOf(Bad E)
     ))");
-  const std::size_t n = f.tbox.conceptCount();
-  std::vector<std::vector<bool>> emitted(n, std::vector<bool>(n, false));
-  f.el->forEachSubsumption([&](ConceptId sup, ConceptId sub) {
-    ASSERT_LT(sup, n);
-    ASSERT_LT(sub, n);
-    EXPECT_NE(sup, sub) << "reflexive pair emitted";
-    EXPECT_FALSE(emitted[sub][sup]) << "duplicate pair emitted";
-    emitted[sub][sup] = true;
+  expectClosureMatchesSubsumes(f.tbox, *f.el);
+  const ConceptId bad = f.tbox.findConcept("Bad");
+  ASSERT_FALSE(f.el->isSatisfiable(bad));
+  EXPECT_TRUE(f.subs("A", "Bad")) << "subsumes() keeps the unsat row";
+  std::vector<ConceptId> supsOf(f.tbox.conceptCount(), 0);
+  f.el->forEachSubsumption([&](ConceptId, ConceptId sub) { ++supsOf[sub]; });
+  // The cycle shows both ways; A and B each also reach D.
+  EXPECT_EQ(supsOf[f.tbox.findConcept("A")], 2u);
+  EXPECT_EQ(supsOf[f.tbox.findConcept("B")], 2u);
+  EXPECT_EQ(supsOf[bad], 0u);
+}
+
+TEST(ElReasoner, ForEachSubsumptionOnMaskedAndResumedReasoners) {
+  // The masked constructor: the ∀ and ⊔ axioms are invisible, the
+  // disjointness still makes U unsatisfiable.
+  TBox t;
+  parseFunctionalSyntax(R"(
+    Ontology(
+      EquivalentClasses(A B)
+      SubClassOf(B ObjectAllValuesFrom(r C))
+      SubClassOf(B C)
+      SubClassOf(D ObjectUnionOf(A B))
+      SubClassOf(E ObjectSomeValuesFrom(r A))
+      SubClassOf(ObjectSomeValuesFrom(r C) F)
+      DisjointClasses(C F)
+      SubClassOf(U C)
+      SubClassOf(U F)
+    ))",
+                        t);
+  t.freeze();
+  std::vector<std::uint8_t> mask;
+  for (const ToldAxiom& ax : t.toldAxioms())
+    mask.push_back(isElSafeAxiom(t, ax) ? 1 : 0);
+  ElReasoner masked(t, mask);
+  ASSERT_TRUE(masked.classify());
+  ASSERT_FALSE(masked.isSatisfiable(t.findConcept("U")));
+  EXPECT_GT(expectClosureMatchesSubsumes(t, masked), 0u);
+
+  // Cut short by the token, then resumed: the same closure.
+  ElReasoner resumed(t, mask);
+  CancellationToken cancel;
+  cancel.cancel();
+  ASSERT_FALSE(resumed.classify(&cancel));
+  cancel.reset();
+  ASSERT_TRUE(resumed.classify(&cancel));
+  std::vector<std::uint64_t> a, b;
+  masked.forEachSubsumption([&](ConceptId sup, ConceptId sub) {
+    a.push_back((static_cast<std::uint64_t>(sub) << 32) | sup);
   });
-  for (ConceptId sup = 0; sup < n; ++sup)
-    for (ConceptId sub = 0; sub < n; ++sub)
-      EXPECT_EQ(emitted[sub][sup], sup != sub && f.el->subsumes(sup, sub))
-          << f.tbox.conceptName(sub) << " ⊑ " << f.tbox.conceptName(sup);
-  // Spot checks: the cycle shows both ways, the unsat concept under all.
-  EXPECT_TRUE(emitted[f.tbox.findConcept("A")][f.tbox.findConcept("B")]);
-  EXPECT_TRUE(emitted[f.tbox.findConcept("B")][f.tbox.findConcept("A")]);
-  EXPECT_TRUE(emitted[f.tbox.findConcept("Bad")][f.tbox.findConcept("E")]);
+  resumed.forEachSubsumption([&](ConceptId sup, ConceptId sub) {
+    b.push_back((static_cast<std::uint64_t>(sub) << 32) | sup);
+  });
+  EXPECT_EQ(a, b);
+  expectClosureMatchesSubsumes(t, resumed);
+}
+
+TEST(ElReasoner, ForEachSubsumptionSpansManySummaryWords) {
+  // 4200 concepts put the named atoms past 4096, so S(x) has more words
+  // than one summary word covers. A binary-heap hierarchy C_i ⊑ C_{i/2}
+  // spreads each concept's few subsumers over far-apart words; every
+  // 97th concept also sits under the last one, an equivalence cycle
+  // closes the tail, and C_3 is unsatisfiable, which makes its subtree
+  // unsatisfiable too.
+  constexpr int kConcepts = 4200;
+  std::string doc = "Ontology(";
+  for (int i = 1; i < kConcepts; ++i) {
+    doc += "SubClassOf(C" + std::to_string(i) + " C" + std::to_string(i / 2) + ")";
+    if (i % 97 == 0)
+      doc += "SubClassOf(C" + std::to_string(i) + " C" +
+             std::to_string(kConcepts - 1) + ")";
+  }
+  doc += "EquivalentClasses(C" + std::to_string(kConcepts - 1) + " C" +
+         std::to_string(kConcepts - 2) + ")";
+  doc += "DisjointClasses(C1 X) SubClassOf(C3 X))";
+  Fixture f(doc.c_str());
+  ASSERT_FALSE(f.sat("C3"));
+  ASSERT_FALSE(f.sat("C6"));
+  ASSERT_TRUE(f.sat("C2"));
+  EXPECT_GT(expectClosureMatchesSubsumes(f.tbox, *f.el), std::size_t{kConcepts});
 }
 
 TEST(ElReasoner, MaskedConstructorConsumesOnlySelectedAxioms) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "owl/parser.hpp"
 
@@ -94,6 +95,59 @@ TEST(Taxonomy, AddEdgeIsIdempotent) {
   tax.finalize();
   EXPECT_EQ(tax.node(a).children.size(), 1u);
   EXPECT_EQ(tax.node(b).parents.size(), 1u);
+}
+
+// 100 000 parentless nodes: finalize() links each under ⊤ and over ⊥ in
+// one pass (it once went through a linear duplicate scan per edge).
+TEST(Taxonomy, HundredThousandRootsFinalizeLinearly) {
+  constexpr std::size_t kNodes = 100000;
+  Taxonomy tax(kNodes);
+  for (ConceptId c = 0; c < kNodes; ++c) tax.addNode({c});
+  tax.finalize();
+  const auto& top = tax.node(Taxonomy::kTopNode).children;
+  const auto& bottom = tax.node(Taxonomy::kBottomNode).parents;
+  ASSERT_EQ(top.size(), kNodes);
+  ASSERT_EQ(bottom.size(), kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const auto id = static_cast<Taxonomy::NodeId>(i + 2);
+    ASSERT_EQ(top[i], id);
+    ASSERT_EQ(bottom[i], id);
+    ASSERT_EQ(tax.node(id).parents,
+              std::vector<Taxonomy::NodeId>{Taxonomy::kTopNode});
+    ASSERT_EQ(tax.node(id).children,
+              std::vector<Taxonomy::NodeId>{Taxonomy::kBottomNode});
+  }
+  EXPECT_EQ(tax.edgeCount(true), 2 * kNodes);
+  EXPECT_EQ(tax.depth(), 1u);
+}
+
+// One parent over 100 000 children, added in descending order and with
+// every tenth edge added twice: addEdge appends, and finalize() leaves
+// each list sorted with each edge once.
+TEST(Taxonomy, HundredThousandChildFanOutWithDuplicates) {
+  constexpr std::size_t kChildren = 100000;
+  Taxonomy tax(kChildren + 1);
+  const auto parent = tax.addNode({0});
+  std::vector<Taxonomy::NodeId> children;
+  for (ConceptId c = 1; c <= kChildren; ++c) children.push_back(tax.addNode({c}));
+  for (auto it = children.rbegin(); it != children.rend(); ++it) {
+    tax.addEdge(parent, *it);
+    if (*it % 10 == 0) tax.addEdge(parent, *it);
+  }
+  tax.finalize();
+  EXPECT_EQ(tax.node(parent).children, children);
+  EXPECT_EQ(tax.node(parent).parents,
+            std::vector<Taxonomy::NodeId>{Taxonomy::kTopNode});
+  EXPECT_EQ(tax.node(Taxonomy::kTopNode).children,
+            std::vector<Taxonomy::NodeId>{parent});
+  for (const auto child : children) {
+    ASSERT_EQ(tax.node(child).parents, std::vector<Taxonomy::NodeId>{parent});
+    ASSERT_EQ(tax.node(child).children,
+              std::vector<Taxonomy::NodeId>{Taxonomy::kBottomNode});
+  }
+  EXPECT_EQ(tax.node(Taxonomy::kBottomNode).parents, children);
+  EXPECT_EQ(tax.edgeCount(false), kChildren);
+  EXPECT_TRUE(tax.subsumes(0, kChildren));
 }
 
 TEST(Taxonomy, PrintAndDotRender) {

@@ -129,6 +129,30 @@ TEST(CliFlags, StatsPrintsTheLoadLine) {
   fs::remove_all(dir);
 }
 
+// `--stats` puts the per-phase times from ClassificationResult::cycles
+// right under the load line; only the format is checked, not the times.
+TEST(CliFlags, StatsPrintsThePhasesLine) {
+  const std::string dir = freshTestDir("cli-phases-line");
+  const std::string with = dir + "/with.txt";
+  const std::string without = dir + "/without.txt";
+  const std::string anatomy =
+      std::string(OWLCL_EXAMPLE_DATA_DIR) + "/anatomy.obo";
+  ASSERT_EQ(run(kCli + " classify " + anatomy +
+                " --route-el=on --stats --output=none > /dev/null 2> " + with),
+            0);
+  ASSERT_EQ(run(kCli + " classify " + anatomy +
+                " --route-el=on --output=none > /dev/null 2> " + without),
+            0);
+  const std::regex lines(
+      R"(\n  load: parse \d+\.\d ms, reasoner prepare \d+\.\d ms\n)"
+      R"(  phases: route \d+\.\d ms, phase 1 \d+\.\d ms, phase 2 \d+\.\d ms, )"
+      R"(hierarchy \d+\.\d ms\n)");
+  const std::string withErr = slurp(with);
+  EXPECT_TRUE(std::regex_search(withErr, lines)) << withErr;
+  EXPECT_EQ(slurp(without).find("phases:"), std::string::npos);
+  fs::remove_all(dir);
+}
+
 // --max-workers=256 is the ceiling, not past it: the sweep runs and its
 // last row is the 256-worker point.
 TEST(CliFlags, SweepRunsAtTheWorkerCeiling) {

@@ -935,6 +935,20 @@ int cmdClassify(const std::string& path, const Options& o) {
   if (o.stats) {
     std::fprintf(stderr, "  load: parse %.1f ms, reasoner prepare %.1f ms\n",
                  run->parseMs, run->prepareMs);
+    double routeMs = 0, phase1Ms = 0, phase2Ms = 0, hierarchyMs = 0;
+    for (const CycleStats& c : r.cycles) {
+      const double ms = static_cast<double>(c.elapsedNs) / 1e6;
+      switch (c.phase) {
+        case CycleStats::Phase::kRouting: routeMs += ms; break;
+        case CycleStats::Phase::kRandomDivision: phase1Ms += ms; break;
+        case CycleStats::Phase::kGroupDivision: phase2Ms += ms; break;
+        case CycleStats::Phase::kHierarchy: hierarchyMs += ms; break;
+      }
+    }
+    std::fprintf(stderr,
+                 "  phases: route %.1f ms, phase 1 %.1f ms, phase 2 %.1f ms, "
+                 "hierarchy %.1f ms\n",
+                 routeMs, phase1Ms, phase2Ms, hierarchyMs);
     std::fprintf(stderr, "  bit kernels: %s backend (cpu: %s)\n",
                  activeBitKernels().name(), cpuFeatureString().c_str());
     const ReasonerStats agg = plugin->reasonerStats();
