@@ -16,19 +16,18 @@
 // response (an answer or an explicit "overloaded"), the shed counter is
 // non-zero, and nothing blocks or grows unboundedly.
 //
-// Phase 3 (snapshot ablation): two identical servers classify the same
-// DAG-heavy ontology with an instant MockReasoner — one with
-// ServerConfig::querySnapshots off (the taxonomy-walk ladder), one with the
-// compiled interval+bitset snapshot (DESIGN.md §16). A pre-generated
-// mixed workload (~50% subs / 20% sat / 30% descendants) is driven at
-// batch sizes 1, 16 and 256; every snapshot-path response must be
-// byte-identical to the walk-path response, and every inner batch
-// result must be byte-identical to its one-at-a-time answer (FATAL on
-// any divergence). Reports per-answer p50/p99 and queries/sec per mode;
-// the full run requires ≥3x queries/sec at batch=256 with snapshots on.
+// Phase 3 (snapshot reads): a server classifies a DAG-heavy ontology
+// with an instant MockReasoner and answers from the compiled
+// interval+bitset snapshot (DESIGN.md §16). A pre-generated mixed
+// workload (~50% subs / 20% sat / 30% descendants) is driven at batch
+// sizes 1, 16 and 256; every answer must byte-equal the response the
+// generator's GroundTruth implies (subs and sat verdicts, the descendant
+// set), and every inner batch result its one-at-a-time answer (FATAL on
+// any divergence). Reports per-answer p50/p99 and queries/sec per batch
+// size.
 //
 // Output: a human-readable summary on stdout and BENCH_serve.json
-// (latency percentiles + shed rate + snapshot ablation) for CI trend
+// (latency percentiles + shed rate + snapshot reads) for CI trend
 // tracking. `--quick` shrinks the load for the CI smoke job.
 #include <algorithm>
 #include <atomic>
@@ -53,6 +52,7 @@
 #include "serve/server.hpp"
 #include "taxonomy/snapshot.hpp"
 #include "util/stopwatch.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -203,31 +203,73 @@ PhaseStats phaseStats(std::vector<ClientTally>& tallies) {
   return st;
 }
 
-// --- phase 3 helpers: snapshot ablation (DESIGN.md §16) ----------------------
+// --- phase 3 helpers: snapshot reads (DESIGN.md §16) ------------------------
 
 /// Mixed read workload (~50% subs / 20% sat / 30% descendants) as
-/// protocol request lines without ids. Deterministic for a seed.
-std::vector<std::string> mixedWorkload(const TBox& tbox, std::size_t count,
-                                       std::uint64_t seed) {
+/// protocol request lines without ids, each with the byte-exact response
+/// the ground truth implies. Deterministic for a seed.
+struct Workload {
   std::vector<std::string> lines;
-  lines.reserve(count);
-  std::mt19937_64 rng(seed);
+  std::vector<std::string> expected;
+};
+
+Workload mixedWorkload(const TBox& tbox, const GroundTruth& truth,
+                       std::size_t count, std::uint64_t seed) {
   const std::size_t n = tbox.conceptCount();
+  const auto quoted = [&tbox](ConceptId c) {
+    std::string q = "\"";
+    jsonEscapeInto(tbox.conceptName(c), q);
+    q.push_back('"');
+    return q;
+  };
+  const auto verdict = [](const char* op, bool value) {
+    return strprintf("{\"ok\":true,\"op\":\"%s\",\"result\":%s,"
+                     "\"method\":\"settled\"}",
+                     op, value ? "true" : "false");
+  };
+  // Strict descendants: equivalents excluded, unsatisfiable concepts
+  // included, names in byte order.
+  const auto descendants = [&](ConceptId c) {
+    std::vector<ConceptId> below;
+    for (ConceptId d = 0; d < n; ++d)
+      if (truth.subsumes(c, d) && !truth.subsumes(d, c)) below.push_back(d);
+    std::sort(below.begin(), below.end(), [&tbox](ConceptId a, ConceptId b) {
+      return tbox.conceptName(a) < tbox.conceptName(b);
+    });
+    std::string json = "[";
+    for (const ConceptId d : below) {
+      if (json.size() > 1) json.push_back(',');
+      json += quoted(d);
+    }
+    json.push_back(']');
+    return strprintf("{\"ok\":true,\"op\":\"descendants\",\"concept\":%s,"
+                     "\"count\":%zu,\"concepts\":%s,\"complete\":true}",
+                     quoted(c).c_str(), below.size(), json.c_str());
+  };
+
+  Workload w;
+  w.lines.reserve(count);
+  w.expected.reserve(count);
+  std::mt19937_64 rng(seed);
   for (std::size_t i = 0; i < count; ++i) {
     const ConceptId a = static_cast<ConceptId>(rng() % n);
     const ConceptId b = static_cast<ConceptId>(rng() % n);
     const std::uint64_t roll = rng() % 10;
-    if (roll < 5)
-      lines.push_back("{\"op\":\"subs\",\"sub\":\"" + tbox.conceptName(a) +
-                      "\",\"sup\":\"" + tbox.conceptName(b) + "\"}");
-    else if (roll < 7)
-      lines.push_back("{\"op\":\"sat\",\"concept\":\"" + tbox.conceptName(a) +
-                      "\"}");
-    else
-      lines.push_back("{\"op\":\"descendants\",\"concept\":\"" +
-                      tbox.conceptName(a) + "\"}");
+    if (roll < 5) {
+      w.lines.push_back("{\"op\":\"subs\",\"sub\":\"" + tbox.conceptName(a) +
+                        "\",\"sup\":\"" + tbox.conceptName(b) + "\"}");
+      w.expected.push_back(verdict("subs", truth.subsumes(b, a)));
+    } else if (roll < 7) {
+      w.lines.push_back("{\"op\":\"sat\",\"concept\":\"" +
+                        tbox.conceptName(a) + "\"}");
+      w.expected.push_back(verdict("sat", truth.satisfiable(a)));
+    } else {
+      w.lines.push_back("{\"op\":\"descendants\",\"concept\":\"" +
+                        tbox.conceptName(a) + "\"}");
+      w.expected.push_back(descendants(a));
+    }
   }
-  return lines;
+  return w;
 }
 
 /// Packs consecutive runs of `k` single-query lines into batch request
@@ -267,7 +309,7 @@ std::vector<std::string> packExpected(
   return out;
 }
 
-struct AblationStats {
+struct ReadStats {
   double qps = 0;         // answered queries per wall second
   std::uint64_t p50 = 0;  // per-answer ns (line latency / queries per line)
   std::uint64_t p99 = 0;
@@ -275,10 +317,9 @@ struct AblationStats {
 
 /// Drives `lines` closed-loop from two client threads (shared work
 /// index) and records each line's response at its index.
-AblationStats driveAblation(Server& server,
-                            const std::vector<std::string>& lines,
-                            std::size_t queriesPerLine,
-                            std::vector<std::string>* responses) {
+ReadStats driveReads(Server& server, const std::vector<std::string>& lines,
+                     std::size_t queriesPerLine,
+                     std::vector<std::string>* responses) {
   responses->assign(lines.size(), std::string());
   std::vector<std::uint64_t> lineNs(lines.size(), 0);
   std::atomic<std::size_t> next{0};
@@ -302,7 +343,7 @@ AblationStats driveAblation(Server& server,
   }
   const double wallSec = static_cast<double>(wall.elapsedNs()) / 1e9;
 
-  AblationStats st;
+  ReadStats st;
   std::vector<std::uint64_t> perAnswer(lineNs);
   for (std::uint64_t& ns : perAnswer) ns /= queriesPerLine;
   std::sort(perAnswer.begin(), perAnswer.end());
@@ -449,12 +490,11 @@ int main(int argc, char** argv) {
   const double shedRate =
       static_cast<double>(shed) / static_cast<double>(submitted);
 
-  // --- phase 3: snapshot on/off ablation (DESIGN.md §16) -------------------
+  // --- phase 3: snapshot reads (DESIGN.md §16) ------------------------------
   // MockReasoner answers instantly, so classification settles at memory
-  // speed and the measurement isolates the read path: the compiled
-  // interval+bitset snapshot vs the legacy taxonomy-walk ladder.
+  // speed and the measurement isolates the compiled read path.
   GenConfig acfg;
-  acfg.name = "serve-ablation";
+  acfg.name = "serve-snapshot";
   acfg.concepts = quick ? 200 : 700;
   acfg.subClassEdges = quick ? 340 : 1300;  // > concepts → multi-parent DAG
   acfg.equivalentAxioms = quick ? 8 : 24;
@@ -463,108 +503,61 @@ int main(int argc, char** argv) {
 
   ThreadPool pool3(4);
   RealExecutor exec3(pool3);
-  MockReasoner walkOracle(ga.truth);
   MockReasoner snapOracle(ga.truth);
-  ParallelClassifier walkClassifier(*ga.tbox, walkOracle, config);
   ParallelClassifier snapClassifier(*ga.tbox, snapOracle, config);
-
   ServerConfig asc;
   asc.queryThreads = 2;
   asc.queueCapacity = 512;
   asc.engine.defaultDeadlineMs = 10'000;
-  asc.querySnapshots = false;
-  Server walkServer(*ga.tbox, walkClassifier, walkOracle, asc);
-  asc.querySnapshots = true;
   Server snapServer(*ga.tbox, snapClassifier, snapOracle, asc);
 
-  // Both measurements run strictly post-settlement: wait until each
-  // server's published view carries the finished result (and, for the
-  // snapshot server, the compiled generation-0 snapshot) so every answer
-  // takes the settled path and byte parity is meaningful.
-  walkServer.start([&] { return walkClassifier.classify(exec3); });
+  // Measure strictly post-settlement: wait until the published view
+  // carries the compiled generation-0 snapshot.
   snapServer.start([&] { return snapClassifier.classify(exec3); });
   const auto settleBy =
       std::chrono::steady_clock::now() + std::chrono::minutes(2);
-  auto settled = [&settleBy](Server& s, bool needSnapshot) {
-    for (;;) {
-      const auto view = s.engineView();
-      if (view != nullptr && view->result != nullptr &&
-          (!needSnapshot || view->snapshot != nullptr))
-        return true;
-      if (std::chrono::steady_clock::now() > settleBy) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (snapServer.engineView()->snapshot == nullptr) {
+    if (std::chrono::steady_clock::now() > settleBy) {
+      std::fprintf(stderr, "FATAL: snapshot server never settled\n");
+      return 1;
     }
-  };
-  if (!settled(walkServer, false) || !settled(snapServer, true)) {
-    std::fprintf(stderr,
-                 "FATAL: ablation servers never settled (snapshot missing?)\n");
-    return 1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  const std::size_t abQueries = quick ? 512 : 4096;  // multiple of 256
-  const std::vector<std::string> singles =
-      mixedWorkload(*ga.tbox, abQueries, 31);
+  const std::size_t readQueries = quick ? 512 : 4096;  // multiple of 256
+  const Workload work = mixedWorkload(*ga.tbox, ga.truth, readQueries, 31);
 
-  // Batch size 1: per-answer parity between the two paths, best-of-2 reps
-  // (first rep warms allocators and caches).
-  std::vector<std::string> respWalk, respSnap;
-  AblationStats walk1, snap1;
+  // Batch size 1, best-of-2 reps (the first warms allocators and caches):
+  // every answer byte-equals the ground truth's.
+  std::vector<std::string> singles;
+  ReadStats rows[3];
   for (int rep = 0; rep < 2; ++rep) {
-    const AblationStats w = driveAblation(walkServer, singles, 1, &respWalk);
-    const AblationStats s = driveAblation(snapServer, singles, 1, &respSnap);
-    if (rep == 0 || w.qps > walk1.qps) walk1 = w;
-    if (rep == 0 || s.qps > snap1.qps) snap1 = s;
+    const ReadStats s = driveReads(snapServer, work.lines, 1, &singles);
+    if (!responsesMatch("snapshot-vs-truth", work.lines, singles,
+                        work.expected))
+      return 1;
+    if (rep == 0 || s.qps > rows[0].qps) rows[0] = s;
   }
-  if (!responsesMatch("snapshot-vs-walk", singles, respSnap, respWalk))
-    return 1;
 
   // Batch sizes 16 and 256: inner results must byte-equal the individual
-  // answers (so also the walk path's, transitively).
-  struct BatchRun {
-    std::size_t k;
-    AblationStats walk, snap;
-  };
-  BatchRun batchRuns[2] = {{16, {}, {}}, {256, {}, {}}};
-  for (BatchRun& run : batchRuns) {
-    const std::vector<std::string> lines = packBatches(singles, run.k);
-    const std::vector<std::string> expected = packExpected(respWalk, run.k);
+  // answers.
+  const std::size_t batchSizes[3] = {1, 16, 256};
+  for (std::size_t b = 1; b < 3; ++b) {
+    const std::size_t k = batchSizes[b];
+    const std::vector<std::string> lines = packBatches(work.lines, k);
+    const std::vector<std::string> expected = packExpected(singles, k);
     std::vector<std::string> got;
     for (int rep = 0; rep < 2; ++rep) {
-      const AblationStats w = driveAblation(walkServer, lines, run.k, &got);
-      if (!responsesMatch("walk batch", lines, got, expected)) return 1;
-      if (rep == 0 || w.qps > run.walk.qps) run.walk = w;
-      const AblationStats s = driveAblation(snapServer, lines, run.k, &got);
+      const ReadStats s = driveReads(snapServer, lines, k, &got);
       if (!responsesMatch("snapshot batch", lines, got, expected)) return 1;
-      if (rep == 0 || s.qps > run.snap.qps) run.snap = s;
+      if (rep == 0 || s.qps > rows[b].qps) rows[b] = s;
     }
   }
 
   const QueryEngineStats snapEngine = snapServer.engineStats();
-  const auto snapView = snapServer.engineView();
-  const TaxonomySnapshot::BuildStats snapBuild = snapView->snapshot->stats();
-  walkServer.drain();
+  const TaxonomySnapshot::BuildStats snapBuild =
+      snapServer.engineView()->snapshot->stats();
   snapServer.drain();
-
-  const double speedup256 =
-      batchRuns[1].snap.qps / std::max(batchRuns[1].walk.qps, 1e-9);
-  if (!quick && speedup256 < 3.0) {
-    std::fprintf(stderr,
-                 "FATAL: snapshot speedup at batch=256 is %.2fx "
-                 "(walk %.0f q/s, snapshot %.0f q/s) — below the 3x floor\n",
-                 speedup256, batchRuns[1].walk.qps, batchRuns[1].snap.qps);
-    return 1;
-  }
-  // CI smoke property: the compiled index must not be slower than the
-  // walk at the tail (batch=16 amortizes submit overhead but still has
-  // enough lines for a stable p99 in --quick).
-  if (batchRuns[0].snap.p99 > batchRuns[0].walk.p99) {
-    std::fprintf(stderr,
-                 "FATAL: snapshot p99 (%llu ns) exceeds walk p99 (%llu ns) "
-                 "at batch=16 — the compiled index lost to the walk\n",
-                 static_cast<unsigned long long>(batchRuns[0].snap.p99),
-                 static_cast<unsigned long long>(batchRuns[0].walk.p99));
-    return 1;
-  }
 
   std::printf("serve bench — %s (%zu concepts)%s\n", cfg.name.c_str(),
               cfg.concepts, quick ? " [quick]" : "");
@@ -584,23 +577,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(submitted),
               static_cast<unsigned long long>(shed), shedRate * 100.0);
 
-  struct AblationRow {
-    const char* key;
-    std::size_t k;
-    AblationStats walk, snap;
-  };
-  const AblationRow rows[3] = {
-      {"batch_1", 1, walk1, snap1},
-      {"batch_16", 16, batchRuns[0].walk, batchRuns[0].snap},
-      {"batch_256", 256, batchRuns[1].walk, batchRuns[1].snap}};
-  std::printf("  snapshot ablation — %s (%zu concepts, %zu mixed queries):\n",
-              acfg.name.c_str(), acfg.concepts, abQueries);
-  for (const AblationRow& r : rows)
-    std::printf("    batch %3zu: walk %9.0f q/s (p99 %7.1f us) | "
-                "snapshot %9.0f q/s (p99 %7.1f us) — %.1fx\n",
-                r.k, r.walk.qps, static_cast<double>(r.walk.p99) / 1e3,
-                r.snap.qps, static_cast<double>(r.snap.p99) / 1e3,
-                r.snap.qps / std::max(r.walk.qps, 1e-9));
+  std::printf("  snapshot reads — %s (%zu concepts, %zu mixed queries):\n",
+              acfg.name.c_str(), acfg.concepts, readQueries);
+  for (std::size_t b = 0; b < 3; ++b)
+    std::printf("    batch %3zu: %9.0f q/s (p50 %7.1f us, p99 %7.1f us)\n",
+                batchSizes[b], rows[b].qps,
+                static_cast<double>(rows[b].p50) / 1e3,
+                static_cast<double>(rows[b].p99) / 1e3);
   std::printf("  snapshot: gen %llu, build %.2f ms, %zu compiled bytes, "
               "%llu interval hits, %llu bitset probes\n",
               static_cast<unsigned long long>(snapBuild.generation),
@@ -643,23 +626,18 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(shed), shedRate);
   std::fprintf(out,
-               "  \"snapshot_ablation\": {\n"
+               "  \"snapshot_reads\": {\n"
                "    \"workload\": {\"name\": \"%s\", \"concepts\": %zu, "
                "\"queries\": %zu, \"mix\": \"subs50/sat20/desc30\"},\n",
-               acfg.name.c_str(), acfg.concepts, abQueries);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const AblationRow& r = rows[i];
-    std::fprintf(
-        out,
-        "    \"%s\": {\"walk\": {\"qps\": %.1f, \"p50_ns\": %llu, "
-        "\"p99_ns\": %llu}, \"snapshot\": {\"qps\": %.1f, \"p50_ns\": %llu, "
-        "\"p99_ns\": %llu}, \"speedup_qps\": %.2f}%s\n",
-        r.key, r.walk.qps, static_cast<unsigned long long>(r.walk.p50),
-        static_cast<unsigned long long>(r.walk.p99), r.snap.qps,
-        static_cast<unsigned long long>(r.snap.p50),
-        static_cast<unsigned long long>(r.snap.p99),
-        r.snap.qps / std::max(r.walk.qps, 1e-9), i + 1 < 3 ? "," : "");
-  }
+               acfg.name.c_str(), acfg.concepts, readQueries);
+  for (std::size_t b = 0; b < 3; ++b)
+    std::fprintf(out,
+                 "    \"batch_%zu\": {\"qps\": %.1f, \"p50_ns\": %llu, "
+                 "\"p99_ns\": %llu}%s\n",
+                 batchSizes[b], rows[b].qps,
+                 static_cast<unsigned long long>(rows[b].p50),
+                 static_cast<unsigned long long>(rows[b].p99),
+                 b + 1 < 3 ? "," : "");
   std::fprintf(
       out,
       "  },\n"
@@ -667,7 +645,7 @@ int main(int argc, char** argv) {
       "\"compiled_bytes\": %zu, \"nodes\": %zu, \"concepts\": %zu, "
       "\"tree_edges\": %zu, \"non_tree_edges\": %zu, \"extra_words\": %zu, "
       "\"descendant_ids\": %zu, \"snapshot_answers\": %llu, "
-      "\"walk_answers\": %llu, \"interval_hits\": %llu, "
+      "\"interval_hits\": %llu, "
       "\"bitset_probes\": %llu, \"batch_lines\": %llu, "
       "\"batched_queries\": %llu}\n}\n",
       static_cast<unsigned long long>(snapBuild.generation),
@@ -676,7 +654,6 @@ int main(int argc, char** argv) {
       snapBuild.treeEdges, snapBuild.nonTreeEdges, snapBuild.extraWords,
       snapBuild.descendantIds,
       static_cast<unsigned long long>(snapEngine.snapshotAnswers),
-      static_cast<unsigned long long>(snapEngine.walkAnswers),
       static_cast<unsigned long long>(snapEngine.intervalHits),
       static_cast<unsigned long long>(snapEngine.bitsetProbes),
       static_cast<unsigned long long>(snapEngine.batchLines),

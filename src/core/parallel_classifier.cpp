@@ -392,8 +392,13 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   const std::uint64_t testsBefore = satTests_.value() + subsTests_.value();
 
   const ElPartition part = partitionElFragment(tbox_);
-  if (part.elAxioms == 0) return;  // nothing to route
-  if (config_.routeEl == ElRouting::kAuto && !part.majorityEl()) return;
+  // An all-EL TBox always routes, a declarations-only one included (its
+  // saturation is n activations). A mixed one routes unless it has no EL
+  // axiom, or auto mode finds the non-EL residual the majority.
+  if (part.nonElAxioms > 0 &&
+      (part.elAxioms == 0 ||
+       (config_.routeEl == ElRouting::kAuto && !part.majorityEl())))
+    return;
 
   // Saturate the maximal EL sub-ontology, timed by the kRouting cycle
   // entry. A fired token (watchdog, budget, SIGTERM)

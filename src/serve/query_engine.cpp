@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <thread>
-#include <vector>
 
 #include "robust/guarded_plugin.hpp"
-#include "taxonomy/taxonomy.hpp"
 
 namespace owlcl {
 
@@ -126,11 +124,12 @@ std::string QueryEngine::answerSubs(
     return errorResponse(req, "unknown-concept", req.sub);
 
   // Rung 0: compiled snapshot — one interval compare, at most one bitset
-  // word probe. Only present for complete runs, whose settled verdicts it
-  // reproduces exactly, so the response (method "settled") is byte-equal
-  // to the walk path's.
+  // word probe. Only a complete snapshot, whose verdicts are exactly the
+  // run's settled ones, so the response (method "settled") is byte-equal
+  // to rung 1's.
   if (const TaxonomySnapshot* snap = view.snapshot.get();
-      snap != nullptr && snap->placed(sup) && snap->placed(sub)) {
+      snap != nullptr && snap->complete() && snap->placed(sup) &&
+      snap->placed(sub)) {
     bool probed = false;
     const bool value = snap->subsumes(sup, sub, &probed);
     snapshotAnswers_.fetch_add(1, std::memory_order_relaxed);
@@ -177,7 +176,7 @@ std::string QueryEngine::answerSat(
     return errorResponse(req, "unknown-concept", req.conceptName);
 
   if (const TaxonomySnapshot* snap = view.snapshot.get();
-      snap != nullptr && snap->placed(c)) {
+      snap != nullptr && snap->complete() && snap->placed(c)) {
     snapshotAnswers_.fetch_add(1, std::memory_order_relaxed);
     return verdictResponse(req, "sat", snap->satisfiable(c), "settled");
   }
@@ -206,91 +205,46 @@ std::string QueryEngine::answerSat(
 std::string QueryEngine::answerDescendants(
     const Request& req, const EngineView& view,
     std::chrono::steady_clock::time_point deadline) {
-  const TBox& tbox = *view.tbox;
   ParallelClassifier& classifier = *view.classifier;
-  const ConceptId c = tbox.findConcept(req.conceptName);
+  const ConceptId c = view.tbox->findConcept(req.conceptName);
   if (c == kInvalidConcept)
     return errorResponse(req, "unknown-concept", req.conceptName);
 
-  // Snapshot path: the subsumee array was escaped, sorted and serialized
-  // at compile time — the answer is field writes plus one raw copy.
-  if (const TaxonomySnapshot* snap = view.snapshot.get();
-      snap != nullptr && snap->placed(c)) {
-    snapshotAnswers_.fetch_add(1, std::memory_order_relaxed);
-    JsonWriter w;
-    if (req.hasId) w.field("id", req.id);
-    w.field("ok", true);
-    w.field("op", "descendants");
-    w.field("concept", req.conceptName);
-    w.field("count",
-            static_cast<std::uint64_t>(snap->descendantCount(c)));
-    w.raw("concepts", snap->descendantsJson(c));
-    w.field("complete", snap->complete());
-    return std::move(w).str();
-  }
-  walkAnswers_.fetch_add(1, std::memory_order_relaxed);
-
-  // Needs the finished taxonomy — a mid-run subsumee list would silently
-  // omit pairs that have not settled yet. Wait out the budget, then tell
-  // the client to retry. The result pointer is published by the server
-  // right after the run exits; bridge that tiny gap by re-snapshotting.
-  const ClassificationResult* r = view.result;
-  while (r == nullptr) {
+  // Needs the generation's snapshot — a mid-run subsumee list would
+  // silently omit pairs that have not settled yet. Wait out the budget,
+  // then tell the client to retry. The server publishes result and
+  // snapshot together right after the run exits; setResult puts them on
+  // a NEW view and ours is frozen, so bridge that gap by re-reading the
+  // current view of the same generation.
+  std::shared_ptr<const EngineView> fresh;  // pins a re-read view
+  const EngineView* v = &view;
+  while (v->result == nullptr) {
     if (!classifier.waitForCompletion(deadline)) break;
-    // setResult publishes onto a NEW view; ours is frozen. Re-read the
-    // current one — same generation, now carrying the result pointer.
-    const auto fresh = currentView();
-    r = fresh->classifier == &classifier ? fresh->result : nullptr;
+    fresh = currentView();
     if (fresh->classifier != &classifier) break;  // generation changed
-    if (r == nullptr) std::this_thread::yield();
+    v = fresh.get();
+    if (v->result == nullptr) std::this_thread::yield();
     if (std::chrono::steady_clock::now() >= deadline) break;
   }
-  if (r == nullptr || r->paused)
+  // No snapshot once the result is out means the run paused.
+  const TaxonomySnapshot* snap = v->snapshot.get();
+  if (snap == nullptr)
     return errorResponse(req, "pending", "classification in progress");
-
-  const Taxonomy& tax = r->taxonomy;
-  const Taxonomy::NodeId start = tax.nodeOf(c);
-  if (start == Taxonomy::kNoNode)
+  if (!snap->placed(c))
     return errorResponse(req, "pending", "concept not placed");
 
-  // BFS down the DAG; members of every reached node are descendants
-  // (unsatisfiable concepts sit at ⊥ and are therefore included).
-  std::vector<char> seen(tax.nodeCount(), 0);
-  std::vector<Taxonomy::NodeId> stack{start};
-  seen[start] = 1;
-  std::vector<std::string> names;
-  while (!stack.empty()) {
-    const Taxonomy::NodeId cur = stack.back();
-    stack.pop_back();
-    if (cur != start)
-      for (const ConceptId m : tax.node(cur).members)
-        names.push_back(tbox.conceptName(m));
-    for (const Taxonomy::NodeId child : tax.node(cur).children)
-      if (!seen[child]) {
-        seen[child] = 1;
-        stack.push_back(child);
-      }
-  }
-  std::sort(names.begin(), names.end());
-
-  std::string array = "[";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) array.push_back(',');
-    array.push_back('"');
-    array += jsonEscape(names[i]);
-    array.push_back('"');
-  }
-  array.push_back(']');
-
+  // The subsumee array was escaped, sorted and serialized at compile
+  // time — the answer is field writes plus one raw copy.
+  snapshotAnswers_.fetch_add(1, std::memory_order_relaxed);
   JsonWriter w;
   if (req.hasId) w.field("id", req.id);
   w.field("ok", true);
   w.field("op", "descendants");
   w.field("concept", req.conceptName);
-  w.field("count", static_cast<std::uint64_t>(names.size()));
-  w.raw("concepts", array);
-  // A degraded (unresolved-pairs) run may be missing edges; say so.
-  w.field("complete", r->complete());
+  w.field("count", static_cast<std::uint64_t>(snap->descendantCount(c)));
+  w.raw("concepts", snap->descendantsJson(c));
+  // A PARTIAL generation may be missing edges; say so.
+  w.field("complete", snap->complete());
   return std::move(w).str();
 }
 

@@ -17,9 +17,17 @@
 //   4. deadline  — explicit {"ok":false,"error":"deadline"}; the client
 //                  is never left hanging.
 //
-// descendants needs the finished taxonomy: it waits for completion up to
-// the budget, then answers "pending" — a partial subsumee list would be
-// silently wrong.
+// Once a generation's run has built its taxonomy, the server publishes a
+// compiled TaxonomySnapshot for it (DESIGN.md §16). A complete snapshot
+// answers subs/sat ahead of the ladder (rung 0). A PARTIAL one does not:
+// it places unresolved concepts as if satisfiable and cannot tell an
+// unresolved pair from a refuted one, so rung 1 answers the settled pairs
+// and sends the rest to the direct rung.
+//
+// descendants answers only from the snapshot: before the run finishes it
+// waits for it up to the budget, then answers "pending" — a mid-run
+// subsumee list would be silently wrong. Its "complete" field echoes the
+// snapshot's, so a PARTIAL generation's answer says false.
 //
 // Delta generations (DESIGN.md §14): every query snapshots ONE immutable
 // EngineView at entry, so a commit that swaps in a new generation can
@@ -61,9 +69,9 @@ struct EngineView {
   const ClassificationResult* result = nullptr;
   std::uint64_t deltaEpoch = 0;
   /// Compiled read-optimized index over this generation's finished
-  /// taxonomy (DESIGN.md §16); null until the run completes, on degraded
-  /// runs, or with ServerConfig::querySnapshots off. When present, subs/sat/
-  /// descendants answer from it at memory speed instead of walking.
+  /// taxonomy (DESIGN.md §16), PARTIAL runs included; null until the run
+  /// returns, and for a paused run, which builds no taxonomy. descendants
+  /// always answers from it; subs/sat only when it is complete().
   std::shared_ptr<const TaxonomySnapshot> snapshot;
   std::shared_ptr<const void> owner;
 };
@@ -73,7 +81,9 @@ struct EngineView {
 /// BENCH_serve.json snapshot block.
 struct QueryEngineStats {
   std::uint64_t snapshotAnswers = 0;  ///< answered from the compiled index
-  std::uint64_t walkAnswers = 0;      ///< answered through the legacy ladder
+  /// subs/sat answered by the ladder: before the run finishes, and on a
+  /// PARTIAL generation, whose snapshot does not answer them.
+  std::uint64_t walkAnswers = 0;
   std::uint64_t intervalHits = 0;     ///< subs decided by the interval check
   std::uint64_t bitsetProbes = 0;     ///< subs needing the extra-ancestor probe
   std::uint64_t batchLines = 0;       ///< batch requests answered
@@ -88,10 +98,9 @@ class QueryEngine {
   QueryEngine(const TBox& tbox, ParallelClassifier& classifier,
               ReasonerPlugin& fallback, QueryEngineConfig config);
 
-  /// Publishes the finished run's result (taxonomy for descendants) into
-  /// the CURRENT view, along with its compiled query snapshot (null for
-  /// degraded runs or snapshot-off serving). Called once by the server
-  /// when the classification thread exits.
+  /// Publishes the finished run's result into the CURRENT view, along
+  /// with its compiled query snapshot (null only for a paused run). Called
+  /// once by the server when the classification thread exits.
   void setResult(const ClassificationResult* result,
                  std::shared_ptr<const TaxonomySnapshot> snapshot = nullptr);
 

@@ -46,12 +46,11 @@ void Server::start(std::function<ClassificationResult()> classify) {
     result_ = classify();
     resultReady_.store(true, std::memory_order_release);
     // Compile the generation-0 query snapshot on this thread, before the
-    // result is published — never on a query worker. Degraded runs
-    // (paused/cancelled/unresolved pairs) get no snapshot: their answers
-    // must keep flowing through the ladder's direct-call rung.
+    // result is published — never on a query worker. Every run that built
+    // a taxonomy gets one; a PARTIAL run's is marked incomplete, and the
+    // engine then answers its subs/sat through the ladder (DESIGN.md §16).
     std::shared_ptr<const TaxonomySnapshot> snap;
-    if (config_.querySnapshots && result_.complete() && !result_.paused &&
-        !result_.cancelled)
+    if (!result_.paused)
       snap = TaxonomySnapshot::build(result_.taxonomy, tbox_,
                                      result_.complete(), /*generation=*/0);
     engine_.setResult(&result_, snap);
@@ -205,8 +204,7 @@ void Server::publishGeneration() {
   view.fallback = own->plugin.get();
   view.result = own->result.get();
   view.deltaEpoch = own->deltaEpoch;
-  // Compiled by commitTxn, off the query path.
-  if (config_.querySnapshots) view.snapshot = own->snapshot;
+  view.snapshot = own->snapshot;  // compiled by commitTxn, off the query path
   view.owner = std::move(own);
   engine_.publishView(std::move(view));
 }

@@ -50,11 +50,6 @@ struct ServerConfig {
   /// Hard cap on one request line; longer input is answered with a parse
   /// error and discarded — never buffered unboundedly.
   std::size_t maxLineBytes = 64 * 1024;
-  /// Answer from the read-optimized TaxonomySnapshot compiled after
-  /// classification and after every delta commit (DESIGN.md §16). Off =
-  /// answer every query through the walk ladder: bench_serve's reference
-  /// path, which its snapshot answers are byte-compared against.
-  bool querySnapshots = true;
   QueryEngineConfig engine;
   ServeFaultPlan faults;
 };
@@ -108,7 +103,7 @@ class Server {
   std::uint64_t shedCount() const { return queue_.shed(); }
   std::size_t queueDepth() const { return queue_.depth(); }
 
-  /// Read-path counters (snapshot vs walk answers, interval/bitset split,
+  /// Read-path counters (snapshot vs ladder answers, interval/bitset split,
   /// batch amortization) for --stats and bench reporting.
   QueryEngineStats engineStats() const { return engine_.stats(); }
   /// The view queries answer against right now (carries the current

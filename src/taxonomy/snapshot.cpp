@@ -127,11 +127,11 @@ std::shared_ptr<const TaxonomySnapshot> TaxonomySnapshot::build(
 
   // --- contiguous descendant ranges + precompiled JSON arrays ----------------
   // A concept is a strict descendant of every node in its own node's
-  // ancestor row (a node's own class is excluded, ⊥ included — matching the
-  // walk path's answer exactly). One counting pass sizes each node's range; the
-  // filling pass visits concepts in byte-wise name rank, so every range
-  // comes out sorted the way the walk path's std::sort over the name
-  // strings does (names are unique per TBox).
+  // ancestor row (a node's own class is excluded, ⊥ included — exactly what
+  // a walk down the DAG collects). One counting pass sizes each node's range;
+  // the filling pass visits concepts in byte-wise name rank, so every range
+  // comes out sorted the way std::sort over the name strings sorts it
+  // (names are unique per TBox).
   const std::size_t concepts = tax.conceptCount();
   {
     std::vector<ConceptId> byName(concepts);

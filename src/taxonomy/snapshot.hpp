@@ -31,9 +31,12 @@
 // QueryEngine's copy-on-write EngineView swap; an in-flight query/batch
 // pins exactly one generation via shared_ptr and never observes a swap.
 //
-// A snapshot is only built from a COMPLETE run (no unresolved pairs, not
-// paused/cancelled): on degraded runs the serving ladder keeps answering
-// through the live store exactly as before. The snapshot is fully
+// Every run that builds a taxonomy gets a snapshot, a PARTIAL one too
+// (unresolved pairs or concepts, or a cancelled run); only a paused run,
+// which builds no taxonomy, has none. complete() tells the serving layer
+// which kind it holds: a PARTIAL snapshot places unresolved concepts as if
+// satisfiable and cannot tell an unresolved pair from a refuted one, so
+// only descendants answers from it there. The snapshot is fully
 // self-contained (names are copied into the compiled pools), so it stays
 // valid even after its source Taxonomy/TBox generation is retired.
 #pragma once
@@ -69,8 +72,8 @@ class TaxonomySnapshot {
 
   /// Compiles `tax` (must be finalized) into a snapshot. `tbox` supplies
   /// concept names for the descendant pools and must describe the same
-  /// concept ids. `complete` is echoed into descendants answers (a
-  /// snapshot is normally only built when the run was complete).
+  /// concept ids. `complete` says whether the run resolved every pair
+  /// and concept; descendants answers echo it.
   /// `kernels` defaults to activeBitKernels(); an explicit backend exists
   /// for the differential suites, which compare the two.
   static std::shared_ptr<const TaxonomySnapshot> build(
@@ -118,7 +121,7 @@ class TaxonomySnapshot {
 
   /// Number of strict descendants of `c` (members of c's own node —
   /// including c and its equivalents — excluded; unsatisfiable concepts at
-  /// ⊥ included, mirroring the walk path).
+  /// ⊥ included, as a walk down the DAG finds them).
   std::size_t descendantCount(ConceptId c) const {
     return desc_[nodeOf_[c]].count;
   }

@@ -12,6 +12,7 @@
 #include "core/sequential.hpp"
 #include "owl/parser.hpp"
 #include "reasoner/tableau_reasoner.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -127,7 +128,7 @@ TEST(ParallelClassifier, PruningSavesTests) {
   // A deep chain maximises Situation 2.3.1/2.3.2 opportunities.
   std::string doc = "Ontology(";
   for (int i = 0; i < 20; ++i)
-    doc += "SubClassOf(C" + std::to_string(i + 1) + " C" + std::to_string(i) + ")";
+    doc += strprintf("SubClassOf(C%d C%d)", i + 1, i);
   doc += ")";
 
   Fixture f(doc);
@@ -136,8 +137,8 @@ TEST(ParallelClassifier, PruningSavesTests) {
   // Exact chain taxonomy: Ci ⊑ Cj iff i >= j...
   for (int i = 0; i <= 20; ++i)
     for (int j = 0; j <= 20; ++j) {
-      const std::string sup = "C" + std::to_string(j);
-      const std::string sub = "C" + std::to_string(i);
+      const std::string sup = strprintf("C%d", j);
+      const std::string sub = strprintf("C%d", i);
       EXPECT_EQ(r.taxonomy.subsumes(f.id(sup.c_str()), f.id(sub.c_str())),
                 i >= j)
           << sub << " ⊑ " << sup;

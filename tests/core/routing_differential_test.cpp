@@ -21,6 +21,7 @@
 #include "owl/parser.hpp"
 #include "reasoner/tableau_reasoner.hpp"
 #include "taxonomy/verify.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -246,7 +247,8 @@ class DispatchCountingExecutor : public RealExecutor {
 TEST(RoutingDifferential, FullyRoutedCorpusSkipsPhaseOne) {
   // Routing settles every pair of a fully-EL corpus, so no concept is
   // live when phase 1 starts: its cycles see an empty P, run no test and
-  // dispatch no task.
+  // dispatch no task. A TBox of declarations only is fully EL too, though
+  // it has no axiom for the saturation to apply, and auto mode routes it.
   GenConfig cfg;
   cfg.name = "fully-routed";
   cfg.concepts = 300;
@@ -258,38 +260,66 @@ TEST(RoutingDifferential, FullyRoutedCorpusSkipsPhaseOne) {
   cfg.roleHierarchy = true;
   cfg.transitiveRoles = true;
   const GeneratedOntology g = generateOntology(cfg);
-  ASSERT_TRUE(isElTBox(*g.tbox));
 
-  TableauReasoner reasoner(*g.tbox);
-  ClassifierConfig config;
-  config.routeEl = ElRouting::kOn;
-  ASSERT_EQ(config.randomCycles, 2u);
-  ThreadPool pool(4);
-  DispatchCountingExecutor exec(pool);
-  ParallelClassifier classifier(*g.tbox, reasoner, config);
-  const ClassificationResult r = classifier.classify(exec);
-  ASSERT_TRUE(r.complete());
-  EXPECT_EQ(r.testsPerformed(), 0u);
+  TBox declarations;
+  std::string doc = "Ontology(";
+  for (int i = 0; i < 120; ++i) doc += strprintf(" Declaration(Class(D%d))", i);
+  doc += ")";
+  parseFunctionalSyntax(doc, declarations);
+  declarations.freeze();
 
-  std::size_t randomCycles = 0;
-  for (const CycleStats& c : r.cycles) {
-    if (c.phase != CycleStats::Phase::kRandomDivision) continue;
-    ++randomCycles;
-    EXPECT_EQ(c.possibleBefore, 0u) << "cycle " << c.index;
-    EXPECT_EQ(c.reasonerTests, 0u) << "cycle " << c.index;
+  struct Input {
+    const char* name;
+    TBox* tbox;
+    const GroundTruth* truth;  // null: the kOff taxonomy is the reference
+  };
+  for (const Input& in : {Input{"generated", g.tbox.get(), &g.truth},
+                          Input{"declarations-only", &declarations, nullptr}}) {
+    ASSERT_TRUE(isElTBox(*in.tbox)) << in.name;
+    const std::string offTaxonomy =
+        classifyOnce(*in.tbox, ElRouting::kOff).taxonomy;
+    for (const ElRouting mode : {ElRouting::kOn, ElRouting::kAuto}) {
+      SCOPED_TRACE(strprintf("%s, route-el=%s", in.name,
+                             mode == ElRouting::kOn ? "on" : "auto"));
+      TableauReasoner reasoner(*in.tbox);
+      ClassifierConfig config;
+      config.routeEl = mode;
+      ASSERT_EQ(config.randomCycles, 2u);
+      ThreadPool pool(4);
+      DispatchCountingExecutor exec(pool);
+      ParallelClassifier classifier(*in.tbox, reasoner, config);
+      const ClassificationResult r = classifier.classify(exec);
+      ASSERT_TRUE(r.complete());
+      EXPECT_EQ(r.testsPerformed(), 0u);
+      EXPECT_EQ(reasoner.testCount(), 0u) << "the plug-in was called";
+
+      std::size_t randomCycles = 0;
+      for (const CycleStats& c : r.cycles) {
+        if (c.phase != CycleStats::Phase::kRandomDivision) continue;
+        ++randomCycles;
+        EXPECT_EQ(c.possibleBefore, 0u) << "cycle " << c.index;
+        EXPECT_EQ(c.reasonerTests, 0u) << "cycle " << c.index;
+      }
+      EXPECT_EQ(randomCycles, config.randomCycles);
+      // Routing runs without a barrier, so the first barriers close the
+      // random cycles.
+      ASSERT_GE(exec.perBarrier.size(), config.randomCycles);
+      for (std::size_t i = 0; i < config.randomCycles; ++i)
+        EXPECT_EQ(exec.perBarrier[i], 0u)
+            << "cycle " << i << " dispatched tasks";
+
+      std::ostringstream tree;
+      r.taxonomy.print(tree, *in.tbox);
+      EXPECT_EQ(tree.str(), offTaxonomy);
+      if (in.truth != nullptr) {
+        const TaxonomyIssues semantic = verifyAgainstOracle(
+            r.taxonomy, [&in](ConceptId sup, ConceptId sub) {
+              return in.truth->subsumes(sup, sub);
+            });
+        EXPECT_TRUE(semantic.ok()) << semantic.summary();
+      }
+    }
   }
-  EXPECT_EQ(randomCycles, config.randomCycles);
-  // Routing runs without a barrier, so the first barriers close the
-  // random cycles.
-  ASSERT_GE(exec.perBarrier.size(), config.randomCycles);
-  for (std::size_t i = 0; i < config.randomCycles; ++i)
-    EXPECT_EQ(exec.perBarrier[i], 0u) << "cycle " << i << " dispatched tasks";
-
-  const TaxonomyIssues semantic = verifyAgainstOracle(
-      r.taxonomy, [&g](ConceptId sup, ConceptId sub) {
-        return g.truth.subsumes(sup, sub);
-      });
-  EXPECT_TRUE(semantic.ok()) << semantic.summary();
 }
 
 // Table IV's EHDAA2 (ELH+: a transitive role under a role hierarchy) with

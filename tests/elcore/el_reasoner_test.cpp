@@ -11,6 +11,7 @@
 #include "util/bitset.hpp"
 #include "reasoner/tableau_reasoner.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -405,13 +406,10 @@ TEST(ElReasoner, ForEachSubsumptionSpansManySummaryWords) {
   constexpr int kConcepts = 4200;
   std::string doc = "Ontology(";
   for (int i = 1; i < kConcepts; ++i) {
-    doc += "SubClassOf(C" + std::to_string(i) + " C" + std::to_string(i / 2) + ")";
-    if (i % 97 == 0)
-      doc += "SubClassOf(C" + std::to_string(i) + " C" +
-             std::to_string(kConcepts - 1) + ")";
+    doc += strprintf("SubClassOf(C%d C%d)", i, i / 2);
+    if (i % 97 == 0) doc += strprintf("SubClassOf(C%d C%d)", i, kConcepts - 1);
   }
-  doc += "EquivalentClasses(C" + std::to_string(kConcepts - 1) + " C" +
-         std::to_string(kConcepts - 2) + ")";
+  doc += strprintf("EquivalentClasses(C%d C%d)", kConcepts - 1, kConcepts - 2);
   doc += "DisjointClasses(C1 X) SubClassOf(C3 X))";
   Fixture f(doc.c_str());
   ASSERT_FALSE(f.sat("C3"));
@@ -505,7 +503,10 @@ TEST(ElReasoner, AgreesWithTableauOnRandomElTBoxes) {
   const char* const roles[] = {"p", "t", "s"};
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     Xoshiro256 rng(seed);
-    auto named = [&rng] { return "C" + std::to_string(rng.below(kConcepts)); };
+    auto named = [&rng] {
+      return strprintf("C%llu",
+                       static_cast<unsigned long long>(rng.below(kConcepts)));
+    };
     auto some = [&](const std::string& filler) {
       return "ObjectSomeValuesFrom(" + std::string(roles[rng.below(3)]) + " " +
              filler + ")";
@@ -526,7 +527,7 @@ TEST(ElReasoner, AgreesWithTableauOnRandomElTBoxes) {
         "Ontology(SubObjectPropertyOf(p t) SubObjectPropertyOf(t s) "
         "TransitiveObjectProperty(t)";
     for (int c = 0; c < kConcepts; ++c)
-      doc += " Declaration(Class(C" + std::to_string(c) + "))";
+      doc += strprintf(" Declaration(Class(C%d))", c);
     for (int i = 0; i < 9; ++i) {
       switch (rng.below(8)) {
         case 0:
@@ -554,11 +555,11 @@ TEST(ElReasoner, AgreesWithTableauOnRandomElTBoxes) {
     ASSERT_TRUE(el.classify());
     TableauReasoner tableau(tbox);
     for (int a = 0; a < kConcepts; ++a) {
-      const ConceptId ca = tbox.findConcept("C" + std::to_string(a));
+      const ConceptId ca = tbox.findConcept(strprintf("C%d", a));
       ASSERT_EQ(el.isSatisfiable(ca), tableau.isSatisfiable(ca))
           << "C" << a << " in " << doc;
       for (int b = 0; b < kConcepts; ++b) {
-        const ConceptId cb = tbox.findConcept("C" + std::to_string(b));
+        const ConceptId cb = tbox.findConcept(strprintf("C%d", b));
         ASSERT_EQ(el.subsumes(cb, ca), tableau.isSubsumedBy(ca, cb))
             << "C" << a << " ⊑ C" << b << " in " << doc;
       }
@@ -570,7 +571,7 @@ TEST(ElReasoner, DeepChainScales) {
   // 200-deep told chain; everything subsumes the leaf.
   std::string doc = "Ontology(";
   for (int i = 0; i < 200; ++i)
-    doc += "SubClassOf(C" + std::to_string(i) + " C" + std::to_string(i + 1) + ")";
+    doc += strprintf("SubClassOf(C%d C%d)", i, i + 1);
   doc += ")";
   Fixture f(doc.c_str());
   EXPECT_TRUE(f.subs("C200", "C0"));

@@ -1,7 +1,7 @@
 // End-to-end tests for the Server core: batch answers against ground
 // truth, in-order batch output, explicit overload shedding, worker-fault
-// containment, per-query deadline degradation, walk-vs-snapshot answer
-// parity, and graceful drain.
+// containment, per-query deadline degradation, PARTIAL and paused
+// generations, and graceful drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,7 +21,10 @@
 #include "gen/generator.hpp"
 #include "gen/mock_reasoner.hpp"
 #include "parallel/thread_pool.hpp"
+#include "robust/fault_injector.hpp"
 #include "serve/server.hpp"
+#include "support/walk_descendants.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -45,6 +49,18 @@ std::string ask(Server& server, const std::string& line) {
       line, [done](std::string resp) { done->set_value(std::move(resp)); });
   if (!ok) return "<rejected>";
   return fut.get();
+}
+
+/// The server's view once it has published the run's result; null if
+/// that takes longer than a minute.
+std::shared_ptr<const EngineView> waitForResult(Server& server) {
+  const auto giveUp = std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  for (;;) {
+    std::shared_ptr<const EngineView> view = server.engineView();
+    if (view->result != nullptr) return view;
+    if (std::chrono::steady_clock::now() > giveUp) return nullptr;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 /// Answers ground truth after a fixed wall-clock sleep — a "slow
@@ -310,64 +326,109 @@ TEST_F(ServeServerTest, UnclampedHugeClientDeadlineIsAnswered) {
   server.drain();
 }
 
-// With ServerConfig::querySnapshots off every query walks the taxonomy;
-// once classification has settled, those answers must be byte-identical
-// to the compiled snapshot's (bench_serve's phase-3 parity in miniature).
-TEST_F(ServeServerTest, WalkLadderAnswersMatchSnapshotAnswers) {
-  const std::size_t n = onto_.tbox->conceptCount();
+// A PARTIAL generation: targeted keys fail every attempt and no retry is
+// left, so pairs and concepts end unresolved. Its snapshot answers every
+// descendants query, marked incomplete; subs/sat go down the ladder, where
+// a settled pair answers from the store and an unresolved one from a
+// direct call.
+TEST_F(ServeServerTest, PartialGenerationAnswersFromSnapshotAndLadder) {
+  MockReasoner backend(onto_.truth);
+  FaultPlan plan;
+  plan.seed = 13;
+  plan.targetPairRate = 0.2;
+  plan.failFirstAttempts = 1000;
+  FaultInjector faulty(backend, plan);
+  ClassifierConfig config;
+  config.maxRetries = 0;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, faulty, config);
+  // Direct calls bypass the injector, so they answer the ground truth.
+  Server server(*onto_.tbox, classifier, backend, ServerConfig{});
+  server.start([&] { return classifier.classify(exec); });
+  const std::shared_ptr<const EngineView> view = waitForResult(server);
+  ASSERT_NE(view, nullptr);
+  const ClassificationResult& r = *view->result;
+  ASSERT_FALSE(r.unresolvedPairs.empty());
+  ASSERT_FALSE(r.unresolvedConcepts.empty());
+  ASSERT_NE(view->snapshot, nullptr);
+  EXPECT_FALSE(view->snapshot->complete());
+
+  const TBox& tbox = *onto_.tbox;
+  const std::size_t n = tbox.conceptCount();
   std::ostringstream in;
   std::uint64_t id = 0;
-  for (ConceptId a = 0; a < n; a += 2)
-    for (ConceptId b = 0; b < n; b += 5)
-      in << "{\"op\":\"subs\",\"id\":" << id++ << ",\"sub\":\""
-         << onto_.tbox->conceptName(a) << "\",\"sup\":\""
-         << onto_.tbox->conceptName(b) << "\",\"deadline_ms\":30000}\n";
-  for (ConceptId c = 0; c < n; c += 3) {
-    in << "{\"op\":\"sat\",\"id\":" << id++ << ",\"concept\":\""
-       << onto_.tbox->conceptName(c) << "\",\"deadline_ms\":30000}\n";
+  for (ConceptId c = 0; c < n; ++c)
     in << "{\"op\":\"descendants\",\"id\":" << id++ << ",\"concept\":\""
-       << onto_.tbox->conceptName(c) << "\"}\n";
-  }
+       << tbox.conceptName(c) << "\"}\n";
+  for (ConceptId sup = 0; sup < n; ++sup)
+    for (ConceptId sub = 0; sub < n; ++sub)
+      in << "{\"op\":\"subs\",\"id\":" << id++ << ",\"sub\":\""
+         << tbox.conceptName(sub) << "\",\"sup\":\"" << tbox.conceptName(sup)
+         << "\",\"deadline_ms\":30000}\n";
+  for (ConceptId c = 0; c < n; ++c)
+    in << "{\"op\":\"sat\",\"id\":" << id++ << ",\"concept\":\""
+       << tbox.conceptName(c) << "\",\"deadline_ms\":30000}\n";
+  std::istringstream input(in.str());
+  std::ostringstream output;
+  server.runBatch(input, output);
+  const std::vector<std::string> got = lines(output.str());
+  ASSERT_EQ(got.size(), id);
 
-  auto serve = [&](bool snapshots, QueryEngineStats* stats) {
-    MockReasoner backend(onto_.truth);
-    ThreadPool pool(2);
-    RealExecutor exec(pool);
-    ParallelClassifier classifier(*onto_.tbox, backend, ClassifierConfig{});
-    ServerConfig sc;
-    sc.querySnapshots = snapshots;
-    Server server(*onto_.tbox, classifier, backend, sc);
-    server.start([&] { return classifier.classify(exec); });
-    const auto giveUp =
-        std::chrono::steady_clock::now() + std::chrono::minutes(1);
-    for (;;) {
-      const auto view = server.engineView();
-      if (view != nullptr && view->result != nullptr &&
-          (view->snapshot != nullptr) == snapshots)
-        break;
-      if (std::chrono::steady_clock::now() > giveUp) {
-        ADD_FAILURE() << "server never settled (snapshots=" << snapshots
-                      << ")";
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    std::istringstream input(in.str());
-    std::ostringstream output;
-    server.runBatch(input, output);
-    server.drain();
-    *stats = server.engineStats();
-    return output.str();
+  const auto verdict = [&got](std::size_t i, bool want, const char* method) {
+    EXPECT_TRUE(contains(got[i], want ? "\"result\":true" : "\"result\":false"))
+        << got[i];
+    EXPECT_TRUE(contains(got[i], strprintf("\"method\":\"%s\"", method).c_str()))
+        << got[i];
   };
+  std::size_t line = 0;
+  for (ConceptId c = 0; c < n; ++c, ++line) {
+    const RefDescendants ref = walkDescendants(r.taxonomy, tbox, c);
+    EXPECT_EQ(got[line],
+              strprintf("{\"id\":%zu,\"ok\":true,\"op\":\"descendants\","
+                        "\"concept\":\"%s\",\"count\":%zu,\"concepts\":%s,"
+                        "\"complete\":false}",
+                        line, tbox.conceptName(c).c_str(), ref.count,
+                        ref.json.c_str()));
+  }
+  const std::set<std::pair<ConceptId, ConceptId>> unresolvedPairs(
+      r.unresolvedPairs.begin(), r.unresolvedPairs.end());
+  for (ConceptId sup = 0; sup < n; ++sup)
+    for (ConceptId sub = 0; sub < n; ++sub, ++line)
+      verdict(line, onto_.truth.subsumes(sup, sub),
+              unresolvedPairs.count({sup, sub}) != 0 ? "direct" : "settled");
+  const std::set<ConceptId> unresolvedConcepts(r.unresolvedConcepts.begin(),
+                                               r.unresolvedConcepts.end());
+  for (ConceptId c = 0; c < n; ++c, ++line)
+    verdict(line, onto_.truth.satisfiable(c),
+            unresolvedConcepts.count(c) != 0 ? "direct" : "settled");
 
-  QueryEngineStats walkStats, snapStats;
-  const std::string walk = serve(false, &walkStats);
-  const std::string snap = serve(true, &snapStats);
-  ASSERT_EQ(lines(walk).size(), id);
-  EXPECT_EQ(walk, snap);
-  EXPECT_EQ(walkStats.snapshotAnswers, 0u);
-  EXPECT_GT(walkStats.walkAnswers, 0u);
-  EXPECT_GT(snapStats.snapshotAnswers, 0u);
+  server.drain();
+  const QueryEngineStats stats = server.engineStats();
+  EXPECT_EQ(stats.snapshotAnswers, n) << "only descendants use the snapshot";
+  EXPECT_EQ(stats.walkAnswers, n * n + n);
+}
+
+// A paused run builds no taxonomy and so gets no snapshot: descendants
+// cannot answer and says so.
+TEST_F(ServeServerTest, PausedRunAnswersDescendantsPending) {
+  MockReasoner backend(onto_.truth);
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, ClassifierConfig{});
+  classifier.requestStop();  // pauses before the first cycle
+  Server server(*onto_.tbox, classifier, backend, ServerConfig{});
+  server.start([&] { return classifier.classify(exec); });
+  const std::shared_ptr<const EngineView> view = waitForResult(server);
+  ASSERT_NE(view, nullptr);
+  ASSERT_TRUE(view->result->paused);
+  EXPECT_EQ(view->snapshot, nullptr);
+
+  const std::string resp =
+      ask(server, "{\"op\":\"descendants\",\"id\":1,\"concept\":\"" +
+                      onto_.tbox->conceptName(0) + "\"}");
+  EXPECT_TRUE(contains(resp, "\"error\":\"pending\"")) << resp;
+  server.drain();
 }
 
 TEST_F(ServeServerTest, DrainIsIdempotentAndRejectsNewWork) {

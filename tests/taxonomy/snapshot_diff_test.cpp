@@ -3,7 +3,7 @@
 // precompiled descendants pools must reproduce the taxonomy walk
 // byte-for-byte — all pairs, all concepts — over DAG-heavy shapes:
 // multiple parents, equivalence classes, unsatisfiable concepts at ⊥,
-// and concept names that need JSON escaping.
+// concept names that need JSON escaping, and a PARTIAL run's taxonomy.
 #include "taxonomy/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -15,11 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel_classifier.hpp"
+#include "core/real_executor.hpp"
 #include "core/sequential.hpp"
 #include "gen/generator.hpp"
 #include "gen/mock_reasoner.hpp"
 #include "owl/tbox.hpp"
 #include "parallel/bit_kernels.hpp"
+#include "parallel/thread_pool.hpp"
+#include "robust/fault_injector.hpp"
+#include "support/walk_descendants.hpp"
 #include "taxonomy/taxonomy.hpp"
 #include "util/crc32.hpp"
 #include "util/strings.hpp"
@@ -27,56 +32,15 @@
 namespace owlcl {
 namespace {
 
-/// The serve walk path's descendants answer, replicated: BFS down the
-/// DAG from the concept's node, members of every strictly-lower node
-/// (⊥ included), names sorted, serialized as a JSON string array.
-struct RefDescendants {
-  std::size_t count = 0;
-  std::string json;
-};
-
-RefDescendants walkDescendants(const Taxonomy& tax, const TBox& tbox,
-                               ConceptId c) {
-  const Taxonomy::NodeId start = tax.nodeOf(c);
-  std::vector<char> seen(tax.nodeCount(), 0);
-  std::vector<Taxonomy::NodeId> stack{start};
-  seen[start] = 1;
-  std::vector<std::string> names;
-  while (!stack.empty()) {
-    const Taxonomy::NodeId cur = stack.back();
-    stack.pop_back();
-    if (cur != start)
-      for (const ConceptId m : tax.node(cur).members)
-        names.push_back(tbox.conceptName(m));
-    for (const Taxonomy::NodeId child : tax.node(cur).children)
-      if (!seen[child]) {
-        seen[child] = 1;
-        stack.push_back(child);
-      }
-  }
-  std::sort(names.begin(), names.end());
-  RefDescendants ref;
-  ref.count = names.size();
-  ref.json.push_back('[');
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) ref.json.push_back(',');
-    ref.json.push_back('"');
-    ref.json += jsonEscape(names[i]);
-    ref.json.push_back('"');
-  }
-  ref.json.push_back(']');
-  return ref;
-}
-
 /// Builds the snapshot (with and without the vectorized kernels) and
 /// checks full subs?/sat?/descendants parity against the walk.
-void expectParity(const Taxonomy& tax, const TBox& tbox) {
+void expectParity(const Taxonomy& tax, const TBox& tbox, bool complete) {
   const BitKernels* kernelChoices[] = {nullptr, &activeBitKernels()};
   for (const BitKernels* kernels : kernelChoices) {
-    const auto snap =
-        TaxonomySnapshot::build(tax, tbox, /*complete=*/true,
-                                /*generation=*/7, kernels);
+    const auto snap = TaxonomySnapshot::build(tax, tbox, complete,
+                                              /*generation=*/7, kernels);
     ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(snap->complete(), complete);
     const std::size_t n = tbox.conceptCount();
     for (ConceptId sup = 0; sup < n; ++sup) {
       ASSERT_TRUE(snap->placed(sup));
@@ -110,13 +74,13 @@ TEST(SnapshotDiffTest, ChainEquivalenceUnsatAndEscapedNames) {
   tax.addEdge(top2, low);
   tax.assignToBottom(d);
   tax.finalize();
-  expectParity(tax, tbox);
+  expectParity(tax, tbox, /*complete=*/true);
 }
 
 TEST(SnapshotDiffTest, DiamondMultiParent) {
   TBox tbox;
   for (int i = 0; i < 6; ++i)
-    tbox.declareConcept("D" + std::to_string(i));
+    tbox.declareConcept(strprintf("D%d", i));
   Taxonomy tax(6);
   const auto a = tax.addNode({0});
   const auto b = tax.addNode({1});
@@ -130,7 +94,7 @@ TEST(SnapshotDiffTest, DiamondMultiParent) {
   tax.addEdge(b, e);
   tax.addEdge(c, e);
   tax.finalize();
-  expectParity(tax, tbox);
+  expectParity(tax, tbox, /*complete=*/true);
 }
 
 // Randomized DAG-heavy taxonomies: random equivalence grouping, 1–3
@@ -142,7 +106,7 @@ TEST(SnapshotDiffTest, RandomDagsMatchWalkExactly) {
     const std::size_t concepts = 50 + seed * 7;
     TBox tbox;
     for (std::size_t i = 0; i < concepts; ++i)
-      tbox.declareConcept("C" + std::to_string(i));
+      tbox.declareConcept(strprintf("C%zu", i));
 
     Taxonomy tax(concepts);
     std::vector<ConceptId> ids(concepts);
@@ -171,9 +135,39 @@ TEST(SnapshotDiffTest, RandomDagsMatchWalkExactly) {
       for (const std::size_t p : picks) tax.addEdge(nodes[p], nodes[i]);
     }
     tax.finalize();
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    expectParity(tax, tbox);
+    SCOPED_TRACE(strprintf("seed %llu", static_cast<unsigned long long>(seed)));
+    expectParity(tax, tbox, /*complete=*/true);
   }
+}
+
+// A PARTIAL run's taxonomy: targeted keys fail every attempt and no retry
+// is left, so pairs and concepts stay unresolved, and the unresolved
+// concepts are placed as if satisfiable. The snapshot compiles it like any
+// other and reports it incomplete.
+TEST(SnapshotDiffTest, PartialRunWithUnresolvedConcepts) {
+  GenConfig cfg;
+  cfg.name = "snapshot-partial";
+  cfg.concepts = 60;
+  cfg.subClassEdges = 90;
+  cfg.equivalentAxioms = 3;
+  cfg.unsatConcepts = 2;
+  cfg.seed = 5;
+  const GeneratedOntology g = generateOntology(cfg);
+  MockReasoner oracle(g.truth);
+  FaultPlan plan;
+  plan.seed = 13;
+  plan.targetPairRate = 0.2;
+  plan.failFirstAttempts = 1000;
+  FaultInjector faulty(oracle, plan);
+  ClassifierConfig cc;
+  cc.maxRetries = 0;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*g.tbox, faulty, cc);
+  const ClassificationResult r = classifier.classify(exec);
+  ASSERT_FALSE(r.unresolvedConcepts.empty());
+  ASSERT_FALSE(r.unresolvedPairs.empty());
+  expectParity(r.taxonomy, *g.tbox, /*complete=*/false);
 }
 
 /// What the compile produced for a generated paper corpus before the
