@@ -370,12 +370,52 @@ void ParallelClassifier::testOrdered(ConceptId x, ConceptId y,
   runClaimedSubsTest(x, y, cost);
 }
 
-void ParallelClassifier::routeElFragment(Executor& exec,
-                                         ClassificationResult& result) {
-  // Hybrid EL/tableau routing (DESIGN.md §13). Runs on the classifying
-  // thread between the genesis barrier and phase 1, before the store is
-  // published: no query and no worker can see it, so it seeds with plain
-  // word loops and dispatches nothing. Soundness:
+// One routed run's EL saturation. startElRouting dispatches it as a
+// task, which writes `el` and `saturated`; seedElFragment reads them
+// behind the barrier that joins the task.
+struct ParallelClassifier::ElRoute {
+  std::uint64_t t0 = 0;  // start of the kRouting cycle
+  ElPartition part;
+  std::unique_ptr<ElReasoner> el;
+  bool saturated = false;
+};
+
+std::unique_ptr<ParallelClassifier::ElRoute>
+ParallelClassifier::startElRouting(Executor& exec) {
+  // Hybrid EL/tableau routing (DESIGN.md §13), first half. The partition
+  // runs here, on the classifying thread, because it decides whether the
+  // run routes at all.
+  auto route = std::make_unique<ElRoute>();
+  route->t0 = exec.elapsedNs();
+  route->part = partitionElFragment(tbox_);
+  const ElPartition& part = route->part;
+  // An all-EL TBox always routes, a declarations-only one included (its
+  // saturation is n activations). A mixed one routes unless it has no EL
+  // axiom, or auto mode finds the non-EL residual the majority.
+  if (part.nonElAxioms > 0 &&
+      (part.elAxioms == 0 ||
+       (config_.routeEl == ElRouting::kAuto && !part.majorityEl())))
+    return nullptr;
+
+  // Saturate the maximal EL sub-ontology as one task. It reads only the
+  // TBox and the store build never needs it, so a worker saturates while
+  // the classifying thread builds the store; the saturation itself stays
+  // sequential. A fired token (watchdog, budget, SIGTERM) cuts it short.
+  exec.dispatch([&tbox = tbox_, r = route.get(),
+                 cancel = &exec.cancellation()]() -> std::uint64_t {
+    Stopwatch sw;
+    r->el = std::make_unique<ElReasoner>(tbox, r->part.axiomEl);
+    r->saturated = r->el->classify(cancel);
+    return static_cast<std::uint64_t>(sw.elapsedNs());
+  });
+  return route;
+}
+
+void ParallelClassifier::seedElFragment(Executor& exec, ElRoute& route,
+                                        ClassificationResult& result) {
+  // Second half: runs on the classifying thread once the store is built,
+  // before it is published: no query and no worker can see the store, so
+  // it seeds with plain word loops and dispatches nothing. Soundness:
   //  * the EL sub-ontology E is a subset of O, so every saturation-derived
   //    subsumption / unsatisfiability is entailed by O (monotonicity);
   //  * for *pure* concepts (⊥-module all-EL, mod ⊆ E ⊆ O) the module
@@ -387,29 +427,19 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   // reachability with transitive reduction.
   // The resume path never re-routes — a crash mid-seed replays the
   // journaled records and tableau-tests whatever was not yet seeded.
-  const std::uint64_t t0 = exec.elapsedNs();
+  exec.barrier();  // joins the saturation; rethrows what it threw
   const std::size_t possibleBefore = store_.remainingPossible();
   const std::uint64_t testsBefore = satTests_.value() + subsTests_.value();
 
-  const ElPartition part = partitionElFragment(tbox_);
-  // An all-EL TBox always routes, a declarations-only one included (its
-  // saturation is n activations). A mixed one routes unless it has no EL
-  // axiom, or auto mode finds the non-EL residual the majority.
-  if (part.nonElAxioms > 0 &&
-      (part.elAxioms == 0 ||
-       (config_.routeEl == ElRouting::kAuto && !part.majorityEl())))
-    return;
-
-  // Saturate the maximal EL sub-ontology, timed by the kRouting cycle
-  // entry. A fired token (watchdog, budget, SIGTERM)
-  // cuts the saturation short: nothing is seeded, and the run's drain
-  // withdraws the untested pairs into the unresolved report.
-  ElReasoner el(tbox_, part.axiomEl);
-  if (!el.classify(&exec.cancellation())) {
+  // A saturation cut short seeds nothing, and the run's drain withdraws
+  // the untested pairs into the unresolved report.
+  if (!route.saturated) {
     result.cycles.push_back({CycleStats::Phase::kRouting, 0, possibleBefore,
-                             possibleBefore, exec.elapsedNs() - t0, 0});
+                             possibleBefore, exec.elapsedNs() - route.t0, 0});
     return;
   }
+  const ElPartition& part = route.part;
+  const ElReasoner& el = *route.el;
 
   const std::size_t n = store_.conceptCount();
   std::uint64_t avoided = 0;
@@ -504,7 +534,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
 
   result.cycles.push_back(
       {CycleStats::Phase::kRouting, 0, possibleBefore,
-       store_.remainingPossible(), exec.elapsedNs() - t0,
+       store_.remainingPossible(), exec.elapsedNs() - route.t0,
        satTests_.value() + subsTests_.value() - testsBefore});
 }
 
@@ -846,38 +876,58 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   const std::size_t n = store_.conceptCount();
   result.initialPossible = n * (n - 1);
 
-  std::size_t startCycle = 0;
-  std::size_t round = 0;
-  if (from == nullptr) {
-    store_.initPossibleAll();
-    // Genesis barrier *before* seeding: with checkpointing enabled the
-    // initialized state is snapshotted before any journal record exists,
-    // so recovery always has a snapshot to anchor on — a crash mid-seeding
-    // replays the seed records on top of this epoch-0 image (and the
-    // resume path below never re-seeds; unseeded pairs are simply tested,
-    // yielding the identical taxonomy).
-    notifyBarrier(0, 0);
-  } else {
-    store_.restoreImage(from->store);
-    epoch_.store(from->progress.epoch, std::memory_order_relaxed);
-    startCycle = std::min<std::size_t>(from->progress.completedCycles,
-                                       config_.randomCycles);
-    round = from->progress.completedRounds;
-    // Re-anchor: the recovered state (snapshot + replayed journal tail)
-    // becomes the newest snapshot, and the journal is already truncated to
-    // its last valid record — post-resume appends extend a clean prefix.
-    notifyBarrier(startCycle, round);
-  }
-  // Armed before routing so the budget bounds the EL saturation too.
-  if (config_.watchdogBudgetNs != 0) exec.armWatchdog(config_.watchdogBudgetNs);
-  const CancellationToken& cancel = exec.cancellation();
   // Delta reruns (DESIGN.md §14) resume from a synthetic checkpoint whose
   // reopened cone rows never saw a routing phase; route them too so the
   // EL fragment settles at saturation speed. Crash-recovery resumes keep
   // routeElOnResume off — their routed verdicts are in the replayed journal.
+  // A routed run's saturation is on a worker from here until seeding.
   const bool freshRows = from == nullptr || config_.routeElOnResume;
+  std::unique_ptr<ElRoute> route;
   if (config_.routeEl != ElRouting::kOff && freshRows)
-    routeElFragment(exec, result);
+    route = startElRouting(exec);
+
+  std::size_t startCycle = 0;
+  std::size_t round = 0;
+  try {
+    if (from == nullptr) {
+      store_.initPossibleAll();
+      // Genesis barrier *before* seeding: with checkpointing enabled the
+      // initialized state is snapshotted before any journal record exists,
+      // so recovery always has a snapshot to anchor on — a crash
+      // mid-seeding replays the seed records on top of this epoch-0 image
+      // (and the resume path below never re-seeds; unseeded pairs are
+      // simply tested, yielding the identical taxonomy).
+      notifyBarrier(0, 0);
+    } else {
+      store_.restoreImage(from->store);
+      epoch_.store(from->progress.epoch, std::memory_order_relaxed);
+      startCycle = std::min<std::size_t>(from->progress.completedCycles,
+                                         config_.randomCycles);
+      round = from->progress.completedRounds;
+      // Re-anchor: the recovered state (snapshot + replayed journal tail)
+      // becomes the newest snapshot, and the journal is already truncated
+      // to its last valid record — post-resume appends extend a clean
+      // prefix.
+      notifyBarrier(startCycle, round);
+    }
+  } catch (...) {
+    // The saturation task writes into `route`: join it before unwinding,
+    // and let this exception win over one it threw.
+    if (route != nullptr) {
+      try {
+        exec.barrier();
+      } catch (...) {
+      }
+    }
+    throw;
+  }
+  // Armed while the saturation runs, so the budget bounds it too.
+  if (config_.watchdogBudgetNs != 0) exec.armWatchdog(config_.watchdogBudgetNs);
+  const CancellationToken& cancel = exec.cancellation();
+  if (route != nullptr) {
+    seedElFragment(exec, *route, result);
+    route.reset();  // the closure is in K now; free the saturation
+  }
   // Publication point (DESIGN.md §13): initialisation and routing wrote the
   // store with plain word loops while no query or worker could see it.
   // Queries answer kUnknown until here; the release store orders every

@@ -70,7 +70,7 @@ struct ClassifierConfig {
   bool symmetricTests = true;
   /// Extension (ROADMAP item 3): hybrid EL/tableau routing. Before phase
   /// 1, the maximal EL sub-ontology (owl/el_fragment.hpp) is saturated by
-  /// the EL reasoner on the classifying thread; the derived
+  /// the EL reasoner, as one pool task while the store is built; the derived
   /// subsumption closure is bulk-seeded into K, definite non-subsumptions
   /// and satisfiability verdicts are recorded for *pure* concepts (whose
   /// ⊥-module is all-EL), and the division phases then only test pairs
@@ -327,7 +327,14 @@ class ParallelClassifier {
   void giveUpOnConcept(ConceptId c);
   void drainPossibleToUnresolved();
 
-  void routeElFragment(Executor& exec, ClassificationResult& result);
+  // EL routing (DESIGN.md §13), split around the store build:
+  // startElRouting partitions the TBox and, when the run routes,
+  // dispatches the saturation as one task (null otherwise);
+  // seedElFragment joins it and seeds the built store from its closure.
+  struct ElRoute;
+  std::unique_ptr<ElRoute> startElRouting(Executor& exec);
+  void seedElFragment(Executor& exec, ElRoute& route,
+                      ClassificationResult& result);
   /// Batched merge sweep before phase 1; false when it did not run.
   bool sweepMergeRefutable(Executor& exec);
   void runRandomCycle(Executor& exec, std::size_t cycleIndex,

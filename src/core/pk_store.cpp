@@ -9,12 +9,16 @@ namespace owlcl {
 
 PkStore::PkStore(std::size_t conceptCount, const BitKernels* kernels)
     : n_(conceptCount),
-      p_(conceptCount, conceptCount, /*counted=*/true, kernels),
-      k_(conceptCount, conceptCount, /*counted=*/false, kernels),
-      tested_(conceptCount, conceptCount, /*counted=*/false, kernels),
       sat_(conceptCount),
       satClaim_(conceptCount),
       conceptUnresolvedFlag_(conceptCount, false) {
+  // The matrix words stay unwritten (and their pages untouched) until
+  // initPossibleAll() or restoreImage(), which write every word once.
+  // Addresses and the zeroed P counters are fixed from here on, so
+  // remainingPossible() may be read concurrently with either of them.
+  p_.allocate(conceptCount, conceptCount, /*counted=*/true, kernels);
+  k_.allocate(conceptCount, conceptCount, /*counted=*/false, kernels);
+  tested_.allocate(conceptCount, conceptCount, /*counted=*/false, kernels);
   for (auto& s : sat_)
     s.store(static_cast<std::uint8_t>(SatStatus::kUnknown),
             std::memory_order_relaxed);
@@ -24,17 +28,22 @@ PkStore::PkStore(std::size_t conceptCount, const BitKernels* kernels)
 void PkStore::initPossibleAll() {
   using Word = AtomicBitMatrix::Word;
   const std::size_t words = rowWords();
+  const std::size_t padded = p_.wordsPerRow();
   const std::size_t tailBits = n_ % AtomicBitMatrix::kWordBits;
   const Word tail = tailBits == 0 ? ~Word{0} : ~Word{0} >> (64 - tailBits);
   for (std::size_t x = 0; x < n_; ++x) {
     const RowWords row = quiescentRow(static_cast<ConceptId>(x));
     std::fill_n(row.p, words, ~Word{0});
     row.p[words - 1] = tail;
+    // Block padding reads zero for the vector kernels; K starts empty.
+    std::fill(row.p + words, row.p + padded, Word{0});
+    std::fill_n(row.k, padded, Word{0});
+    std::fill_n(row.tested, padded, Word{0});
     const Word self = Word{1} << (x % 64);
     row.p[x / 64] &= ~self;
     // X ⊑ X is trivially known; mark the diagonal tested so no worker
     // wastes a reasoner call on it.
-    row.tested[x / 64] |= self;
+    row.tested[x / 64] = self;
   }
   recountPossible();
 }

@@ -70,6 +70,10 @@ class PkStore {
   /// A null `kernels` binds activeBitKernels(). An explicit backend pins
   /// all three matrices to it; that exists for the differential suites and
   /// bench_ablation_bitkernels, which compare portable with vectorized.
+  /// The matrices are allocated but not written: call initPossibleAll()
+  /// or restoreImage() before any other matrix access. The counters (and
+  /// so remainingPossible(), which reads 0), the sat statuses and the
+  /// retry ledger are ready at once.
   explicit PkStore(std::size_t conceptCount,
                    const BitKernels* kernels = nullptr);
 
@@ -79,8 +83,9 @@ class PkStore {
   const BitKernels& bitKernels() const { return p_.kernels(); }
 
   // --- initialisation ------------------------------------------------------
-  /// P_X := N_O \ {X} for every X, and the diagonal tested (paper Section
-  /// III; K starts empty). Quiescent-only: plain stores, then one recount.
+  /// P_X := N_O \ {X} for every X, K empty, and only the diagonal tested
+  /// (paper Section III). Writes every word of the three matrices once.
+  /// Quiescent-only: plain stores, then one recount.
   void initPossibleAll();
 
   // --- satisfiability cache --------------------------------------------------
@@ -310,7 +315,8 @@ class PkStore {
   PkStoreImage captureImage() const;
 
   /// Replaces the entire store state with `img` (conceptCount must match)
-  /// and rebuilds the O(1) counters by recounting. Sat claims are reset:
+  /// and rebuilds the O(1) counters by recounting. It writes every matrix
+  /// word, so it also initialises a fresh store. Sat claims are reset:
   /// released for undecided concepts (a resumed run may retry them) and
   /// held for concepts that were given up on (nobody retries those).
   void restoreImage(const PkStoreImage& img);

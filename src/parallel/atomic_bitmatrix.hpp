@@ -36,12 +36,16 @@
 // it, portable atomics otherwise). Rows are stored in 64-byte-
 // aligned blocks and wordsPerRow() is padded to a whole block, so a
 // 256-bit vector load never straddles a row boundary; the padding words
-// map to no column and are permanently zero.
+// map to no column and are zero once written (reset() zeroes everything;
+// allocate() leaves every word to its owner's first write).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -67,10 +71,22 @@ class AtomicBitMatrix {
   /// Re-dimensions and zeroes the matrix. Not thread-safe. A null
   /// `kernels` keeps the matrix's current backend (or, on first reset,
   /// binds activeBitKernels()); an explicit one exists for the
-  /// differential suites and bench_ablation_bitkernels. The fresh block vector is
-  /// value-initialised, which already zeroes every word and counter.
+  /// differential suites and bench_ablation_bitkernels.
   void reset(std::size_t rows, std::size_t cols, bool counted = false,
              const BitKernels* kernels = nullptr) {
+    allocate(rows, cols, counted, kernels);
+    std::fill_n(reinterpret_cast<Word*>(words_), wordCount_, Word{0});
+  }
+
+  /// As reset(), but leaves the words unwritten, so no page of the matrix
+  /// is touched here. Until the caller has stored every word of every
+  /// row through quiescentRow() or loadWords(), the padding words past
+  /// usedWordsPerRow() as zero, nothing may read the matrix. The counters
+  /// are zeroed, so countRow()/countAll() read 0 from the start. PkStore
+  /// takes this path: its initialisation writes each word once instead of
+  /// after a zeroing pass.
+  void allocate(std::size_t rows, std::size_t cols, bool counted = false,
+                const BitKernels* kernels = nullptr) {
     if (kernels != nullptr) kernels_ = kernels;
     if (kernels_ == nullptr) kernels_ = &activeBitKernels();
     rows_ = rows;
@@ -80,10 +96,12 @@ class AtomicBitMatrix {
     wordsPerRow_ =
         (usedWordsPerRow_ + kBlockWords - 1) / kBlockWords * kBlockWords;
     wordCount_ = rows * wordsPerRow_;
-    blocks_ = std::vector<Block>(wordCount_ / kBlockWords);
-    words_ = blocks_.empty() ? nullptr : blocks_.front().w;
-    OWLCL_DEBUG_ASSERT(words_ == nullptr ||
-                       reinterpret_cast<std::uintptr_t>(words_) % 64 == 0);
+    blocks_.reset(wordCount_ == 0
+                      ? nullptr
+                      : static_cast<Block*>(::operator new(
+                            wordCount_ * sizeof(Word),
+                            std::align_val_t{alignof(Block)})));
+    words_ = blocks_ == nullptr ? nullptr : blocks_.get()->w;
     rowCounts_ = std::vector<PaddedCount>(counted ? rows : 0);
     globalShards_ = std::vector<PaddedCount>(counted ? kGlobalShards : 0);
   }
@@ -318,8 +336,8 @@ class AtomicBitMatrix {
   /// (compact layout, see snapshotWords) and rebuilds the counted-mode
   /// bookkeeping by recounting (the restored counters are exact by
   /// construction). Tail bits beyond `cols` are masked off defensively —
-  /// a corrupt snapshot must not inflate counts. Row-padding words are
-  /// zero invariantly (no kernel can set a dead bit) and are not touched.
+  /// a corrupt snapshot must not inflate counts. The row-padding words are
+  /// stored as zero, so this also initialises an allocate()d matrix.
   void loadWords(const std::vector<Word>& in) {
     OWLCL_ASSERT_MSG(in.size() == rows_ * usedWordsPerRow_,
                      "word-count mismatch restoring AtomicBitMatrix");
@@ -329,11 +347,9 @@ class AtomicBitMatrix {
     for (std::size_t r = 0; r < rows_; ++r) {
       kernels_->storeWordsQuiescent(rowPtr(r), in.data() + r * usedWordsPerRow_,
                                     usedWordsPerRow_);
-      if (usedWordsPerRow_ != 0) {
-        std::atomic<Word>& tail = rowPtr(r)[usedWordsPerRow_ - 1];
-        tail.store(tail.load(std::memory_order_relaxed) & tailMask,
-                   std::memory_order_relaxed);
-      }
+      Word* row = quiescentRow(r);
+      if (usedWordsPerRow_ != 0) row[usedWordsPerRow_ - 1] &= tailMask;
+      std::fill(row + usedWordsPerRow_, row + wordsPerRow_, Word{0});
     }
     recount();
   }
@@ -505,8 +521,16 @@ class AtomicBitMatrix {
   std::size_t wordCount_ = 0;    // rows_ * wordsPerRow_
   bool counted_ = false;
   const BitKernels* kernels_ = nullptr;
-  std::vector<Block> blocks_;          // 64-byte-aligned backing store
-  std::atomic<Word>* words_ = nullptr; // = blocks_.front().w
+  // 64-byte-aligned backing store from raw aligned operator new: no Block
+  // is constructed, so allocate() writes no word. quiescentRow() already
+  // treats the atomics as plain words (see the static_assert on Block).
+  struct BlockFree {
+    void operator()(Block* b) const {
+      ::operator delete(b, std::align_val_t{alignof(Block)});
+    }
+  };
+  std::unique_ptr<Block, BlockFree> blocks_;
+  std::atomic<Word>* words_ = nullptr; // = blocks_->w
   std::vector<PaddedCount> rowCounts_;     // per-row set-bit count
   std::vector<PaddedCount> globalShards_;  // global count, sharded by row
 };

@@ -152,18 +152,19 @@ std::string Server::processLine(const std::string& line, RequestParser& parser,
   return engine_.answer(req);
 }
 
+const char* finishedRunState(const ClassificationResult& r) {
+  if (r.paused) return "paused";
+  if (r.cancelled) return "cancelled";
+  return r.complete() ? "done" : "partial";
+}
+
 std::string Server::statusLine(const Request& req) const {
   // Route through the engine view: after a committed delta this reports
   // the NEW generation, while generation 0 behaves exactly as before.
   const std::shared_ptr<const EngineView> view = engine_.currentView();
   const char* state = "classifying";
   if (view->result != nullptr) {
-    if (view->result->paused)
-      state = "paused";
-    else if (view->result->cancelled)
-      state = "cancelled";
-    else
-      state = "done";
+    state = finishedRunState(*view->result);
   } else if (!view->classifier->started()) {
     state = "loading";
   }

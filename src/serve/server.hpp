@@ -54,6 +54,11 @@ struct ServerConfig {
   ServeFaultPlan faults;
 };
 
+/// The state a returned run reports, in `status` and the serve summary:
+/// "paused", "cancelled", "partial" (pairs or concepts left unresolved)
+/// or "done".
+const char* finishedRunState(const ClassificationResult& r);
+
 class Server {
  public:
   /// `fallback` is the direct-call plug-in chain for unresolved /

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +16,70 @@ TEST(PkStore, InitPossibleAllFillsOffDiagonal) {
   for (ConceptId x = 0; x < 4; ++x) {
     EXPECT_FALSE(s.possible(x, x));
     EXPECT_TRUE(s.tested(x, x)) << "diagonal pre-claimed";
+  }
+}
+
+// --- initialisation -----------------------------------------------------------
+// The constructor leaves the matrix words unwritten; initPossibleAll() and
+// restoreImage() must each write every one of them, block padding included.
+
+/// Row x of the genesis store: P holds every concept but x, K is empty,
+/// tested holds only the diagonal, and every padding word is zero.
+void expectGenesisWords(PkStore& s) {
+  constexpr std::size_t kBlock = AtomicBitMatrix::kBlockWords;
+  const std::size_t n = s.conceptCount();
+  const std::size_t used = s.rowWords();
+  const std::size_t padded = (used + kBlock - 1) / kBlock * kBlock;
+  for (ConceptId x = 0; x < n; ++x) {
+    const PkStore::RowWords row = s.quiescentRow(x);
+    for (std::size_t w = 0; w < padded; ++w) {
+      std::uint64_t p = 0;
+      for (std::size_t y = w * 64; y < std::min(n, w * 64 + 64); ++y)
+        if (y != x) p |= std::uint64_t{1} << (y % 64);
+      const std::uint64_t tested =
+          w == x / 64 ? std::uint64_t{1} << (x % 64) : 0;
+      ASSERT_EQ(row.p[w], p) << "n=" << n << " P row " << x << " word " << w;
+      ASSERT_EQ(row.k[w], 0u) << "n=" << n << " K row " << x << " word " << w;
+      ASSERT_EQ(row.tested[w], tested)
+          << "n=" << n << " tested row " << x << " word " << w;
+    }
+  }
+  EXPECT_TRUE(s.countersConsistent());
+  EXPECT_EQ(s.remainingPossible(), n * (n - 1));
+}
+
+/// Sets every word of the three matrices, padding included: whatever a
+/// later initialisation does not write shows up as a stale one bit.
+void scribble(PkStore& s) {
+  constexpr std::size_t kBlock = AtomicBitMatrix::kBlockWords;
+  const std::size_t padded = (s.rowWords() + kBlock - 1) / kBlock * kBlock;
+  for (ConceptId x = 0; x < s.conceptCount(); ++x) {
+    const PkStore::RowWords row = s.quiescentRow(x);
+    std::fill_n(row.p, padded, ~std::uint64_t{0});
+    std::fill_n(row.k, padded, ~std::uint64_t{0});
+    std::fill_n(row.tested, padded, ~std::uint64_t{0});
+  }
+}
+
+TEST(PkStore, InitAndRestoreWriteEveryWord) {
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 513u}) {
+    PkStore fresh(n);
+    EXPECT_EQ(fresh.remainingPossible(), 0u) << "n=" << n;
+    fresh.initPossibleAll();
+    expectGenesisWords(fresh);
+    const PkStoreImage img = fresh.captureImage();
+
+    PkStore restored(n);
+    EXPECT_EQ(restored.remainingPossible(), 0u) << "n=" << n;
+    restored.restoreImage(img);
+    expectGenesisWords(restored);
+
+    scribble(fresh);
+    fresh.initPossibleAll();
+    expectGenesisWords(fresh);
+    scribble(restored);
+    restored.restoreImage(img);
+    expectGenesisWords(restored);
   }
 }
 

@@ -4,9 +4,17 @@
 // ELH+ ontology with a dense is-a backbone and many ∃-decorations: its
 // saturation alone takes about 2.0 s (-O2, 4-vCPU x86 host), so a 300 ms
 // budget, under a sixth of that, always lands inside the routing phase.
+//
+// The saturation runs as a pool task while the classifying thread builds
+// the P/K store, so the watchdog fires inside that task. A status reader
+// polls remainingPossible() from the classifier's construction until
+// classify() returns, as Server::statusLine does; routing_cancel_test
+// runs under TSan, which checks those reads against the store build.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <thread>
 
 #include "core/parallel_classifier.hpp"
 #include "core/real_executor.hpp"
@@ -43,18 +51,40 @@ TEST(RoutingCancel, WatchdogStopsDenseElSaturationSoundly) {
   ThreadPool pool(2);
   RealExecutor exec(pool);
   ParallelClassifier classifier(*g.tbox, reasoner, cfg);
+  const std::size_t n = g.tbox->conceptCount();
+  std::atomic<bool> returned{false};
+  std::size_t reads = 0;
+  std::size_t overBound = 0;
+  std::thread status([&] {
+    while (!returned.load(std::memory_order_acquire)) {
+      if (classifier.remainingPossible() > n * (n - 1)) ++overBound;
+      ++reads;
+      std::this_thread::yield();
+    }
+  });
 
   const auto start = std::chrono::steady_clock::now();
   const ClassificationResult r = classifier.classify(exec);
   const std::chrono::duration<double> took =
       std::chrono::steady_clock::now() - start;
+  returned.store(true, std::memory_order_release);
+  status.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(overBound, 0u) << "|R_O| read above n(n-1)";
 
   EXPECT_TRUE(r.cancelled) << "watchdog should have fired";
   EXPECT_LT(took.count(), kReturnWithinS) << "routing ignored the watchdog";
-  // Cut short before its fixpoint, the saturation seeds nothing.
+  // Cut short before its fixpoint, the saturation seeds nothing, and the
+  // run records exactly one routing cycle.
   ASSERT_FALSE(r.cycles.empty());
   EXPECT_EQ(r.cycles.front().phase, CycleStats::Phase::kRouting);
   EXPECT_LT(r.cycles.front().elapsedNs, 5'000'000'000u);
+  std::size_t routingCycles = 0;
+  for (const CycleStats& c : r.cycles)
+    routingCycles += c.phase == CycleStats::Phase::kRouting ? 1 : 0;
+  EXPECT_EQ(routingCycles, 1u);
+  EXPECT_EQ(r.cycles.front().possibleBefore, n * (n - 1));
+  EXPECT_EQ(r.cycles.front().possibleAfter, n * (n - 1));
   EXPECT_EQ(r.saturationSeeded, 0u);
   EXPECT_EQ(r.routedConcepts, 0u);
   EXPECT_FALSE(r.complete());

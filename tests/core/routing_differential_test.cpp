@@ -301,11 +301,12 @@ TEST(RoutingDifferential, FullyRoutedCorpusSkipsPhaseOne) {
         EXPECT_EQ(c.reasonerTests, 0u) << "cycle " << c.index;
       }
       EXPECT_EQ(randomCycles, config.randomCycles);
-      // Routing runs without a barrier, so the first barriers close the
-      // random cycles.
-      ASSERT_GE(exec.perBarrier.size(), config.randomCycles);
+      // Routing's one barrier joins the only task it dispatches, the
+      // saturation; the barriers after it close the random cycles.
+      ASSERT_GE(exec.perBarrier.size(), config.randomCycles + 1);
+      EXPECT_EQ(exec.perBarrier[0], 1u) << "routing dispatches one task";
       for (std::size_t i = 0; i < config.randomCycles; ++i)
-        EXPECT_EQ(exec.perBarrier[i], 0u)
+        EXPECT_EQ(exec.perBarrier[i + 1], 0u)
             << "cycle " << i << " dispatched tasks";
 
       std::ostringstream tree;

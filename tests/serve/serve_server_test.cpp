@@ -153,6 +153,7 @@ TEST_F(ServeServerTest, BatchAnswersMatchGroundTruthInInputOrder) {
   server.drain();
   ASSERT_NE(server.result(), nullptr);
   EXPECT_FALSE(server.result()->cancelled);
+  EXPECT_STREQ(finishedRunState(*server.result()), "done");
 }
 
 TEST_F(ServeServerTest, DescendantsCompleteAfterClassification) {
@@ -402,6 +403,10 @@ TEST_F(ServeServerTest, PartialGenerationAnswersFromSnapshotAndLadder) {
   for (ConceptId c = 0; c < n; ++c, ++line)
     verdict(line, onto_.truth.satisfiable(c),
             unresolvedConcepts.count(c) != 0 ? "direct" : "settled");
+  // The run finished, but not completely: status says so.
+  const std::string status = ask(server, R"({"op":"status","id":1})");
+  EXPECT_TRUE(contains(status, "\"state\":\"partial\"")) << status;
+  EXPECT_STREQ(finishedRunState(r), "partial");
 
   server.drain();
   const QueryEngineStats stats = server.engineStats();
@@ -423,6 +428,8 @@ TEST_F(ServeServerTest, PausedRunAnswersDescendantsPending) {
   ASSERT_NE(view, nullptr);
   ASSERT_TRUE(view->result->paused);
   EXPECT_EQ(view->snapshot, nullptr);
+  const std::string status = ask(server, R"({"op":"status","id":2})");
+  EXPECT_TRUE(contains(status, "\"state\":\"paused\"")) << status;
 
   const std::string resp =
       ask(server, "{\"op\":\"descendants\",\"id\":1,\"concept\":\"" +

@@ -110,10 +110,15 @@ TEST(ServeSnapshotStormTest, BatchesPinOneGenerationAcrossCommitStorm) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> consistent{0};
+  std::atomic<int> clientsRunning{2};
   std::vector<std::string> failures[2];
   std::vector<std::thread> clients;
   for (int t = 0; t < 2; ++t)
     clients.emplace_back([&, t] {
+      struct Exit {
+        std::atomic<int>& running;
+        ~Exit() { running.fetch_sub(1, std::memory_order_relaxed); }
+      } exit{clientsRunning};
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string resp = ask(server, batchLine);
         if (resp == "<rejected>") return;  // server draining — storm over
@@ -142,8 +147,24 @@ TEST(ServeSnapshotStormTest, BatchesPinOneGenerationAcrossCommitStorm) {
 
   // The storm: each commit retracts the live direction and asserts the
   // opposite one, retiring the previous generation (and its snapshot)
-  // while clients may still be pinned to it.
-  for (int cycle = 0; cycle < 10; ++cycle) {
+  // while clients may still be pinned to it. Before each commit, the
+  // clients must have completed three batches since the last one: one of
+  // the two completed two, and the later of those was submitted after
+  // that commit returned, so every generation is read.
+  bool stormRead = true;
+  for (int cycle = 0; cycle < 10 && stormRead; ++cycle) {
+    const std::uint64_t seen = consistent.load(std::memory_order_relaxed);
+    const auto readBy =
+        std::chrono::steady_clock::now() + std::chrono::minutes(2);
+    while (consistent.load(std::memory_order_relaxed) < seen + 3 &&
+           clientsRunning.load(std::memory_order_relaxed) > 0 &&
+           std::chrono::steady_clock::now() < readBy)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stormRead = consistent.load(std::memory_order_relaxed) >= seen + 3;
+    EXPECT_TRUE(stormRead) << "generation " << cycle
+                           << " was never read: the clients completed "
+                           << consistent.load() - seen << " batches";
+    if (!stormRead) break;
     const bool forward = cycle % 2 == 0;  // A⊑B is currently asserted
     ASSERT_TRUE(contains(ask(server, R"({"op":"begin-delta"})"), "\"txn\""));
     const std::string retractLine =

@@ -1165,9 +1165,7 @@ int cmdServe(const std::string& path, const Options& o) {
                        [&server] { return server.captureCheckpoint(); });
 
   const ClassificationResult* r = server.result();
-  const char* state = "unknown";
-  if (r != nullptr)
-    state = r->paused ? "paused" : (r->cancelled ? "cancelled" : "done");
+  const char* state = r != nullptr ? finishedRunState(*r) : "unknown";
   std::fprintf(stderr,
                "serve: %llu served, %llu shed; classification %s "
                "(epoch %zu, %zu possible pairs remaining)\n",
