@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
   const std::size_t txns = quick ? 6 : 14;
 
   // Each workload is a union of disjoint modules (distinct name prefixes
-  // keep the told-axiom signatures disconnected), so a single-axiom edit
-  // has a module-sized cone, not an ontology-sized one.
+  // keep the told-axiom signatures disconnected), so a single-axiom edit's
+  // cone stays inside one module, never the whole ontology.
   const auto modules = [](const char* prefix, std::size_t count,
                           std::size_t conceptsEach, std::size_t edgesEach,
                           unsigned seed) {

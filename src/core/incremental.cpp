@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
 #include "owl/printer.hpp"
 #include "util/assert.hpp"
@@ -115,172 +115,49 @@ bool applyStagedOps(std::vector<std::string>& stmts,
 
 // --- affected-concept cone ---------------------------------------------------
 
-namespace {
-
-/// Union-find over symbol ids (concepts, then roles offset past them).
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[b] = a;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-void collectSignature(const ExprFactory& ex, ExprId e, std::size_t roleOffset,
-                      std::vector<std::size_t>* sig) {
-  const ExprNode& n = ex.node(e);
-  if (n.kind == ExprKind::kAtom) {
-    sig->push_back(n.atom);
-    return;
-  }
-  if (n.role != kInvalidRole) sig->push_back(roleOffset + n.role);
-  for (const ExprId ch : ex.children(e))
-    collectSignature(ex, ch, roleOffset, sig);
-}
-
-/// ⊥-locality of a subclass-axiom LHS: interpreting every symbol of the
-/// expression as ⊥ makes the expression ⊥ (the axiom trivially true), so
-/// the axiom's effects stay within its signature component. Conservative:
-/// anything not recognisably local counts as ungrounded.
-bool groundedExpr(const ExprFactory& ex, ExprId e) {
-  const ExprNode& n = ex.node(e);
-  switch (n.kind) {
-    case ExprKind::kBottom:
-    case ExprKind::kAtom:
-      return true;
-    case ExprKind::kExists:
-      return groundedExpr(ex, ex.children(e)[0]);
-    case ExprKind::kAtLeast:
-      return n.number >= 1 && groundedExpr(ex, ex.children(e)[0]);
-    case ExprKind::kAnd: {
-      for (const ExprId ch : ex.children(e))
-        if (groundedExpr(ex, ch)) return true;
-      return false;
-    }
-    case ExprKind::kOr: {
-      for (const ExprId ch : ex.children(e))
-        if (!groundedExpr(ex, ch)) return false;
-      return true;
-    }
-    case ExprKind::kTop:
-    case ExprKind::kNot:
-    case ExprKind::kForall:
-    case ExprKind::kAtMost:
-      return false;
-  }
-  return false;
-}
-
-struct AxiomInfo {
-  std::vector<std::size_t> sig;
-  bool grounded = true;
-  std::string text;
-};
-
-AxiomInfo axiomInfo(const TBox& tbox, const ToldAxiom& ax,
-                    std::size_t roleOffset) {
-  AxiomInfo info;
-  info.text = toFunctionalSyntax(tbox, ax);
-  const ExprFactory& ex = tbox.exprs();
-  for (const ExprId e : ax.classArgs)
-    collectSignature(ex, e, roleOffset, &info.sig);
-  if (ax.role1 != kInvalidRole) info.sig.push_back(roleOffset + ax.role1);
-  if (ax.role2 != kInvalidRole) info.sig.push_back(roleOffset + ax.role2);
-  std::sort(info.sig.begin(), info.sig.end());
-  info.sig.erase(std::unique(info.sig.begin(), info.sig.end()),
-                 info.sig.end());
-  switch (ax.kind) {
-    case AxiomKind::kSubClassOf:
-      info.grounded = groundedExpr(ex, ax.classArgs[0]);
-      break;
-    case AxiomKind::kEquivalentClasses:
-    case AxiomKind::kDisjointClasses:
-      for (const ExprId e : ax.classArgs)
-        info.grounded = info.grounded && groundedExpr(ex, e);
-      break;
-    case AxiomKind::kSubObjectPropertyOf:
-    case AxiomKind::kTransitiveObjectProperty:
-    case AxiomKind::kAnnotation:
-      info.grounded = true;
-      break;
-  }
-  return info;
-}
-
-}  // namespace
-
 ConeResult computeAffectedCone(const TBox& oldTbox, const TBox& newTbox) {
-  const std::size_t nConcepts = newTbox.conceptCount();
-  const std::size_t roleOffset = nConcepts;
-  const std::size_t nSymbols = nConcepts + newTbox.roles().size();
-  UnionFind uf(nSymbols);
-
-  // Annotations are logically inert: they join neither the union-find nor
-  // the changed set, so an annotation-only delta has an empty cone.
-  std::vector<AxiomInfo> axioms;
+  // The canonical-text diff decides what changed. Annotations are
+  // logically inert: they never count as changed, so an annotation-only
+  // delta has an empty cone.
+  const auto texts = [](const TBox& t) {
+    std::vector<std::string> out;
+    out.reserve(t.toldAxioms().size());
+    for (const ToldAxiom& ax : t.toldAxioms())
+      out.push_back(ax.kind == AxiomKind::kAnnotation
+                        ? std::string()
+                        : toFunctionalSyntax(t, ax));
+    return out;
+  };
+  const std::vector<std::string> oldText = texts(oldTbox);
+  const std::vector<std::string> newText = texts(newTbox);
   std::unordered_map<std::string, long long> balance;  // new minus old
-  for (const ToldAxiom& ax : oldTbox.toldAxioms()) {
-    if (ax.kind == AxiomKind::kAnnotation) continue;
-    axioms.push_back(axiomInfo(oldTbox, ax, roleOffset));
-    --balance[axioms.back().text];
-  }
-  for (const ToldAxiom& ax : newTbox.toldAxioms()) {
-    if (ax.kind == AxiomKind::kAnnotation) continue;
-    axioms.push_back(axiomInfo(newTbox, ax, roleOffset));
-    ++balance[axioms.back().text];
-  }
-  for (const AxiomInfo& a : axioms)
-    for (std::size_t i = 1; i < a.sig.size(); ++i)
-      uf.unite(a.sig[0], a.sig[i]);
+  for (const std::string& t : oldText)
+    if (!t.empty()) --balance[t];
+  for (const std::string& t : newText)
+    if (!t.empty()) ++balance[t];
 
   ConeResult result;
-  std::unordered_set<std::size_t> changedRoots;
-  for (const AxiomInfo& a : axioms) {
-    const auto it = balance.find(a.text);
-    if (it == balance.end() || it->second == 0) continue;
-    if (a.sig.empty() || !a.grounded) result.fullCone = true;
-    for (const std::size_t s : a.sig) changedRoots.insert(uf.find(s));
-  }
   for (const auto& [text, bal] : balance)
     if (bal != 0)
       result.changedAxioms += static_cast<std::size_t>(bal < 0 ? -bal : bal);
 
-  if (!result.fullCone) {
-    // An ungrounded axiom anywhere in a changed component defeats the
-    // containment argument for that component — and transitively for the
-    // whole ontology (its ⊤-level effects reach every concept).
-    for (const AxiomInfo& a : axioms) {
-      if (a.grounded) continue;
-      for (const std::size_t s : a.sig)
-        if (changedRoots.count(uf.find(s)) != 0) {
-          result.fullCone = true;
-          break;
-        }
-      if (result.fullCone) break;
-    }
-  }
+  // A concept reached by neither run has the same ⊥-module in both TBoxes,
+  // hence the same subsumers and satisfiability (DESIGN.md §14).
+  const auto reach = [&balance](const TBox& t,
+                                const std::vector<std::string>& text) {
+    std::vector<std::size_t> changed;
+    for (std::size_t i = 0; i < text.size(); ++i)
+      if (!text[i].empty() && balance.at(text[i]) != 0) changed.push_back(i);
+    return moduleReaches(t, changed);
+  };
+  const ModuleReach before = reach(oldTbox, oldText);
+  const ModuleReach after = reach(newTbox, newText);
+  result.fullCone = before.always || after.always;
 
-  if (result.fullCone) {
-    result.cone.resize(nConcepts);
-    for (ConceptId c = 0; c < nConcepts; ++c) result.cone[c] = c;
-    return result;
-  }
-  for (ConceptId c = 0; c < nConcepts; ++c) {
-    if (c >= oldTbox.conceptCount() || changedRoots.count(uf.find(c)) != 0)
+  const std::size_t nOld = oldTbox.conceptCount();
+  for (ConceptId c = 0; c < newTbox.conceptCount(); ++c) {
+    if (result.fullCone || c >= nOld || before.concepts.test(c) ||
+        after.concepts.test(c))
       result.cone.push_back(c);
   }
   return result;

@@ -3,7 +3,7 @@
 // DeltaReclassifier — transactional axiom add/retract on top of a
 // *completed* parallel classification: the delta is journaled through a
 // DeltaTxnSink before anything mutates, the affected-concept cone is
-// computed by union-find over told-axiom signatures, the quiescent
+// computed by ⊥-module reachability of the changed axioms, the quiescent
 // PkStore image is reopened for the cone only, and the three-phase
 // pipeline reruns on the cone. Commit swaps in the new generation
 // atomically; any failure (rerun incomplete, cancellation, injected
@@ -69,18 +69,20 @@ struct StagedOp {
 bool applyStagedOps(std::vector<std::string>& stmts,
                     const std::vector<StagedOp>& ops, std::string* error);
 
-/// Affected-concept cone of a delta, from union-find over told-axiom
-/// signatures. Precondition: every concept/role name of `oldTbox` maps to
-/// the SAME id in `newTbox` (the statement-list discipline guarantees it;
+/// Affected-concept cone of a delta: the concepts whose syntactic
+/// ⊥-module may contain a changed axiom (moduleReaches, seeded with the
+/// retracted axioms in `oldTbox` and the added ones in `newTbox`).
+/// Precondition: every concept/role name of `oldTbox` maps to the SAME id
+/// in `newTbox` (the statement-list discipline guarantees it;
 /// DeltaReclassifier verifies before calling).
 struct ConeResult {
-  /// Concepts whose verdicts may change (new-id space, sorted): members of
-  /// every signature component touched by a changed axiom, plus all
-  /// concepts new in `newTbox`. When `fullCone` is set, every concept.
+  /// Concepts whose verdicts may change (new-id space, sorted): concepts
+  /// whose old or new ⊥-module reaches a changed axiom, plus all concepts
+  /// new in `newTbox`. When `fullCone` is set, every concept.
   std::vector<ConceptId> cone;
-  /// A changed axiom (or an axiom sharing a component with one) is not
-  /// grounded (⊥-local), so its effects cannot be confined to its
-  /// component — the whole ontology is the cone.
+  /// The always-module (axioms in every ⊥-module, e.g. ⊤ on the left)
+  /// reaches a changed axiom in the old or the new TBox, so every
+  /// concept's module does — the whole ontology is the cone.
   bool fullCone = false;
   /// Told axioms in the symmetric difference (by canonical text).
   std::size_t changedAxioms = 0;
@@ -144,9 +146,9 @@ struct DeltaGeneration {
   std::shared_ptr<ReasonerPlugin> plugin;
   std::shared_ptr<ParallelClassifier> classifier;
   std::shared_ptr<const ClassificationResult> result;
-  /// Read-optimized query index compiled from this generation's finished
-  /// taxonomy (DESIGN.md §16); null while the generation's result is
-  /// degraded or pending.
+  /// Read-optimized query index compiled from this generation's taxonomy
+  /// (DESIGN.md §16), a PARTIAL generation 0's included; null while the
+  /// result is pending or the run was paused.
   std::shared_ptr<const TaxonomySnapshot> snapshot;
   std::uint64_t deltaEpoch = 0;  // committed delta transactions so far
 };

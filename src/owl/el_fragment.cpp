@@ -186,29 +186,10 @@ void axiomSyms(const TBox& tbox, const SymbolSpace& sp, const ToldAxiom& ax,
 
 }  // namespace
 
-ElPartition partitionElFragment(const TBox& tbox) {
-  OWLCL_ASSERT_MSG(tbox.frozen(), "partitionElFragment needs a frozen TBox");
+ModuleReach moduleReaches(const TBox& tbox,
+                          const std::vector<std::size_t>& seedAxioms) {
   const std::vector<ToldAxiom>& told = tbox.toldAxioms();
   const std::size_t nAxioms = told.size();
-
-  ElPartition part;
-  part.axiomEl.assign(nAxioms, 0);
-  for (std::size_t i = 0; i < nAxioms; ++i) {
-    const bool el = isElSafeAxiom(tbox, told[i]);
-    part.axiomEl[i] = el ? 1 : 0;
-    if (told[i].kind != AxiomKind::kAnnotation)
-      ++(el ? part.elAxioms : part.nonElAxioms);
-  }
-
-  // Only a non-EL axiom seeds the fixpoint below, so with none of them no
-  // symbol — `always` included — can become dangerous: every concept is
-  // pure and nothing is tainted.
-  if (part.nonElAxioms == 0) {
-    part.pureConcepts = DynamicBitset(tbox.conceptCount(), true);
-    part.pureCount = tbox.conceptCount();
-    return part;
-  }
-
   const SymbolSpace sp{
       tbox.conceptCount(), tbox.roles().size(),
       static_cast<std::uint32_t>(tbox.conceptCount() + tbox.roles().size())};
@@ -245,12 +226,12 @@ ElPartition partitionElFragment(const TBox& tbox) {
         axiomsOfSym[cursor[sig[k]]++] = static_cast<std::uint32_t>(i);
   }
 
-  // Dangerous-symbol fixpoint. Init: a symbol that can fire a non-EL
-  // axiom into a module is dangerous. Propagate: an axiom whose signature
+  // Dangerous-symbol fixpoint. Init: a symbol that can fire a seed axiom
+  // into a module is dangerous. Propagate: an axiom whose signature
   // touches a dangerous symbol imports that danger into every module it
-  // fires into, so its own trigger becomes dangerous too. A symbol s is
-  // then pure iff s ∉ D — its ⊥-module (and, because firing is
-  // single-symbol, the module of any pure *pair*) is all-EL.
+  // fires into, so its own trigger becomes dangerous too. A symbol s ∉ D
+  // has a ⊥-module without any seed axiom — and, because firing is
+  // single-symbol, so does any set of such symbols.
   DynamicBitset dangerous(nSyms);
   std::vector<std::uint32_t> work;
   const auto markTrigger = [&](std::size_t i) {
@@ -262,8 +243,7 @@ ElPartition partitionElFragment(const TBox& tbox) {
       }
     }
   };
-  for (std::size_t i = 0; i < nAxioms; ++i)
-    if (part.axiomEl[i] == 0) markTrigger(i);
+  for (const std::size_t i : seedAxioms) markTrigger(i);
   std::vector<std::uint8_t> fired(nAxioms, 0);
   while (!work.empty()) {
     const std::uint32_t s = work.back();
@@ -276,16 +256,49 @@ ElPartition partitionElFragment(const TBox& tbox) {
     }
   }
 
-  // `always` dangerous ⟺ the always-module (axioms present in every
+  ModuleReach reach;
+  reach.always = dangerous.test(sp.always);
+  reach.concepts = DynamicBitset(sp.concepts);
+  for (std::size_t c = 0; c < sp.concepts; ++c)
+    if (dangerous.test(c)) reach.concepts.set(c);
+  return reach;
+}
+
+ElPartition partitionElFragment(const TBox& tbox) {
+  OWLCL_ASSERT_MSG(tbox.frozen(), "partitionElFragment needs a frozen TBox");
+  const std::vector<ToldAxiom>& told = tbox.toldAxioms();
+
+  ElPartition part;
+  part.axiomEl.assign(told.size(), 0);
+  std::vector<std::size_t> nonEl;
+  for (std::size_t i = 0; i < told.size(); ++i) {
+    const bool el = isElSafeAxiom(tbox, told[i]);
+    part.axiomEl[i] = el ? 1 : 0;
+    if (!el) nonEl.push_back(i);
+    if (told[i].kind != AxiomKind::kAnnotation)
+      ++(el ? part.elAxioms : part.nonElAxioms);
+  }
+
+  // Only a non-EL axiom seeds the fixpoint, so with none of them no
+  // symbol — `always` included — can become dangerous: every concept is
+  // pure and nothing is tainted.
+  if (nonEl.empty()) {
+    part.pureConcepts = DynamicBitset(tbox.conceptCount(), true);
+    part.pureCount = tbox.conceptCount();
+    return part;
+  }
+
+  // `always` reached ⟺ the always-module (axioms present in every
   // ⊥-module) reaches a non-EL axiom: nothing is pure. This also covers
   // global inconsistency hiding in the residual — a ⊤ ⊑ ⊥ entailment
   // needs axioms of the Σ=∅ module, and if those were all EL the
   // saturation itself derives every concept unsatisfiable.
-  part.globallyTainted = dangerous.test(sp.always);
-  part.pureConcepts = DynamicBitset(sp.concepts);
+  const ModuleReach reach = moduleReaches(tbox, nonEl);
+  part.globallyTainted = reach.always;
+  part.pureConcepts = DynamicBitset(tbox.conceptCount());
   if (!part.globallyTainted) {
-    for (std::size_t c = 0; c < sp.concepts; ++c) {
-      if (!dangerous.test(c)) {
+    for (std::size_t c = 0; c < tbox.conceptCount(); ++c) {
+      if (!reach.concepts.test(c)) {
         part.pureConcepts.set(c);
         ++part.pureCount;
       }

@@ -16,10 +16,14 @@
 //     over them. Positive saturation results are sound for EVERY concept
 //     (monotonicity); purity is what additionally licenses negative
 //     verdicts (non-subsumptions, satisfiability). partitionElFragment
-//     computes purity with a linear-time dangerous-symbol fixpoint over a
-//     per-axiom trigger/signature relation — an over-approximation of
-//     ⊥-locality module reachability that is additive over seed
-//     signatures, so {A,B} both pure ⇒ mod_⊥({A,B}) is all-EL.
+//     computes purity with moduleReaches seeded by the non-EL axioms.
+//
+// moduleReaches is a linear-time dangerous-symbol fixpoint over a
+// per-axiom trigger/signature relation — an over-approximation of
+// ⊥-locality module reachability that is additive over seed signatures,
+// so {A,B} both unreached ⇒ mod_⊥({A,B}) holds no seed axiom. The delta
+// cone of incremental reclassification (DESIGN.md §14) is the same
+// question asked with the changed axioms as seeds.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +44,22 @@ bool isElSafeExpr(const ExprFactory& f, ExprId e);
 /// isElSafeExpr. Role-box axioms (sub-role, transitivity) and annotations
 /// are EL-safe by construction.
 bool isElSafeAxiom(const TBox& tbox, const ToldAxiom& ax);
+
+/// Which concepts' syntactic ⊥-modules may contain a seed axiom.
+struct ModuleReach {
+  /// Concepts whose ⊥-module may contain a seed axiom (concept-id space).
+  DynamicBitset concepts;
+  /// The always-module (axioms in every ⊥-module, e.g. with an effectively
+  /// ⊤ left-hand side) reaches a seed axiom: so does every concept's
+  /// module, whatever `concepts` says.
+  bool always = false;
+};
+
+/// Dangerous-symbol fixpoint over the told axioms of `tbox` (frozen or
+/// not), seeded with the told-axiom indices `seedAxioms`. Linear in the
+/// total size of the told axioms.
+ModuleReach moduleReaches(const TBox& tbox,
+                          const std::vector<std::size_t>& seedAxioms);
 
 /// Result of partitioning a frozen TBox into its maximal EL sub-ontology
 /// and the residual that still needs the tableau.

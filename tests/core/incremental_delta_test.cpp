@@ -3,11 +3,12 @@
 // committed taxonomy must be byte-identical to classifying the post-delta
 // ontology from scratch — including retracts of told-seeded axioms,
 // EL-purity-flipping deltas, empty deltas, rollback on injected factory
-// faults, and multi-worker delta storms.
+// faults, multi-worker delta storms and random SHQ deltas.
 #include "core/incremental.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "parallel/thread_pool.hpp"
 #include "reasoner/tableau_reasoner.hpp"
 #include "taxonomy/verify.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -92,36 +94,102 @@ TEST(DeltaStatements, StatementListRoundTripsIriNames) {
 
 // --- affected cone -----------------------------------------------------------
 
-TEST(DeltaCone, ConeConfinedToSignatureComponent) {
+/// Cone of applying `ops` to the ontology `base`.
+ConeResult coneOf(const char* base, const std::vector<StagedOp>& ops,
+                  TBox& newT) {
   TBox oldT;
-  parseFunctionalSyntax(R"(
+  parseFunctionalSyntax(base, oldT);
+  std::vector<std::string> stmts = statementsFromTBox(oldT);
+  std::string err;
+  EXPECT_TRUE(applyStagedOps(stmts, ops, &err)) << err;
+  EXPECT_TRUE(buildTBoxFromStatements(stmts, newT, &err)) << err;
+  return computeAffectedCone(oldT, newT);
+}
+
+std::vector<std::string> coneNames(const ConeResult& cone, const TBox& t) {
+  std::vector<std::string> names;
+  for (const ConceptId c : cone.cone) names.push_back(t.conceptName(c));
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(DeltaCone, ConeConfinedToSignatureComponent) {
+  TBox newT;
+  const ConeResult cone = coneOf(R"(
     Ontology(
       Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(C))
       Declaration(Class(X)) Declaration(Class(Y))
       SubClassOf(B A)
       SubClassOf(Y X)
     ))",
-                        oldT);
-  std::vector<std::string> stmts = statementsFromTBox(oldT);
-  std::string err;
-  ASSERT_TRUE(applyStagedOps(stmts, {{true, "SubClassOf(C B)"}}, &err)) << err;
-  TBox newT;
-  ASSERT_TRUE(buildTBoxFromStatements(stmts, newT, &err)) << err;
-
-  const ConeResult cone = computeAffectedCone(oldT, newT);
+                                 {{true, "SubClassOf(C B)"}}, newT);
   EXPECT_FALSE(cone.fullCone);
   EXPECT_EQ(cone.changedAxioms, 1u);
+  // Only C's ⊥-module gains the axiom: A and B keep their subsumers.
+  EXPECT_EQ(coneNames(cone, newT), (std::vector<std::string>{"C"}));
+  // The {X,Y} component shares no signature with the delta.
   const auto has = [&](const char* name) {
     const ConceptId id = newT.findConcept(name);
     return std::find(cone.cone.begin(), cone.cone.end(), id) !=
            cone.cone.end();
   };
-  EXPECT_TRUE(has("A"));
-  EXPECT_TRUE(has("B"));
-  EXPECT_TRUE(has("C"));
-  // The {X,Y} component shares no signature with the delta.
   EXPECT_FALSE(has("X"));
   EXPECT_FALSE(has("Y"));
+}
+
+// A domain axiom (∃r.⊤ on the left) is ⊥-local: it enters only the
+// modules that hold r, so it does not widen an unrelated delta's cone.
+TEST(DeltaCone, DomainAxiomDoesNotForceFullCone) {
+  TBox newT;
+  const ConeResult cone = coneOf(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(C))
+      Declaration(Class(Y)) Declaration(Class(Z))
+      Declaration(ObjectProperty(r))
+      SubClassOf(B A)
+      SubClassOf(ObjectSomeValuesFrom(r owl:Thing) A)
+      SubClassOf(Z Y)
+    ))",
+                                 {{true, "SubClassOf(C B)"}}, newT);
+  EXPECT_FALSE(cone.fullCone);
+  EXPECT_EQ(coneNames(cone, newT), (std::vector<std::string>{"C"}));
+}
+
+// Retracting an inner edge reaches the retracted edge's subsumee and
+// everything below it in the OLD TBox, but not the edge's subsumer.
+TEST(DeltaCone, InnerEdgeRetractReachesSubsumeesOnly) {
+  TBox newT;
+  const ConeResult cone = coneOf(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(C))
+      SubClassOf(B A)
+      SubClassOf(C B)
+    ))",
+                                 {{false, "SubClassOf(B A)"}}, newT);
+  EXPECT_FALSE(cone.fullCone);
+  EXPECT_EQ(cone.changedAxioms, 1u);
+  EXPECT_EQ(coneNames(cone, newT), (std::vector<std::string>{"B", "C"}));
+}
+
+// A new role inclusion r ⊑ s reaches every concept whose module holds an
+// ∃r: A (told ∃r) and F below it. B, the ∃r filler, E and the ∃s-users
+// keep their subsumers.
+TEST(DeltaCone, RoleInclusionReachesExistentialUsers) {
+  TBox newT;
+  const ConeResult cone = coneOf(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(E))
+      Declaration(Class(F)) Declaration(Class(G)) Declaration(Class(X))
+      Declaration(ObjectProperty(r)) Declaration(ObjectProperty(s))
+      SubClassOf(A ObjectSomeValuesFrom(r B))
+      SubClassOf(F A)
+      SubClassOf(ObjectSomeValuesFrom(s B) E)
+      SubClassOf(G ObjectSomeValuesFrom(s B))
+      SubClassOf(X E)
+    ))",
+                                 {{true, "SubObjectPropertyOf(r s)"}}, newT);
+  EXPECT_FALSE(cone.fullCone);
+  EXPECT_EQ(coneNames(cone, newT), (std::vector<std::string>{"A", "F"}));
 }
 
 TEST(DeltaCone, UngroundedAxiomForcesFullCone) {
@@ -410,6 +478,29 @@ TEST(DeltaReclassify, AddedEquivalenceJoinsClasses) {
             rig.scratchTaxonomy(delta->statements()));
 }
 
+// ⊤ ⊑ Course is in every ⊥-module: the commit reruns every concept and
+// each one gains the subsumer.
+TEST(DeltaReclassify, GlobalAxiomRerunsEveryConcept) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  std::string err;
+  ASSERT_TRUE(delta->beginTxn(&err)) << err;
+  ASSERT_TRUE(delta->stageAdd("SubClassOf(owl:Thing Course)", &err)) << err;
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+  EXPECT_TRUE(info.fullCone);
+  EXPECT_EQ(info.coneSize, info.conceptCount);
+
+  const DeltaGeneration gen = delta->generation();
+  EXPECT_TRUE(gen.result->taxonomy.subsumes(gen.tbox->findConcept("Course"),
+                                            gen.tbox->findConcept("Person")));
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
 TEST(DeltaReclassify, AbortLeavesGenerationUntouched) {
   Rig rig(2);
   parseFunctionalSyntax(kSmallOntology, rig.tbox);
@@ -624,6 +715,151 @@ TEST(DeltaReclassify, DeltaStormMatchesFromScratchMultiWorker) {
               rig.scratchTaxonomy(delta->statements()))
         << "txn " << txn << " diverged from the from-scratch oracle";
   }
+}
+
+// --- random differential deltas ---------------------------------------------
+
+/// Random SHQ statements over C0..C{n-1} and four roles. r0/r1 stay simple
+/// (the only roles under ≥/≤, whose fillers are atoms); r2/r3 may be
+/// transitive and only reach ∃/∀. Role inclusions point one way, so the
+/// hierarchy stays acyclic.
+class RandomStatements {
+ public:
+  RandomStatements(std::uint64_t seed, std::size_t concepts)
+      : rng_(seed), concepts_(concepts) {}
+
+  std::vector<std::string> ontology(std::size_t axioms) {
+    std::vector<std::string> stmts;
+    for (std::size_t i = 0; i < concepts_; ++i)
+      stmts.push_back("Declaration(Class(" + atom(i) + "))");
+    for (const char* r : {"r0", "r1", "r2", "r3"})
+      stmts.push_back(std::string("Declaration(ObjectProperty(") + r + "))");
+    for (std::size_t i = 0; i < axioms; ++i) stmts.push_back(axiom());
+    return stmts;
+  }
+
+  std::string axiom() {
+    switch (pick(12)) {
+      case 0:
+        return "SubClassOf(" + expr(2) + " " + randomAtom() + ")";
+      case 1:
+        return "EquivalentClasses(" + randomAtom() + " " + expr(2) + ")";
+      case 2:
+        return "DisjointClasses(" + randomAtom() + " " + randomAtom() + ")";
+      case 3:
+        return "SubClassOf(ObjectSomeValuesFrom(" + role(4) +
+               " owl:Thing) " + randomAtom() + ")";
+      case 4: {
+        static const char* kInclusions[] = {"r0 r1", "r2 r3", "r0 r2",
+                                            "r1 r3"};
+        return std::string("SubObjectPropertyOf(") + kInclusions[pick(4)] +
+               ")";
+      }
+      case 5:
+        return std::string("TransitiveObjectProperty(") +
+               (pick(2) == 0 ? "r2" : "r3") + ")";
+      default:
+        return "SubClassOf(" + randomAtom() + " " + expr(2) + ")";
+    }
+  }
+
+  std::size_t pick(std::size_t n) { return rng_() % n; }
+  std::string randomAtom() { return atom(pick(concepts_)); }
+  static std::string atom(std::size_t i) { return strprintf("C%zu", i); }
+
+ private:
+  std::string role(std::size_t n) { return strprintf("r%zu", pick(n)); }
+
+  std::string expr(int depth) {
+    if (depth == 0) return randomAtom();
+    const std::string n = std::to_string(1 + pick(2));
+    switch (pick(9)) {
+      case 0:
+        return "ObjectIntersectionOf(" + expr(depth - 1) + " " +
+               expr(depth - 1) + ")";
+      case 1:
+        return "ObjectUnionOf(" + expr(depth - 1) + " " + expr(depth - 1) +
+               ")";
+      case 2:
+        return "ObjectComplementOf(" + expr(depth - 1) + ")";
+      case 3:
+        return "ObjectSomeValuesFrom(" + role(4) + " " + expr(depth - 1) +
+               ")";
+      case 4:
+        return "ObjectAllValuesFrom(" + role(4) + " " + expr(depth - 1) + ")";
+      case 5:
+        return "ObjectMinCardinality(" + n + " " + role(2) + " " +
+               randomAtom() + ")";
+      case 6:
+        return "ObjectMaxCardinality(" + n + " " + role(2) + " " +
+               randomAtom() + ")";
+      default:
+        return randomAtom();
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::size_t concepts_;
+};
+
+// Random add/retract commits on small random SHQ TBoxes: every committed
+// taxonomy must byte-equal the from-scratch one, and the cones must not
+// all be full (the differential would then test nothing the full rerun
+// does not).
+TEST(DeltaReclassify, RandomDeltasMatchFromScratch) {
+  std::size_t commits = 0, partialCones = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    RandomStatements gen(seed, 16);
+    Rig rig(2);
+    std::string err;
+    ASSERT_TRUE(buildTBoxFromStatements(gen.ontology(14), rig.tbox, &err))
+        << err;
+    rig.classifyBase();
+    auto delta = rig.makeDelta();
+
+    for (int txn = 0; txn < 5; ++txn) {
+      ASSERT_TRUE(delta->beginTxn(&err)) << err;
+      // Retract candidates: axioms whose standalone canonical form is
+      // their statement-list text. ⊓/⊔ operands are ordered by expression
+      // id, so an axiom over several of them can render differently on
+      // its own and would not match.
+      std::vector<std::string> axioms;
+      for (const std::string& s : delta->statements()) {
+        std::string canonical;
+        if (s.rfind("Declaration(", 0) != 0 &&
+            canonicalizeStatement(s, &canonical, &err) && canonical == s)
+          axioms.push_back(s);
+      }
+      if (!axioms.empty() && gen.pick(3) != 0) {
+        ASSERT_TRUE(
+            delta->stageRetract(axioms[gen.pick(axioms.size())], &err))
+            << err;
+      }
+      if (txn == 2) {
+        const std::string fresh =
+            strprintf("N%u", static_cast<unsigned>(seed));
+        ASSERT_TRUE(delta->stageAdd("Declaration(Class(" + fresh + "))", &err))
+            << err;
+        ASSERT_TRUE(delta->stageAdd(
+            "SubClassOf(" + fresh + " " + gen.randomAtom() + ")", &err))
+            << err;
+      }
+      ASSERT_TRUE(delta->stageAdd(gen.axiom(), &err)) << err;
+
+      DeltaCommitInfo info;
+      ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+      ++commits;
+      if (!info.fullCone && info.coneSize < info.conceptCount) ++partialCones;
+      ASSERT_TRUE(delta->generation().classifier->countersConsistent())
+          << "seed " << seed << " txn " << txn;
+      ASSERT_EQ(rig.generationTaxonomy(*delta),
+                rig.scratchTaxonomy(delta->statements()))
+          << "seed " << seed << " txn " << txn
+          << " diverged from the from-scratch oracle";
+    }
+  }
+  EXPECT_EQ(commits, 120u);
+  EXPECT_GT(partialCones, commits / 4);
 }
 
 }  // namespace

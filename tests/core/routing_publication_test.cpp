@@ -13,6 +13,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_classifier.hpp"
@@ -150,11 +151,17 @@ TEST(RoutingPublication, MidRunQueriesAgreeWithGroundTruth) {
 }
 
 /// RealExecutor whose watchdog has fired by the time the EL saturation
-/// polls its token for the first time: routing is always cut short.
+/// polls its token for the first time: routing is always cut short. The
+/// token fires when the saturation task is dispatched, because the run
+/// arms its watchdog only after building the store, and a fast saturation
+/// can finish before that.
 class SpentWatchdogExecutor : public RealExecutor {
  public:
   using RealExecutor::RealExecutor;
-  void armWatchdog(std::uint64_t) override { cancellation().cancel(); }
+  void dispatch(Task task) override {
+    cancellation().cancel();
+    RealExecutor::dispatch(std::move(task));
+  }
 };
 
 TEST(RoutingPublication, WatchdogDuringSaturationStillPublishesAndDrains) {

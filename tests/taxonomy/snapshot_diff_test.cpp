@@ -35,7 +35,8 @@ namespace {
 /// Builds the snapshot (with and without the vectorized kernels) and
 /// checks full subs?/sat?/descendants parity against the walk.
 void expectParity(const Taxonomy& tax, const TBox& tbox, bool complete) {
-  const BitKernels* kernelChoices[] = {nullptr, &activeBitKernels()};
+  const BitKernels* kernelChoices[] = {&portableBitKernels(),
+                                      &activeBitKernels()};
   for (const BitKernels* kernels : kernelChoices) {
     const auto snap = TaxonomySnapshot::build(tax, tbox, complete,
                                               /*generation=*/7, kernels);
